@@ -29,7 +29,6 @@ from .fpalgebra import (
     Component,
     Decomposition,
     FpAlgebra,
-    is_unit,
     lift_idempotents,
     nilradical,
     quotient_by,
@@ -92,7 +91,6 @@ __all__ = [
     "equation_order",
     "extensions_of",
     "is_prime",
-    "is_unit",
     "lift_idempotents",
     "nilradical",
     "p_maximal_order",

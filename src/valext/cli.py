@@ -17,6 +17,7 @@ from .extensions import extensions_of
 from .numberfield import NFElem, NumberField
 from .orders import p_maximal_order
 from .padic import is_prime
+from .polynomials import format_poly
 from .theorems import approx_element, check_fundamental, weak_approx
 
 
@@ -97,28 +98,7 @@ def parse_element(text: str, field: NumberField) -> NFElem:
 
 
 def format_element(x: NFElem) -> str:
-    parts = []
-    for k in range(x.field.n - 1, -1, -1):
-        c = x.coords[k]
-        if c == 0:
-            continue
-        if k == 0:
-            term = str(c)
-        else:
-            gen = "a" if k == 1 else f"a^{k}"
-            if c == 1:
-                term = gen
-            elif c == -1:
-                term = f"-{gen}"
-            else:
-                term = f"{c}*{gen}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return format_poly(x.coords, "a")
 
 
 def _prime_type(text: str) -> int:

@@ -31,7 +31,6 @@ from .linalg import (
     fp_kernel,
     fp_rank,
     lattice_canonical,
-    lattice_contains,
     pval,
 )
 from .numberfield import NFElem, NumberField
@@ -91,10 +90,6 @@ class ExtensionValuation:
     def residue_of_integral(self, x: NFElem) -> VecFp:
         """Residue-field image of an element of the p-maximal order."""
         return fp_matvec(self.residue_projection, self.order.coords_mod_p(x, self.p), self.p)
-
-    def in_prime(self, x: NFElem) -> bool:
-        """Lattice membership of x in the prime P = ker(residue) of the order."""
-        return lattice_contains(self.prime_basis, x.coords, self.p)
 
     def position(self, x: NFElem, trace: list[str] | None = None) -> Position:
         return decide_position(x, self, trace)

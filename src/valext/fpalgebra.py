@@ -195,10 +195,14 @@ class Decomposition:
 
 
 def quotient_mod_p(order, p: int) -> FpAlgebra:
-    """A = O/pO with basis the images of the order basis."""
+    """A = O/pO with basis the images of the order basis.
+
+    The table is the multiplication table of an order basis, so it is
+    commutative and associative by construction and is not re-validated.
+    """
     table = order.mult_table_mod_p(p)
     unit = order.coords_mod_p(order.field.one(), p)
-    return FpAlgebra(p, table, unit)
+    return FpAlgebra(p, table, unit, validate=False)
 
 
 def nilradical(a: FpAlgebra) -> AlgIdeal:
@@ -234,10 +238,6 @@ def quotient_by(a: FpAlgebra, ideal: AlgIdeal) -> tuple[FpAlgebra, MatFp]:
         for i in range(len(free)):
             proj[i][j] = col[i]
     return FpAlgebra(a.p, table, unit, validate=False), proj
-
-
-def is_unit(a: FpAlgebra, x: VecFp) -> bool:
-    return a.is_unit(x)
 
 
 def _span_coords(a: FpAlgebra, basis: MatFp, pivots: list[int], v: VecFp) -> VecFp:

@@ -36,48 +36,36 @@ def pval(x: Fraction | int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rational matrices
+# One elimination core for both fields: p is None for Q (Fraction entries),
+# otherwise entries are ints reduced into [0, p).
 
 
-def q_mat(rows) -> MatQ:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def q_identity(n: int) -> MatQ:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def q_matvec(m: MatQ, v: VecQ) -> VecQ:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
-
-
-def q_matmul(a: MatQ, b: MatQ) -> MatQ:
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
-def q_rref(m: MatQ) -> tuple[MatQ, list[int]]:
+def _rref(m: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and the pivot column indices."""
-    m = [row[:] for row in m]
+    m = [row[:] for row in m] if p is None else [[x % p for x in row] for row in m]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if p is None:
+            inv = 1 / m[r][c]
+            m[r] = [x * inv for x in m[r]]
+        else:
+            inv = pow(m[r][c], -1, p)
+            m[r] = [x * inv % p for x in m[r]]
+        pivot = m[r]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                if p is None:
+                    m[i] = [x - f * y for x, y in zip(m[i], pivot)]
+                else:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], pivot)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -85,43 +73,51 @@ def q_rref(m: MatQ) -> tuple[MatQ, list[int]]:
     return m, pivots
 
 
-def q_rank(m: MatQ) -> int:
-    if not m:
-        return 0
-    return len(q_rref(m)[1])
-
-
-def q_kernel(m: MatQ) -> list[VecQ]:
+def _kernel(m: list[list], p: int | None = None) -> list[list]:
     """Basis of {v : m v = 0}, one vector per free column."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rref, pivots = q_rref(m)
+    cols = len(m[0]) if m else 0
+    rref, pivots = _rref(m, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [zero] * cols
+        v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+            v[pc] = -rref[r][fc] if p is None else -rref[r][fc] % p
         basis.append(v)
     return basis
 
 
-def q_solve(a: MatQ, b: VecQ) -> VecQ | None:
+def _solve(a: list[list], b: list, p: int | None = None) -> list | None:
     """One solution of a x = b, or None when inconsistent.
 
     Free variables, if any, are set to zero.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    rref, pivots = q_rref(aug)
+    cols = len(a[0]) if a else 0
+    rref, pivots = _rref([row + [y] for row, y in zip(a, b)], p)
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
+    x = [Fraction(0) if p is None else 0] * cols
     for r, pc in enumerate(pivots):
         x[pc] = rref[r][cols]
     return x
+
+
+# ---------------------------------------------------------------------------
+# Rational matrices
+
+
+def q_identity(n: int) -> MatQ:
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def q_rank(m: MatQ) -> int:
+    return len(_rref(m)[1])
+
+
+def q_solve(a: MatQ, b: VecQ) -> VecQ | None:
+    return _solve(a, b)
 
 
 def q_det(m: MatQ) -> Fraction:
@@ -146,8 +142,7 @@ def q_det(m: MatQ) -> Fraction:
 
 def q_inverse(m: MatQ) -> MatQ:
     n = len(m)
-    aug = [m[i][:] + q_identity(n)[i] for i in range(n)]
-    rref, pivots = q_rref(aug)
+    rref, pivots = _rref([row + e for row, e in zip(m, q_identity(n))])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in rref]
@@ -159,10 +154,6 @@ def q_inverse(m: MatQ) -> MatQ:
 
 def fp_vec(v, p: int) -> VecFp:
     return [int(x) % p for x in v]
-
-
-def fp_mat(rows, p: int) -> MatFp:
-    return [fp_vec(row, p) for row in rows]
 
 
 def fp_identity(n: int) -> MatFp:
@@ -194,62 +185,20 @@ def fp_matpow(m: MatFp, e: int, p: int) -> MatFp:
 
 
 def fp_rref(m: MatFp, p: int) -> tuple[MatFp, list[int]]:
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] % p != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % p != 0:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return _rref(m, p)
 
 
 def fp_rank(m: MatFp, p: int) -> int:
-    if not m:
-        return 0
+    # Through fp_rref, not the core, so a traced run times rank probes as fp_rref.
     return len(fp_rref(m, p)[1])
 
 
 def fp_kernel(m: MatFp, p: int) -> list[VecFp]:
-    """Basis of the null space {v : m v = 0} over F_p."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rref, pivots = fp_rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc] % p
-        basis.append(v)
-    return basis
+    return _kernel(m, p)
 
 
 def fp_solve(a: MatFp, b: VecFp, p: int) -> VecFp | None:
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i] % p] for i in range(rows)]
-    rref, pivots = fp_rref(aug, p)
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][cols]
-    return x
+    return _solve(a, b, p)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +224,7 @@ def rep_mod_ppow(x: Fraction, p: int, k: int) -> Fraction:
     return Fraction(c) * Fraction(p) ** v
 
 
-def lattice_canonical(
-    vectors: list[VecQ], p: int, require_full_rank: bool = True
-) -> list[VecQ]:
+def lattice_canonical(vectors: list[VecQ], p: int) -> list[VecQ]:
     """Canonical basis of the Z_(p)-module generated by the given vectors.
 
     Column echelon over the localization: pivot rows are processed top down,
@@ -307,7 +254,7 @@ def lattice_canonical(
                 for r in range(n):
                     c[r] -= f * piv[r]
         basis.append((i, k, piv))
-    if require_full_rank and len(basis) < n:
+    if len(basis) < n:
         raise RankDeficient(f"generators span rank {len(basis)} < {n}")
     # Reduce entries at later pivot rows; later pivot columns vanish on
     # earlier pivot rows, so reductions in increasing row order are stable.
@@ -319,16 +266,6 @@ def lattice_canonical(
                 for r in range(len(col)):
                     col[r] -= f * pivcol[r]
     return [col for _, _, col in basis]
-
-
-def lattice_contains(basis: list[VecQ], v: VecQ, p: int) -> bool:
-    """Membership of v in the full-rank lattice spanned by basis over Z_(p)."""
-    n = len(v)
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
-    coords = q_solve(rows, list(v))
-    if coords is None:
-        return False
-    return all(c == 0 or pval(c, p) >= 0 for c in coords)
 
 
 def lattice_coords(basis: list[VecQ], v: VecQ) -> VecQ:

@@ -232,10 +232,5 @@ class NFElem:
             cur = cur * self
         raise AssertionError("no relation among n+1 powers")
 
-    def denominator_lcm(self) -> int:
-        from math import lcm
-
-        return lcm(*(c.denominator for c in self.coords)) if self.coords else 1
-
     def __repr__(self):
         return f"NFElem({[str(c) for c in self.coords]})"

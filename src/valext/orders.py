@@ -168,16 +168,6 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     raise NotIrreducible("Round-2 iteration exceeded the discriminant bound")
 
 
-def order_index_valuation(sub: Order, sup: Order, p: int) -> int:
-    """v_p of the index [sup : sub] via basis determinants."""
-    from .linalg import q_det
-
-    rows_sub = [[sub.basis[j][i] for j in range(sub.field.n)] for i in range(sub.field.n)]
-    rows_sup = [[sup.basis[j][i] for j in range(sup.field.n)] for i in range(sup.field.n)]
-    ratio = q_det(rows_sub) / q_det(rows_sup)
-    return pval(ratio, p)
-
-
 def denominator_clear(x: NFElem) -> tuple[NFElem, int]:
     """Write x = y/d with y in Z[theta] and d a positive integer."""
     d = lcm(*(c.denominator for c in x.coords)) if x.coords else 1

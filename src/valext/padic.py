@@ -1,8 +1,7 @@
 """The base valued field (Q, v_p): valuation, valuation ring, residue map.
 
 Normalized so v_p(p) = 1, making the value group exactly Z and the residue
-field F_p. The BaseValuation contract exists so a function-field base could
-be slotted in later; only the p-adic instance is implemented.
+field F_p.
 """
 
 from __future__ import annotations
@@ -26,31 +25,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class BaseValuation:
-    """Contract for a valuation on the base field with finite residue field."""
-
-    def value(self, q) -> Val:
-        raise NotImplementedError
-
-    def residue(self, q) -> int:
-        raise NotImplementedError
-
-    @property
-    def residue_char(self) -> int:
-        raise NotImplementedError
-
-
-class PAdicValuation(BaseValuation):
+class PAdicValuation:
     """v_p on Q with valuation ring Z_(p) and residue field F_p."""
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def residue_char(self) -> int:
-        return self.p
 
     def value(self, q) -> Val:
         q = Fraction(q)

@@ -1,7 +1,7 @@
-"""Univariate polynomials as coefficient lists, lowest degree first.
+"""Univariate polynomials over Q as coefficient lists, lowest degree first.
 
-PolyQ is a list of Fractions, PolyFp a list of ints reduced mod p. The zero
-polynomial is the empty list; otherwise the leading coefficient is nonzero.
+PolyQ is a list of Fractions. The zero polynomial is the empty list;
+otherwise the leading coefficient is nonzero.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 PolyQ = list[Fraction]
-PolyFp = list[int]
 
 
 def poly_q(coeffs) -> PolyQ:
@@ -79,15 +78,6 @@ def poly_divmod(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ]:
     return poly_trim(q), f
 
 
-def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
-    """Monic gcd over Q."""
-    while g:
-        f, g = g, poly_divmod(f, g)[1]
-    if f:
-        f = poly_scale(f, 1 / f[-1])
-    return f
-
-
 def poly_xgcd(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
     """(d, s, t) with s f + t g = d, d the monic gcd."""
     r0, r1 = f[:], g[:]
@@ -106,45 +96,27 @@ def poly_xgcd(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
     return r0, s0, t0
 
 
-def poly_eval(f: PolyQ, x):
-    """Horner evaluation; works for any x supporting + and * with Fractions."""
-    acc = None
-    for c in reversed(f):
-        acc = c if acc is None else acc * x + c
-    if acc is None:
-        return Fraction(0)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over F_p
-
-
-def fp_poly(coeffs, p: int) -> PolyFp:
-    out = [int(c) % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
+def format_poly(coeffs, var: str) -> str:
+    """Human-readable polynomial in var, highest degree first: "x^3 - x - 1"."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        if k == 0:
+            term = str(c)
+        else:
+            gen = var if k == 1 else f"{var}^{k}"
+            if c == 1:
+                term = gen
+            elif c == -1:
+                term = f"-{gen}"
+            else:
+                term = f"{c}*{gen}"
+        parts.append(term)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
-
-
-def fp_poly_add(f: PolyFp, g: PolyFp, p: int) -> PolyFp:
-    n = max(len(f), len(g))
-    out = [((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p for i in range(n)]
-    return fp_poly(out, p)
-
-
-def fp_poly_mul(f: PolyFp, g: PolyFp, p: int) -> PolyFp:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return fp_poly(out, p)
-
-
-def fp_poly_eval(f: PolyFp, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc

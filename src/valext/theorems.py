@@ -18,6 +18,7 @@ from .extensions import ExtensionValuation, value
 from .linalg import VecFp, fp_rank, fp_solve, q_rank
 from .numberfield import NFElem
 from .padic import PAdicValuation
+from .polynomials import format_poly
 from .values import INFINITY, Val
 
 
@@ -258,7 +259,7 @@ def check_fundamental(
     rank = q_rank(products)
 
     report = CheckReport(
-        instance=f"Q[x]/({_poly_str(fld.f)}) at p={exts[0].p}",
+        instance=f"Q[x]/({format_poly(fld.f, 'x')}) at p={exts[0].p}",
         degree=fld.n,
         sum_ef=sum_ef,
         rank=rank,
@@ -295,27 +296,3 @@ def check_fundamental(
     report.passed = all_equal and rank == sum_ef and sum_ef <= fld.n
     return report
 
-
-def _poly_str(coeffs) -> str:
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            term = str(c)
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            if c == 1:
-                term = xs
-            elif c == -1:
-                term = f"-{xs}"
-            else:
-                term = f"{c}*{xs}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out

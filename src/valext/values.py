@@ -18,20 +18,6 @@ class Val:
     def __init__(self, q: Fraction | int | None):
         self._q = None if q is None else Fraction(q)
 
-    @classmethod
-    def finite(cls, q) -> "Val":
-        if q is None:
-            raise ValueError("finite value required")
-        return cls(Fraction(q))
-
-    @classmethod
-    def infinity(cls) -> "Val":
-        return INFINITY
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._q is None
-
     @property
     def q(self) -> Fraction:
         """The finite value; raises on infinity."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from valext import NumberField, extensions_of, p_maximal_order
+from valext.linalg import pval, q_det, q_solve
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -51,3 +52,29 @@ def random_order_element(rng, order, p: int):
     """Element of the order with coordinates in Z (hence in Z_(p))."""
     coords = [rng.randint(-p * 3, p * 3) for _ in range(order.field.n)]
     return order.element(coords)
+
+
+# -- membership and index oracles the acceptance tests compare against ------
+
+
+def lattice_contains(basis, v, p: int) -> bool:
+    """Membership of v in the full-rank lattice spanned by basis over Z_(p)."""
+    n = len(v)
+    rows = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
+    coords = q_solve(rows, list(v))
+    if coords is None:
+        return False
+    return all(c == 0 or pval(c, p) >= 0 for c in coords)
+
+
+def in_prime(w, x) -> bool:
+    """Lattice membership of x in the prime P = ker(residue) of w's order."""
+    return lattice_contains(w.prime_basis, x.coords, w.p)
+
+
+def index_valuation(sub, sup, p: int) -> int:
+    """v_p of the index [sup : sub] via basis determinants."""
+    n = sub.field.n
+    rows_sub = [[sub.basis[j][i] for j in range(n)] for i in range(n)]
+    rows_sup = [[sup.basis[j][i] for j in range(n)] for i in range(n)]
+    return pval(q_det(rows_sub) / q_det(rows_sup), p)

@@ -27,6 +27,7 @@ from conftest import (
     CORPUS,
     extensions_for,
     field_for,
+    in_prime,
     order_for,
     random_element,
     random_order_element,
@@ -112,7 +113,7 @@ def test_criterion_5_bijection_round_trip():
                 if x.is_zero:
                     continue
                 in_ideal = w.position(x).kind is PositionKind.IN_MAXIMAL_IDEAL
-                if in_ideal != w.in_prime(x):
+                if in_ideal != in_prime(w, x):
                     mismatches += 1
     assert mismatches == 0
     print("ACCEPTANCE 5 (bijection round trip, zero mismatches): PASS")

@@ -268,3 +268,44 @@ def test_val_string_round_trip_through_json(capsys):
     for entry in data["values"]:
         Val.parse(entry["value"])  # must parse back
     assert data["values"][0]["value"] == "1/2"
+
+
+# Exact stdout of a few runs, pinned byte for byte. The verify instance line
+# prints the defining polynomial in x; the other lines print elements in a.
+GOLDEN = {
+    "verify": (
+        ["verify", "--prime", "23", "--poly", "x^3-x-1", "--trials", "2"],
+        "instance: Q[x]/(x^3 - x - 1) at p=23\n"
+        "sum_ef = 3, degree = 3, rank = 3\n"
+        "trials: 2, all equal: True\n"
+        "pass: true\n",
+    ),
+    "approx": (
+        ["approx", "--prime", "5", "--poly", "x^2+1", "--extension", "1", "--gamma", "2"],
+        "x = 9275/6161*a - 3200/6161\nw_1(x) = 2\nw_2(x) = 4\n",
+    ),
+    "weak-approx": (
+        ["weak-approx", "--prime", "5", "--poly", "x^2+1", "--targets", "3;1"],
+        "x = 3*a + 2\nres_1(x) = [3]\nres_2(x) = [1]\n",
+    ),
+    "value": (
+        ["value", "--prime", "5", "--poly", "x^2+1", "--elem=-a-1/2"],
+        "w_1(-a - 1/2) = 1\nw_2(-a - 1/2) = 0\n",
+    ),
+    "extensions-trace": (
+        ["extensions", "--prime", "5", "--poly", "x^2+1", "--trace"],
+        "SPLIT{z=[1, 2], relation=[0, 3, 1], idempotent=[3, 4]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=1}\n"
+        "w_1: e=1 f=1 residue_field_dim=1\n"
+        "w_2: e=1 f=1 residue_field_dim=1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_stdout(capsys, name):
+    argv, expected = GOLDEN[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected

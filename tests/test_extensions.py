@@ -21,6 +21,7 @@ from conftest import (
     CORPUS,
     extensions_for,
     field_for,
+    in_prime,
     order_for,
     random_element,
     random_order_element,
@@ -136,7 +137,7 @@ def test_position_witness_is_exact_fraction():
             if pos.witness is not None:
                 u, s = pos.witness
                 assert x * s == u
-                assert not any(v == 0 for v in [1]) and not w.in_prime(s)
+                assert not any(v == 0 for v in [1]) and not in_prime(w, s)
 
 
 def test_position_of_inverse_is_consistent():
@@ -230,7 +231,7 @@ def test_bijection_round_trip():
                 if x.is_zero:
                     continue
                 in_ideal = w.position(x).kind is PositionKind.IN_MAXIMAL_IDEAL
-                assert in_ideal == w.in_prime(x)
+                assert in_ideal == in_prime(w, x)
         assert len(primes) == len(exts)
 
 
@@ -241,7 +242,7 @@ def test_rational_prime_membership():
         vp = PAdicValuation(p)
         for w in extensions_for(coeffs, p):
             for q in [1, 2, p, p + 1, 3 * p, p * p, p - 1]:
-                member = w.in_prime(fld.from_rational(q))
+                member = in_prime(w, fld.from_rational(q))
                 assert member == (vp.value(Fraction(q)) > Val(0))
 
 

@@ -7,14 +7,18 @@ from valext import (
     FpAlgebra,
     IllegalIdeal,
     NotReduced,
+    NumberField,
     PAdicValuation,
     equation_order,
+    extensions_of,
     lift_idempotents,
     nilradical,
     quotient_by,
     quotient_mod_p,
     split_reduced,
 )
+from valext import extensions as extensions_module
+from valext import orders as orders_module
 from valext.linalg import fp_matvec, fp_rank
 
 from conftest import CORPUS, CORPUS_IDS, field_for, order_for
@@ -52,6 +56,43 @@ F2_T2P1 = poly_algebra(2, [1, 0, 1])  # F_2[t]/((t+1)^2), non-reduced
 def test_validation_catches_bad_tables():
     with pytest.raises(ValueError):
         FpAlgebra(2, [[[1, 0], [0, 0]], [[1, 0], [0, 1]]], [1, 0])
+
+
+# The instances of test_beyond_corpus, as (coefficients low to high, p).
+BEYOND_CORPUS = [
+    ((-2, 0, 0, 1), 3),
+    ((-2, 0, 0, 1), 5),
+    ((1, 0, 0, 0, 1), 2),
+    ((1, 0, 0, 0, 1), 7),
+    ((1, 0, 0, 0, 1), 17),
+    ((-5, 0, 1), 2),
+    ((2, 2, 1), 2),
+    ((-1, -1, 0, 0, 0, 1), 2),
+    ((-1, -1, 0, 0, 0, 1), 3),
+    ((2, 0, 0, 0, 0, 1), 5),
+    ((1, 0, -1, 0, 1), 2),
+    ((1, 0, -1, 0, 1), 3),
+]
+
+
+def test_pipeline_tables_pass_full_validation(monkeypatch):
+    """quotient_mod_p skips FpAlgebra's table checks, because an order's
+    multiplication table is commutative and associative by construction;
+    every table the pipeline builds must still pass them."""
+    made = []
+
+    def recording(order, p):
+        made.append(quotient_mod_p(order, p))
+        return made[-1]
+
+    monkeypatch.setattr(orders_module, "quotient_mod_p", recording)
+    monkeypatch.setattr(extensions_module, "quotient_mod_p", recording)
+    for coeffs, p in CORPUS + BEYOND_CORPUS:
+        extensions_of(NumberField(list(coeffs)), p)
+    assert len(made) > len(CORPUS + BEYOND_CORPUS)  # Round-2 steps and the final order
+    for alg in made:
+        rebuilt = FpAlgebra(alg.p, alg.table, alg.unit)  # raises ValueError on a bad table
+        assert (rebuilt.table, rebuilt.unit) == (alg.table, alg.unit)
 
 
 def test_quotient_mod_p_reduction_of_relation():

@@ -3,22 +3,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valext.errors import RankDeficient
 from valext.linalg import (
+    _kernel,
+    _rref,
+    _solve,
     fp_kernel,
     fp_matvec,
     fp_rank,
     lattice_canonical,
-    lattice_contains,
     pval,
     q_det,
-    q_kernel,
-    q_mat,
-    q_rank,
     q_solve,
     rep_mod_ppow,
 )
+
+from conftest import lattice_contains
+
+
+def q_mat(rows):
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def test_pval():
@@ -96,13 +103,44 @@ def test_q_solve_and_det():
     assert q_solve(q_mat([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)]) is None
 
 
-def test_q_kernel():
-    a = q_mat([[1, 1, 0], [0, 0, 1]])
-    basis = q_kernel(a)
-    assert len(basis) == 1
-    v = basis[0]
-    assert [sum(r[j] * v[j] for j in range(3)) for r in a] == [0, 0]
-    assert q_rank(a) == 2
+# -- the shared elimination core, over Q (p = None) and F_p -------------------
+
+
+@st.composite
+def linear_systems(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    b = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return a, b
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(system=linear_systems())
+def test_elimination_core(p, system):
+    a, b = system
+    if p is None:
+        a = q_mat(a)
+        b = [Fraction(y) for y in b]
+
+    def dot(row, v):
+        s = sum(x * y for x, y in zip(row, v))
+        return s if p is None else s % p
+
+    rank = len(_rref(a, p)[1])
+    kernel = _kernel(a, p)
+    assert rank + len(kernel) == len(a[0])
+    for v in kernel:
+        assert all(dot(row, v) == 0 for row in a)
+    x = _solve(a, b, p)
+    augmented_rank = len(_rref([row + [y] for row, y in zip(a, b)], p)[1])
+    if x is None:
+        assert rank < augmented_rank
+    else:
+        assert rank == augmented_rank
+        assert [dot(row, x) for row in a] == [y if p is None else y % p for y in b]
 
 
 # -- lattices over Z_(p) ------------------------------------------------------

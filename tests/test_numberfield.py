@@ -79,10 +79,8 @@ def char_poly(m):
     powers = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     s = []
     cur = powers
-    from valext.linalg import q_matmul
-
     for k in range(1, n + 1):
-        cur = q_matmul(cur, m)
+        cur = [[sum(cur[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
         s.append(sum(cur[i][i] for i in range(n)))
     e = [Fraction(1)]
     for k in range(1, n + 1):

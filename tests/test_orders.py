@@ -2,9 +2,10 @@ import itertools
 from fractions import Fraction
 
 from valext import NumberField, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
-from valext.linalg import lattice_canonical, lattice_contains, pval, q_identity
-from valext.orders import order_index_valuation
+from valext.linalg import lattice_canonical, pval, q_identity
 from valext.polynomials import poly_q
+
+from conftest import index_valuation, lattice_contains
 
 GAUSS = NumberField([1, 0, 1])
 DEDEKIND = NumberField([8, -2, 1, 1])  # x^3 + x^2 - 2x + 8
@@ -109,13 +110,13 @@ def test_p_maximal_order_examples():
         [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]], 2
     )
     assert o.basis == expected
-    assert order_index_valuation(equation_order(DEDEKIND), o, 2) == 1
+    assert index_valuation(equation_order(DEDEKIND), o, 2) == 1
 
 
 def test_round2_chain_increases_index():
     o = equation_order(DEDEKIND)
     bigger = ring_of_multipliers(o, p_radical(o, 2), 2)
-    assert order_index_valuation(o, bigger, 2) >= 1
+    assert index_valuation(o, bigger, 2) >= 1
     top = p_maximal_order(DEDEKIND, 2)
     fix = ring_of_multipliers(top, p_radical(top, 2), 2)
     assert fix == top
@@ -155,7 +156,7 @@ def test_round2_deep_chain():
     # needs several enlargement steps before stabilizing at Z[(8+theta)/16]
     fld = NumberField([-320, 0, 1])
     o = p_maximal_order(fld, 2)
-    assert order_index_valuation(equation_order(fld), o, 2) == 4
+    assert index_valuation(equation_order(fld), o, 2) == 4
     golden = fld.element([Fraction(1, 2), Fraction(1, 16)])  # (8+theta)/16
     mp = golden.min_poly()
     assert all(c.denominator == 1 for c in mp)  # x^2 - x - 1

@@ -1,15 +1,9 @@
 from fractions import Fraction
 
 from valext.polynomials import (
-    fp_poly,
-    fp_poly_add,
-    fp_poly_eval,
-    fp_poly_mul,
     poly_add,
     poly_deg,
     poly_divmod,
-    poly_eval,
-    poly_gcd,
     poly_mul,
     poly_q,
     poly_xgcd,
@@ -39,20 +33,10 @@ def test_divmod():
 def test_gcd_and_xgcd():
     f = poly_mul(poly_q([1, 1]), poly_q([2, 1]))
     g = poly_mul(poly_q([1, 1]), poly_q([3, 1]))
-    assert poly_gcd(f, g) == poly_q([1, 1])
+    d, s, t = poly_xgcd(f, g)
+    assert d == poly_q([1, 1])
+    assert poly_add(poly_mul(s, f), poly_mul(t, g)) == d
     d, s, t = poly_xgcd(poly_q([1, 0, 1]), poly_q([1, 1]))
     combo = poly_add(poly_mul(s, poly_q([1, 0, 1])), poly_mul(t, poly_q([1, 1])))
     assert combo == d
 
-
-def test_eval():
-    f = poly_q([1, 2, 3])  # 3x^2 + 2x + 1
-    assert poly_eval(f, Fraction(2)) == 17
-    assert poly_eval([], Fraction(5)) == 0
-
-
-def test_fp_poly():
-    assert fp_poly([3, 7, 5], 5) == [3, 2]
-    assert fp_poly_add([1, 1], [1, 4], 5) == [2]
-    assert fp_poly_mul([1, 1], [1, 1], 2) == [1, 0, 1]  # (t+1)^2 = t^2+1 mod 2
-    assert fp_poly_eval([1, 0, 1], 2, 5) == 0  # 2^2+1 = 5
