@@ -16,7 +16,7 @@ from .errors import ValExtError
 from .extensions import extensions_of
 from .numberfield import NFElem, NumberField
 from .orders import p_maximal_order
-from .padic import is_prime
+from .padic import PRIME_BOUND, is_prime
 from .polynomials import format_poly
 from .theorems import approx_element, check_fundamental, weak_approx
 
@@ -106,9 +106,21 @@ def _prime_type(text: str) -> int:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"prime must be an integer, got {text!r}")
-    if p < 2 or not is_prime(p):
+    if p >= PRIME_BOUND:
+        raise argparse.ArgumentTypeError(f"prime must be below {PRIME_BOUND}, got {p}")
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
+
+
+def _trials_type(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"trials must be >= 0, got {n}")
+    return n
 
 
 def _gamma_type(text: str) -> Fraction:
@@ -131,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--output", choices=["json", "text"], default="text")
     shared.add_argument("--trace", action="store_true", help="emit procedure trace lines")
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--trials", type=int, default=100)
+    shared.add_argument("--trials", type=_trials_type, default=100)
 
     sub.add_parser("extensions", parents=[shared], help="list all extensions of v_p")
 

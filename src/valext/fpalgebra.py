@@ -3,12 +3,15 @@
 Houses the quotient A = O/pO of an order, its nilradical, reduced quotients,
 and the constructive decomposition of a reduced algebra into a product of
 fields by repeatedly splitting off an idempotent g(z) built from the minimal
-relation of a non-invertible element z.
+relation of a non-invertible element z. The field test and z come from the
+Berlekamp subalgebra ker(x -> x^p - x) (Berlekamp 1970) and, for odd p, the
+Cantor-Zassenhaus power (z + c)^((p-1)/2) - 1 (Cantor and Zassenhaus 1981),
+so splitting takes time polynomial in the dimension and in log p.
+Components are returned in a canonical order, sorted by projection matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import IllegalIdeal, NotReduced
@@ -258,28 +261,41 @@ def _factor_mult_matrix(a: FpAlgebra, basis: MatFp, pivots: list[int], z: VecFp)
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-def _find_noninvertible(a: FpAlgebra, basis: MatFp, pivots: list[int]) -> VecFp | None:
-    """Deterministic search for a nonzero non-invertible element of a factor.
+def _find_noninvertible(
+    a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]
+) -> VecFp | None:
+    """A nonzero non-invertible element of a factor, or None if it is a field.
 
-    Basis elements first, then every F_p-coefficient tuple in lexicographic
-    order; exhaustion proves the factor is a field.
+    The kernel of x -> x^p - x on a reduced factor is its Berlekamp
+    subalgebra F_p^k, k the number of field factors, so kernel dimension 1
+    certifies a field. Otherwise take a non-scalar kernel element z: for
+    p = 2 it is a nontrivial idempotent, and for odd p the first
+    w = (z + c)^((p-1)/2) - 1, c = 0, 1, ..., with both zero and nonzero
+    coordinates in F_p^k is returned (Cantor-Zassenhaus). Such a c exists
+    because z is not scalar, and about half of all c qualify.
     """
     d = len(basis)
     p = a.p
-    for b in basis:
-        if fp_rank(_factor_mult_matrix(a, basis, pivots, b), p) < d:
-            return b[:]
-    for coeffs in itertools.product(range(p), repeat=d):
-        if not any(coeffs):
-            continue
-        z = [0] * a.dim
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i in range(a.dim):
-                    z[i] = (z[i] + c * b[i]) % p
-        if fp_rank(_factor_mult_matrix(a, basis, pivots, z), p) < d:
-            return z
-    return None
+    cols = [_span_coords(a, basis, pivots, _sub(a.pow(b, p), b, p)) for b in basis]
+    ker = fp_kernel([[cols[j][i] for j in range(d)] for i in range(d)], p)
+    if len(ker) == 1:
+        return None
+    u = _span_coords(a, basis, pivots, unit)
+    k = next(i for i, x in enumerate(u) if x)
+    scale = pow(u[k], -1, p)
+    coeffs = next(v for v in ker if v != [v[k] * scale * x % p for x in u])
+    z = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(a.dim)]
+    if p == 2:
+        return z
+    for c in range(p):
+        w = _sub(a.pow([(x + c * y) % p for x, y in zip(z, unit)], (p - 1) // 2), unit, p)
+        if any(w) and fp_rank(_factor_mult_matrix(a, basis, pivots, w), p) < d:
+            return w
+    raise AssertionError("no splitting element among the shifts of z")
+
+
+def _sub(x: VecFp, y: VecFp, p: int) -> VecFp:
+    return [(s - t) % p for s, t in zip(x, y)]
 
 
 def _min_relation(a: FpAlgebra, z: VecFp, unit: VecFp, bound: int) -> list[int]:
@@ -304,13 +320,16 @@ def split_reduced(a: FpAlgebra, trace: list[str] | None = None) -> Decomposition
     Finds a nonzero non-invertible z, strips the lowest power from its
     minimal relation to get g with g(0) = 1, splits off the idempotent
     g(z), and recurses on both factors; a factor with no non-invertible
-    nonzero element is a field and terminates its branch.
+    nonzero element is a field and terminates its branch. Components come
+    back sorted by projection matrix, so their order depends only on the
+    algebra, not on which z the search found.
     """
     if nilradical(a).dim != 0:
         raise NotReduced("algebra has nonzero nilpotents")
     components: list[Component] = []
     rows, pivots = fp_rref(fp_identity(a.dim), a.p)
     _split_factor(a, a.unit[:], rows, pivots, components, trace)
+    components.sort(key=lambda c: c.projection)
     return Decomposition(a, components)
 
 
@@ -322,7 +341,7 @@ def _split_factor(
     out: list[Component],
     trace: list[str] | None,
 ):
-    z = _find_noninvertible(a, basis, pivots)
+    z = _find_noninvertible(a, unit, basis, pivots)
     if z is None:
         out.append(_make_component(a, unit, basis, pivots))
         return

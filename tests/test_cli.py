@@ -216,6 +216,22 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_negative_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--prime", "5", "--poly", "x^2+1", "--trials", "-3"])
+    assert exc.value.code == 2
+    assert "trials must be >= 0" in capsys.readouterr().err
+
+
+def test_prime_beyond_primality_bound_is_usage_error(capsys):
+    from valext.padic import PRIME_BOUND
+
+    with pytest.raises(SystemExit) as exc:
+        main(["extensions", "--prime", str(PRIME_BOUND + 2), "--poly", "x^2+1"])
+    assert exc.value.code == 2
+    assert str(PRIME_BOUND) in capsys.readouterr().err
+
+
 def test_trace_text_lines(capsys):
     code, out, err = run_cli(
         capsys, "extensions", "--prime", "5", "--poly", "x^2+1", "--trace"
@@ -294,7 +310,7 @@ GOLDEN = {
     ),
     "extensions-trace": (
         ["extensions", "--prime", "5", "--poly", "x^2+1", "--trace"],
-        "SPLIT{z=[1, 2], relation=[0, 3, 1], idempotent=[3, 4]}\n"
+        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "w_1: e=1 f=1 residue_field_dim=1\n"

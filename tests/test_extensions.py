@@ -90,6 +90,32 @@ def test_mixed_case_by_root_oracle():
     assert sorted((w.e, w.f) for w in exts) == [(1, 1), (2, 1)]
 
 
+@pytest.mark.parametrize(
+    "coeffs,p,ef",
+    [
+        ((1, 0, 1), 10**9 + 7, [(1, 2)]),
+        ((1, 0, 1), 10**9 + 9, [(1, 1), (1, 1)]),
+        ((-2, 0, 0, 0, 0, 1), 11, [(1, 5)]),
+        ((1, 0, 0, 0, 0, 0, 0, 0, 1), 10**9 + 9, [(1, 2)] * 4),
+    ],
+    ids=["x2+1@1e9+7", "x2+1@1e9+9", "x5-2@11", "x8+1@1e9+9"],
+)
+def test_large_prime_and_residue_degree(coeffs, p, ef):
+    exts = extensions_of(NumberField(list(coeffs)), p)
+    assert [(w.e, w.f) for w in exts] == ef
+
+
+@pytest.mark.parametrize("coeffs,p", [((1, 0, 1), 5), ((1, 0, 1), 13), ((-2, 0, 0, 1), 31)])
+def test_split_extensions_listed_by_root(coeffs, p):
+    """At a totally split prime not dividing disc(f), w_i is the extension
+    where theta reduces to the i-th smallest root of f mod p."""
+    roots = [r for r in range(p) if sum(c * r**i for i, c in enumerate(coeffs)) % p == 0]
+    assert len(roots) == len(coeffs) - 1
+    field = field_for(coeffs)
+    exts = extensions_for(coeffs, p)
+    assert [w.residue(field.gen()) for w in exts] == [[r] for r in roots]
+
+
 def test_dedekind_case():
     # the root oracle does not apply (p divides the index); the idempotent
     # count in O/2O is the oracle, checked in test_fpalgebra

@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from valext import (
     AlgIdeal,
@@ -202,6 +205,41 @@ def test_split_trace_events():
     trace2 = []
     split_reduced(F7_T2P1, trace=trace2)
     assert trace2 == []
+
+
+@st.composite
+def squarefree_modulus(draw):
+    """(p, g, degrees): g monic squarefree over F_p of degree 1..6, low to
+    high, and the degrees of its irreducible factors from sympy."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 10**9 + 7]))
+    d = draw(st.integers(1, 6))
+    g = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+    # sympy's Poly.is_sqf calls t^2 squarefree over F_2; the multiplicities
+    # of the factorisation do not.
+    _, factors = sympy.Poly(g[::-1], sympy.Symbol("t"), modulus=p).factor_list()
+    assume(all(m == 1 for _, m in factors))
+    return p, g, sorted(f.degree() for f, _ in factors)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(squarefree_modulus())
+def test_split_matches_factorisation_oracle(case):
+    """F_p[t]/(g) is the product of F_p[t]/(g_i) over the irreducible
+    factors g_i of g, so the component dimensions are their degrees."""
+    p, g, degrees = case
+    alg = poly_algebra(p, g)
+    dec = split_reduced(alg)
+    assert sorted(c.dim for c in dec.components) == degrees
+    idems = dec.idempotents
+    total = alg.zero()
+    for i, e in enumerate(idems):
+        assert alg.mul(e, e) == e
+        for j in range(i):
+            assert not any(alg.mul(e, idems[j]))
+        total = [(x + y) % p for x, y in zip(total, e)]
+    assert total == alg.unit
+    projections = [c.projection for c in dec.components]
+    assert projections == sorted(projections)
 
 
 def test_decomposition_invariants():
