@@ -15,6 +15,7 @@ from .errors import (
     ZeroElement,
     ZeroInversion,
 )
+from .events import recording
 from .extensions import (
     ExtensionValuation,
     Position,
@@ -97,6 +98,7 @@ __all__ = [
     "p_radical",
     "quotient_by",
     "quotient_mod_p",
+    "recording",
     "residue",
     "ring_of_multipliers",
     "split_reduced",

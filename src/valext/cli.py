@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from .errors import ValExtError
-from .extensions import extensions_of
+from .events import recording
+from .extensions import extensions_of, residue, value
 from .numberfield import NFElem, NumberField
 from .orders import p_maximal_order
 from .padic import PRIME_BOUND, is_prime
@@ -203,16 +204,16 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
     """Returns (json payload, text lines, trace lines)."""
     field = parse_defining_poly(args.poly)
     p = args.prime
-    trace: list[str] | None = [] if args.trace else None
 
     if args.command == "order":
         order = p_maximal_order(field, p)
         basis = [[str(x) for x in row] for row in order.basis]
         payload = {"prime": p, "poly": args.poly, "basis": basis}
         lines = [" ".join(row) for row in basis]
-        return payload, lines, trace or []
+        return payload, lines, []
 
-    exts = extensions_of(field, p, trace=trace)
+    with recording() as trace:
+        exts = extensions_of(field, p)
 
     if args.command == "extensions":
         payload = {"extensions": [w.to_descriptor() for w in exts]}
@@ -220,33 +221,35 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
             f"w_{w.index}: e={w.e} f={w.f} residue_field_dim={w.residue_algebra.dim}"
             for w in exts
         ]
-        return payload, lines, trace or []
+        return payload, lines, trace
 
     if args.command == "value":
         elem = parse_element(args.elem, field)
         chosen = exts if args.extension is None else [_pick_extension(exts, args.extension, parser)]
-        vals = [(w.index, w.value(elem, trace=trace)) for w in chosen]
+        with recording() as steps:
+            vals = [(w.index, value(w, elem)) for w in chosen]
         estr = format_element(elem)
         payload = {
             "element": estr,
             "values": [{"extension": i, "value": str(v)} for i, v in vals],
         }
         lines = [f"w_{i}({estr}) = {v}" for i, v in vals]
-        return payload, lines, trace or []
+        return payload, lines, trace + steps
 
     if args.command == "residue":
         elem = parse_element(args.elem, field)
         w = _pick_extension(exts, args.extension, parser)
-        res = w.residue(elem, trace=trace)
+        with recording() as steps:
+            res = residue(w, elem)
         estr = format_element(elem)
         payload = {"element": estr, "extension": w.index, "residue": res}
         lines = [f"res_{w.index}({estr}) = {res}"]
-        return payload, lines, trace or []
+        return payload, lines, trace + steps
 
     if args.command == "weak-approx":
         targets = _parse_targets(args.targets, exts, parser)
         x = weak_approx(exts, targets)
-        residues = [w.residue(x) for w in exts]
+        residues = [residue(w, x) for w in exts]
         estr = format_element(x)
         payload = {
             "element": estr,
@@ -256,12 +259,12 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
         lines = [f"x = {estr}"] + [
             f"res_{w.index}(x) = {r}" for w, r in zip(exts, residues)
         ]
-        return payload, lines, trace or []
+        return payload, lines, trace
 
     if args.command == "approx":
         w = _pick_extension(exts, args.extension, parser)
         x = approx_element(exts, w.index - 1, args.gamma)
-        vals = [(u.index, u.value(x)) for u in exts]
+        vals = [(u.index, value(u, x)) for u in exts]
         estr = format_element(x)
         payload = {
             "element": estr,
@@ -269,7 +272,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
             "values": [{"extension": i, "value": str(v)} for i, v in vals],
         }
         lines = [f"x = {estr}"] + [f"w_{i}(x) = {v}" for i, v in vals]
-        return payload, lines, trace or []
+        return payload, lines, trace
 
     if args.command == "verify":
         report = check_fundamental(exts, trials=args.trials, seed=args.seed)
@@ -280,7 +283,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
             f"trials: {len(report.trials)}, all equal: {all(t.equal for t in report.trials)}",
             f"pass: {str(report.passed).lower()}",
         ]
-        return payload, lines, trace or []
+        return payload, lines, trace
 
     raise AssertionError(f"unhandled command {args.command}")
 
@@ -315,13 +318,9 @@ def main(argv=None) -> int:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.output == "json":
-        if args.trace:
-            payload = {**payload, "trace": trace}
-        print(json.dumps(payload))
+        print(json.dumps({**payload, "trace": trace} if args.trace else payload))
     else:
-        for line in trace:
-            print(line)
-        for line in lines:
+        for line in (trace if args.trace else []) + lines:
             print(line)
     return 0
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegativeValue, NotIrreducible, ZeroElement
+from .events import emit
 from .fpalgebra import (
     FpAlgebra,
     lift_idempotents,
@@ -91,18 +92,6 @@ class ExtensionValuation:
         """Residue-field image of an element of the p-maximal order."""
         return fp_matvec(self.residue_projection, self.order.coords_mod_p(x, self.p), self.p)
 
-    def position(self, x: NFElem, trace: list[str] | None = None) -> Position:
-        return decide_position(x, self, trace)
-
-    def value(self, x: NFElem, trace: list[str] | None = None) -> Val:
-        return value(self, x, trace)
-
-    def residue(self, x: NFElem, trace: list[str] | None = None) -> VecFp:
-        return residue(self, x, trace)
-
-    def kappa_inverse(self, r: VecFp) -> VecFp:
-        return self.residue_algebra.inverse(r)
-
     def to_descriptor(self) -> dict:
         return {
             "index": self.index,
@@ -116,16 +105,14 @@ class ExtensionValuation:
         return f"ExtensionValuation(index={self.index}, e={self.e}, f={self.f}, p={self.p})"
 
 
-def extensions_of(
-    field: NumberField, p: int, trace: list[str] | None = None
-) -> list[ExtensionValuation]:
+def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
     """All extensions of v_p to L, one per maximal ideal of the closure."""
     order = p_maximal_order(field, p)
     alg = quotient_mod_p(order, p)
     nil = nilradical(alg)
     reduced, proj = quotient_by(alg, nil)
-    dec = split_reduced(reduced, trace=trace)
-    lifted = lift_idempotents(alg, dec, proj, trace=trace)
+    dec = split_reduced(reduced)
+    lifted = lift_idempotents(alg, dec, proj)
 
     exts = []
     total_local = 0
@@ -159,7 +146,7 @@ def extensions_of(
     return exts
 
 
-def decide_position(x: NFElem, w: ExtensionValuation, trace: list[str] | None = None) -> Position:
+def decide_position(x: NFElem, w: ExtensionValuation) -> Position:
     """Classify x against w's valuation ring by reverse induction.
 
     Take the minimal relation sum c_i x^i = 0 normalized so min v_p(c_i) = 0
@@ -180,42 +167,36 @@ def decide_position(x: NFElem, w: ExtensionValuation, trace: list[str] | None = 
         (i for i in range(d + 1) if vals[i] is not None), key=lambda i: vals[i]
     )
     c = [ci / mp[jstar] for ci in mp]
-
-    def kappa_of(y: NFElem) -> VecFp:
-        return w.residue_of_integral(y)
-
+    kappa_of = w.residue_of_integral
     alpha = x.field.zero()  # alpha_(d+1); x*alpha in the prime trivially
     for j in range(d + 1, 0, -1):
         c_prev = c[j - 1]
         alpha_prev = x * alpha + x.field.from_rational(c_prev)
         y = x * alpha_prev
         if c_prev != 0 and pval(c_prev, p) == 0:
-            if trace is not None:
-                trace.append(f"CASE1{{j={j}}}")
+            emit(f"CASE1{{j={j}}}")
             ru = kappa_of(y)
             rs = kappa_of(alpha_prev)
             if not any(rs):
                 raise NotIrreducible("case-1 denominator fell into the prime")
-            res = w.residue_algebra.mul(ru, w.kappa_inverse(rs))
+            res = w.residue_algebra.mul(ru, w.residue_algebra.inverse(rs))
             kind = PositionKind.UNIT if any(res) else PositionKind.IN_MAXIMAL_IDEAL
             return Position(kind, witness=(y, alpha_prev))
         ry = kappa_of(y)
         if any(ry):
-            if trace is not None:
-                trace.append(f"CASE2{{j={j}}}")
+            emit(f"CASE2{{j={j}}}")
             ra = kappa_of(alpha_prev)
-            res_inv = w.residue_algebra.mul(ra, w.kappa_inverse(ry))
+            res_inv = w.residue_algebra.mul(ra, w.residue_algebra.inverse(ry))
             if any(res_inv):
                 # x and 1/x are both units of the localization
                 return Position(PositionKind.UNIT, witness=(y, alpha_prev))
             return Position(PositionKind.OUTSIDE)
-        if trace is not None:
-            trace.append(f"CASE3{{j={j}}}")
+        emit(f"CASE3{{j={j}}}")
         alpha = alpha_prev
     raise NotIrreducible("reverse induction failed to classify the element")
 
 
-def value(w: ExtensionValuation, x: NFElem, trace: list[str] | None = None) -> Val:
+def value(w: ExtensionValuation, x: NFElem) -> Val:
     """w(x) as an exact rational with denominator dividing e.
 
     m = e*w(x) is the largest integer k with x^e p^(-k) still in the
@@ -237,7 +218,7 @@ def value(w: ExtensionValuation, x: NFElem, trace: list[str] | None = None) -> V
 
     def nonneg(k: int) -> bool:
         probe = xe * pfrac**-k
-        return decide_position(probe, w, trace).kind is not PositionKind.OUTSIDE
+        return decide_position(probe, w).kind is not PositionKind.OUTSIDE
 
     if not nonneg(lo):
         raise AssertionError("lower search bound is not in the valuation ring")
@@ -248,20 +229,20 @@ def value(w: ExtensionValuation, x: NFElem, trace: list[str] | None = None) -> V
         else:
             hi = mid - 1
     m = lo
-    final = decide_position(xe * pfrac**-m, w, trace)
+    final = decide_position(xe * pfrac**-m, w)
     if final.kind is not PositionKind.UNIT:
         raise AssertionError("binary search did not land on a unit")
     return Val(Fraction(m, e))
 
 
-def residue(w: ExtensionValuation, x: NFElem, trace: list[str] | None = None) -> VecFp:
+def residue(w: ExtensionValuation, x: NFElem) -> VecFp:
     """Image of x in the residue field; requires w(x) >= 0."""
     if x.is_zero:
         return w.residue_algebra.zero()
-    pos = decide_position(x, w, trace)
+    pos = decide_position(x, w)
     if pos.kind is PositionKind.OUTSIDE:
         raise NegativeValue("element has negative value at this extension")
     u, s = pos.witness
     ru = w.residue_of_integral(u)
     rs = w.residue_of_integral(s)
-    return w.residue_algebra.mul(ru, w.kappa_inverse(rs))
+    return w.residue_algebra.mul(ru, w.residue_algebra.inverse(rs))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllegalIdeal, NotReduced
+from .events import emit
 from .linalg import (
     MatFp,
     VecFp,
@@ -103,10 +104,6 @@ class FpAlgebra:
         cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def is_unit(self, x: VecFp) -> bool:
-        """True iff multiplication by x is invertible."""
-        return fp_rank(self.mult_matrix(x), self.p) == self.dim
-
     def inverse(self, x: VecFp) -> VecFp:
         inv = fp_solve(self.mult_matrix(x), self.unit, self.p)
         if inv is None:
@@ -129,7 +126,7 @@ class FpAlgebra:
 class AlgIdeal:
     """Ideal of an FpAlgebra, stored as an echelonized basis."""
 
-    def __init__(self, algebra: FpAlgebra, vectors: list[VecFp], validate: bool = True):
+    def __init__(self, algebra: FpAlgebra, vectors: list[VecFp]):
         self.algebra = algebra
         rows = [fp_vec(v, algebra.p) for v in vectors if any(x % algebra.p for x in v)]
         if rows:
@@ -139,8 +136,7 @@ class AlgIdeal:
         else:
             self.basis = []
             self.pivots = []
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def dim(self) -> int:
@@ -191,10 +187,6 @@ class Decomposition:
 
     algebra: FpAlgebra
     components: list[Component]
-
-    @property
-    def idempotents(self) -> list[VecFp]:
-        return [c.idempotent for c in self.components]
 
 
 def quotient_mod_p(order, p: int) -> FpAlgebra:
@@ -314,7 +306,7 @@ def _min_relation(a: FpAlgebra, z: VecFp, unit: VecFp, bound: int) -> list[int]:
     raise AssertionError("no relation found below the dimension bound")
 
 
-def split_reduced(a: FpAlgebra, trace: list[str] | None = None) -> Decomposition:
+def split_reduced(a: FpAlgebra) -> Decomposition:
     """Decompose a reduced algebra into a product of fields.
 
     Finds a nonzero non-invertible z, strips the lowest power from its
@@ -328,18 +320,13 @@ def split_reduced(a: FpAlgebra, trace: list[str] | None = None) -> Decomposition
         raise NotReduced("algebra has nonzero nilpotents")
     components: list[Component] = []
     rows, pivots = fp_rref(fp_identity(a.dim), a.p)
-    _split_factor(a, a.unit[:], rows, pivots, components, trace)
+    _split_factor(a, a.unit[:], rows, pivots, components)
     components.sort(key=lambda c: c.projection)
     return Decomposition(a, components)
 
 
 def _split_factor(
-    a: FpAlgebra,
-    unit: VecFp,
-    basis: MatFp,
-    pivots: list[int],
-    out: list[Component],
-    trace: list[str] | None,
+    a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int], out: list[Component]
 ):
     z = _find_noninvertible(a, unit, basis, pivots)
     if z is None:
@@ -359,14 +346,13 @@ def _split_factor(
             e = [(x + c * u) % a.p for x, u in zip(e, unit)]
     if a.mul(e, e) != e or not any(e) or e == unit:
         raise AssertionError("constructed element is not a proper idempotent")
-    if trace is not None:
-        trace.append(f"SPLIT{{z={z}, relation={rel}, idempotent={e}}}")
+    emit(f"SPLIT{{z={z}, relation={rel}, idempotent={e}}}")
     comp = [(u - x) % a.p for u, x in zip(unit, e)]
     for idem in (e, comp):
         sub = [a.mul(b, idem) for b in basis]
         sub_rows, sub_pivots = fp_rref(sub, a.p)
         sub_rows = sub_rows[: len(sub_pivots)]
-        _split_factor(a, idem, sub_rows, sub_pivots, out, trace)
+        _split_factor(a, idem, sub_rows, sub_pivots, out)
 
 
 def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]) -> Component:
@@ -400,12 +386,7 @@ def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]) 
     return Component(idempotent=unit[:], basis=chosen, projection=proj, algebra=alg)
 
 
-def lift_idempotents(
-    a: FpAlgebra,
-    dec: Decomposition,
-    proj: MatFp,
-    trace: list[str] | None = None,
-) -> list[VecFp]:
+def lift_idempotents(a: FpAlgebra, dec: Decomposition, proj: MatFp) -> list[VecFp]:
     """Lift the decomposition's idempotents through a -> a/nilradical.
 
     Any preimage becomes idempotent after the m-fold Frobenius (p^m >= dim),
@@ -419,8 +400,7 @@ def lift_idempotents(
             raise AssertionError("projection is not surjective onto the component")
         for it in range(m):
             x = a.pow(x, a.p)
-            if trace is not None:
-                trace.append(f"LIFT{{iteration={it + 1}}}")
+            emit(f"LIFT{{iteration={it + 1}}}")
         if a.mul(x, x) != x:
             raise AssertionError("lift is not idempotent")
         lifted.append(x)

@@ -58,9 +58,6 @@ class Order:
             for i in range(self.field.n)
         ]
 
-    def contains(self, x: NFElem, p: int) -> bool:
-        return all(c == 0 or pval(c, p) >= 0 for c in self.coords(x))
-
     def coords_mod_p(self, x: NFElem, p: int) -> list[int]:
         """Image of an order element in O/pO, as F_p coordinates."""
         out = []
@@ -157,7 +154,7 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     disc = discriminant(field)
     if disc == 0:
         raise NotIrreducible("zero discriminant: defining polynomial is not squarefree")
-    max_steps = pval(disc, p) // 2 + 1 if disc != 0 else 0
+    max_steps = pval(disc, p) // 2 + 1
     order = equation_order(field)
     for _ in range(max_steps + 1):
         rad = p_radical(order, p)

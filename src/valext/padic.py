@@ -1,14 +1,11 @@
-"""The base valued field (Q, v_p): valuation, valuation ring, residue map.
-
-Normalized so v_p(p) = 1, making the value group exactly Z and the residue
-field F_p.
+"""The base valued field (Q, v_p): an exact primality test and v_p itself,
+normalized so v_p(p) = 1, making the value group exactly Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NegativeValue
 from .linalg import pval
 from .values import INFINITY, Val
 
@@ -63,13 +60,6 @@ class PAdicValuation:
         if q == 0:
             return INFINITY
         return Val(pval(q, self.p))
-
-    def residue(self, q) -> int:
-        """Image of q in F_p = Z_(p)/pZ_(p); requires value(q) >= 0."""
-        q = Fraction(q)
-        if q != 0 and pval(q, self.p) < 0:
-            raise NegativeValue(f"v_{self.p}({q}) < 0 has no residue")
-        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def __repr__(self):
         return f"PAdicValuation({self.p})"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import GammaNotInValueGroup, HypothesisViolation
-from .extensions import ExtensionValuation, value
+from .extensions import ExtensionValuation, residue, value
 from .linalg import VecFp, fp_rank, fp_solve, q_rank
 from .numberfield import NFElem
 from .padic import PAdicValuation
@@ -117,7 +117,7 @@ def check_min_formula(
     for ai in a:
         if value(w, ai) != Val(0):
             raise HypothesisViolation("a-elements must be units of the valuation ring")
-        residues.append(w.residue(ai))
+        residues.append(residue(w, ai))
     if fp_rank(residues, w.p) != len(a):
         raise HypothesisViolation("a-residues must be linearly independent")
     bvals = []

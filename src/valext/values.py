@@ -80,13 +80,6 @@ class Val:
             return "inf"
         return str(self._q)
 
-    @classmethod
-    def parse(cls, s: str) -> "Val":
-        s = s.strip()
-        if s == "inf":
-            return INFINITY
-        return cls(Fraction(s))
-
 
 INFINITY = Val(None)
 

@@ -3,8 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from valext import NumberField, extensions_of, p_maximal_order
-from valext.linalg import pval, q_det, q_solve
+from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order
+from valext.linalg import fp_rank, pval, q_det, q_solve
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -54,7 +54,7 @@ def random_order_element(rng, order, p: int):
     return order.element(coords)
 
 
-# -- membership and index oracles the acceptance tests compare against ------
+# -- membership, unit and index oracles the tests compare against -----------
 
 
 def lattice_contains(basis, v, p: int) -> bool:
@@ -78,3 +78,24 @@ def index_valuation(sub, sup, p: int) -> int:
     rows_sub = [[sub.basis[j][i] for j in range(n)] for i in range(n)]
     rows_sup = [[sup.basis[j][i] for j in range(n)] for i in range(n)]
     return pval(q_det(rows_sub) / q_det(rows_sup), p)
+
+
+def order_contains(order, x, p: int) -> bool:
+    """Membership of x in the order localized at p."""
+    return all(c == 0 or pval(c, p) >= 0 for c in order.coords(x))
+
+
+def is_unit(alg, x) -> bool:
+    """True iff multiplication by x is invertible in the F_p-algebra alg."""
+    return fp_rank(alg.mult_matrix(x), alg.p) == alg.dim
+
+
+def idempotents(dec) -> list:
+    """The component idempotents of a Decomposition, in component order."""
+    return [c.idempotent for c in dec.components]
+
+
+def parse_val(s: str):
+    """Inverse of str(Val): a reduced rational "m/e", or "inf"."""
+    s = s.strip()
+    return INFINITY if s == "inf" else Val(Fraction(s))

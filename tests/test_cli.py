@@ -12,6 +12,7 @@ from valext.cli import (
     parse_poly,
 )
 from valext.numberfield import NumberField
+from conftest import parse_val
 
 
 # -- parser -------------------------------------------------------------------
@@ -274,15 +275,13 @@ def test_byte_identical_determinism(capsys):
 
 
 def test_val_string_round_trip_through_json(capsys):
-    from valext import Val
-
     code, out, _ = run_cli(
         capsys, "value", "--prime", "2", "--poly", "x^2+1", "--elem", "a+1",
         "--output", "json",
     )
     data = json.loads(out)
     for entry in data["values"]:
-        Val.parse(entry["value"])  # must parse back
+        parse_val(entry["value"])  # must parse back
     assert data["values"][0]["value"] == "1/2"
 
 
@@ -315,6 +314,69 @@ GOLDEN = {
         "LIFT{iteration=1}\n"
         "w_1: e=1 f=1 residue_field_dim=1\n"
         "w_2: e=1 f=1 residue_field_dim=1\n",
+    ),
+    # The trace scope: every command traces the pipeline, and value and
+    # residue also trace the CASE steps of their own element, not those of
+    # the values and residues that approx, weak-approx and verify compute.
+    "value-trace": (
+        ["value", "--prime", "5", "--poly", "x^2+1", "--elem=-a-1/2", "--trace"],
+        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=1}\n"
+        "CASE1{j=3}\n"
+        "CASE3{j=3}\n"
+        "CASE1{j=2}\n"
+        "CASE3{j=3}\n"
+        "CASE1{j=2}\n"
+        "CASE1{j=3}\n"
+        "CASE2{j=3}\n"
+        "CASE1{j=3}\n"
+        "w_1(-a - 1/2) = 1\n"
+        "w_2(-a - 1/2) = 0\n",
+    ),
+    "residue-trace": (
+        ["residue", "--prime", "5", "--poly", "x^2+1", "--elem", "a", "--extension", "1",
+         "--trace"],
+        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=1}\n"
+        "CASE1{j=3}\n"
+        "res_1(a) = [2]\n",
+    ),
+    "weak-approx-trace": (
+        ["weak-approx", "--prime", "5", "--poly", "x^2+1", "--targets", "3;1", "--trace"],
+        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=1}\n"
+        "x = 3*a + 2\nres_1(x) = [3]\nres_2(x) = [1]\n",
+    ),
+    "approx-trace": (
+        ["approx", "--prime", "5", "--poly", "x^2+1", "--extension", "1", "--gamma", "2",
+         "--trace"],
+        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=1}\n"
+        "x = 9275/6161*a - 3200/6161\nw_1(x) = 2\nw_2(x) = 4\n",
+    ),
+    "verify-trace": (
+        ["verify", "--prime", "23", "--poly", "x^3-x-1", "--trials", "2", "--trace"],
+        "SPLIT{z=[6, 21], relation=[0, 2, 1], idempotent=[18, 12]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=1}\n"
+        "instance: Q[x]/(x^3 - x - 1) at p=23\n"
+        "sum_ef = 3, degree = 3, rank = 3\n"
+        "trials: 2, all equal: True\n"
+        "pass: true\n",
+    ),
+    "value-trace-json": (
+        ["value", "--prime", "5", "--poly", "x^2+1", "--elem=-a-1/2", "--trace",
+         "--output", "json"],
+        '{"element": "-a - 1/2", "values": [{"extension": 1, "value": "1"}, '
+        '{"extension": 2, "value": "0"}], "trace": ['
+        '"SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}", '
+        '"LIFT{iteration=1}", "LIFT{iteration=1}", "CASE1{j=3}", "CASE3{j=3}", '
+        '"CASE1{j=2}", "CASE3{j=3}", "CASE1{j=2}", "CASE1{j=3}", "CASE2{j=3}", '
+        '"CASE1{j=3}"]}\n',
     ),
 }
 

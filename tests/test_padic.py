@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valext import INFINITY, NegativeValue, PAdicValuation, Val, is_prime
+from valext import INFINITY, PAdicValuation, Val, is_prime
 from valext.padic import PRIME_BOUND
 
 
@@ -78,28 +78,3 @@ def test_value_axioms_randomized():
             assert vp.value(x * y) == vp.value(x) + vp.value(y)
             assert vp.value(x + y) >= min(vp.value(x), vp.value(y))
 
-
-def test_residue_examples():
-    v5 = PAdicValuation(5)
-    assert v5.residue(7) == 2
-    # oracle: the inverse of 2 mod 5 is 3 (2*3 = 6 = 1)
-    assert v5.residue(Fraction(1, 2)) == 3
-    with pytest.raises(NegativeValue):
-        v5.residue(Fraction(1, 5))
-
-
-def test_residue_is_multiplicative():
-    rng = random.Random(1)
-    v7 = PAdicValuation(7)
-    for _ in range(100):
-        x = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 5, 6]))
-        y = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 5, 6]))
-        assert v7.residue(x) * v7.residue(y) % 7 == v7.residue(x * y)
-        assert (v7.residue(x) + v7.residue(y)) % 7 == v7.residue(x + y)
-
-
-def test_kernel_of_residue_is_maximal_ideal():
-    v3 = PAdicValuation(3)
-    for q in [Fraction(3), Fraction(6, 5), Fraction(9, 2), Fraction(1), Fraction(2, 7)]:
-        positive = v3.value(q) > Val(0)
-        assert (v3.residue(q) == 0) == positive

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from valext import INFINITY, Val
+from conftest import parse_val
 
 
 def test_infinity_absorbs_addition():
@@ -40,7 +41,7 @@ def test_integer_scaling():
 
 def test_str_parse_round_trip():
     for v in [Val(Fraction(3, 4)), Val(-2), Val(0), INFINITY, Val(Fraction(-5, 7))]:
-        assert Val.parse(str(v)) == v
+        assert parse_val(str(v)) == v
     assert str(INFINITY) == "inf"
     assert str(Val(Fraction(2, 4))) == "1/2"
 
