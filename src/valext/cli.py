@@ -288,13 +288,14 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _join_gamma(argv: list[str]) -> list[str]:
-    """Fold "--gamma -1/2" into "--gamma=-1/2" so negative values parse."""
+def _join_values(argv: list[str]) -> list[str]:
+    """Fold "--elem -a+1" into "--elem=-a+1", and likewise for --poly,
+    --gamma and --targets, so values that start with '-' parse."""
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--gamma" and i + 1 < len(argv):
-            out.append(f"--gamma={argv[i + 1]}")
+        if argv[i] in ("--poly", "--elem", "--gamma", "--targets") and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
             out.append(argv[i])
@@ -306,7 +307,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_gamma(list(argv)))
+    args = parser.parse_args(_join_values(list(argv)))
     try:
         payload, lines, trace = run_command(args, parser)
     except PolyParseError as exc:

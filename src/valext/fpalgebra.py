@@ -26,6 +26,7 @@ from .linalg import (
     fp_rref,
     fp_solve,
     fp_vec,
+    min_relation,
 )
 
 
@@ -290,22 +291,6 @@ def _sub(x: VecFp, y: VecFp, p: int) -> VecFp:
     return [(s - t) % p for s, t in zip(x, y)]
 
 
-def _min_relation(a: FpAlgebra, z: VecFp, unit: VecFp, bound: int) -> list[int]:
-    """Monic coefficients b_0..b_k of the least relation sum b_i z^i = 0,
-    with z^0 read as the factor unit."""
-    p = a.p
-    powers = [unit[:]]
-    cur = z[:]
-    for k in range(1, bound + 2):
-        rows = [[powers[j][i] for j in range(k)] for i in range(a.dim)]
-        sol = fp_solve(rows, cur, p)
-        if sol is not None:
-            return [(-s) % p for s in sol] + [1]
-        powers.append(cur[:])
-        cur = a.mul(cur, z)
-    raise AssertionError("no relation found below the dimension bound")
-
-
 def split_reduced(a: FpAlgebra) -> Decomposition:
     """Decompose a reduced algebra into a product of fields.
 
@@ -332,7 +317,11 @@ def _split_factor(
     if z is None:
         out.append(_make_component(a, unit, basis, pivots))
         return
-    rel = _min_relation(a, z, unit, len(basis))
+    # z^0 is the factor unit; z lives in a factor of dimension len(basis)
+    powers = [unit]
+    for _ in range(len(basis)):
+        powers.append(a.mul(powers[-1], z))
+    rel = min_relation(powers, a.p)
     j = next(i for i, c in enumerate(rel) if c)
     if j == 0:
         raise AssertionError("non-invertible element has a unit constant term")

@@ -89,6 +89,21 @@ def _kernel(m: list[list], p: int | None = None) -> list[list]:
     return basis
 
 
+def min_relation(powers: list[list], p: int | None = None) -> list:
+    """Monic least relation c_0..c_k, sum c_i x^i = 0, among the coordinate
+    vectors of x^0, ..., x^m: the kernel vector of the first free column k
+    of one elimination, which has 1 at k and zero beyond. The columns before
+    k are independent, so no relation of lower degree exists."""
+    rows = [list(col) for col in zip(*powers)]
+    kernel = _kernel(rows, p)
+    if not kernel:
+        raise AssertionError("no relation among the given powers")
+    rel = kernel[0]
+    while not rel[-1]:
+        rel.pop()
+    return rel
+
+
 def _solve(a: list[list], b: list, p: int | None = None) -> list | None:
     """One solution of a x = b, or None when inconsistent.
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotIrreducible, ZeroInversion
-from .linalg import q_det, q_solve
-from .polynomials import PolyQ, poly_deg, poly_divmod, poly_q, poly_trim, poly_xgcd
+from .linalg import min_relation, q_det, q_solve
+from .polynomials import PolyQ, poly_deg, poly_divmod, poly_q
 
 
 class NumberField:
@@ -56,21 +56,8 @@ class NumberField:
 
     def from_poly(self, coeffs) -> "NFElem":
         """Element from a polynomial in the generator, reduced mod f."""
-        coords = [Fraction(0)] * self.n
-        for k, c in enumerate(poly_q(coeffs)):
-            if c != 0:
-                pw = self._pow_coords(k)
-                for i in range(self.n):
-                    coords[i] += c * pw[i]
-        return NFElem(self, coords)
-
-    def _pow_coords(self, k: int) -> list[Fraction]:
-        if k < len(self._theta_pows):
-            return self._theta_pows[k]
-        # rare: degrees beyond 2n-2, reduce by polynomial division
-        xs = [Fraction(0)] * k + [Fraction(1)]
-        _, rem = poly_divmod(xs, self.f)
-        return list(rem) + [Fraction(0)] * (self.n - len(rem))
+        _, rem = poly_divmod(poly_q(coeffs), self.f)
+        return NFElem(self, rem + [Fraction(0)] * (self.n - len(rem)))
 
     def zero(self) -> "NFElem":
         return self.element([0] * self.n)
@@ -79,9 +66,7 @@ class NumberField:
         return self.element([1] + [0] * (self.n - 1))
 
     def gen(self) -> "NFElem":
-        if self.n == 1:
-            return self.from_poly([0, 1])
-        return self.element([0, 1] + [0] * (self.n - 2))
+        return self.from_poly([0, 1])
 
     def from_rational(self, q) -> "NFElem":
         return self.element([Fraction(q)] + [0] * (self.n - 1))
@@ -186,17 +171,15 @@ class NFElem:
         return hash(tuple(self.coords))
 
     def inv(self) -> "NFElem":
-        """Inverse via the extended Euclid of the coordinate polynomial and f."""
+        """Inverse as the solution y of mult_matrix() * y = 1. The system is
+        singular exactly when self is a zero divisor, which for nonzero self
+        means f is reducible."""
         if self.is_zero:
             raise ZeroInversion("cannot invert 0")
-        g = poly_trim(list(self.coords))
-        d, s, _ = poly_xgcd(g, self.field.f)
-        if poly_deg(d) != 0:
-            raise NotIrreducible(
-                f"gcd of degree {poly_deg(d)} found: defining polynomial is reducible"
-            )
-        # d == 1 after normalization, so s*g == 1 mod f
-        return self.field.from_poly(s)
+        y = q_solve(self.mult_matrix(), self.field.one().coords)
+        if y is None:
+            raise NotIrreducible("nonzero zero divisor found: defining polynomial is reducible")
+        return NFElem(self.field, y)
 
     def mult_matrix(self) -> list[list[Fraction]]:
         """Matrix of multiplication by self on the power basis (columns are
@@ -216,21 +199,12 @@ class NFElem:
         return q_det(m), tr
 
     def min_poly(self) -> PolyQ:
-        """Monic minimal polynomial, via the first linear dependence among
-        the powers 1, self, self^2, ..."""
-        n = self.field.n
-        pows = [self.field.one().coords]
-        cur = self
-        for k in range(1, n + 1):
-            # is cur in the span of the earlier powers?
-            rows = [[pows[j][i] for j in range(k)] for i in range(n)]
-            sol = q_solve(rows, list(cur.coords))
-            if sol is not None:
-                coeffs = [-c for c in sol] + [Fraction(1)]
-                return poly_q(coeffs)
-            pows.append(cur.coords)
-            cur = cur * self
-        raise AssertionError("no relation among n+1 powers")
+        """Monic minimal polynomial: the least relation among the powers
+        1, self, ..., self^n, found by one elimination on their coordinates."""
+        pows = [self.field.one()]
+        for _ in range(self.field.n):
+            pows.append(pows[-1] * self)
+        return min_relation([x.coords for x in pows])
 
     def __repr__(self):
         return f"NFElem({[str(c) for c in self.coords]})"

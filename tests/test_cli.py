@@ -182,6 +182,23 @@ def test_approx_negative_gamma(capsys):
     assert data["values"][0]["value"] == "-1/2"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("value", "--prime", "5", "--poly", "x^2+1", "--elem", "-a+1"),
+        ("value", "--prime", "5", "--poly", "x^2+1", "--elem", "-3/4*a"),
+        ("value", "--prime", "3", "--elem", "a+2", "--poly", "-1+x^2"),
+        ("weak-approx", "--prime", "5", "--poly", "x^2+1", "--targets", "-1;2"),
+        ("approx", "--prime", "2", "--poly", "x^2+1", "--extension", "1", "--gamma", "-1/2"),
+    ],
+)
+def test_value_starting_with_minus_after_a_space(capsys, argv):
+    """`--opt -v` prints exactly what `--opt=-v` prints."""
+    joined = run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert joined[0] == 0
+    assert run_cli(capsys, *argv) == joined
+
+
 def test_verify_command(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--prime", "23", "--poly", "x^3-x-1",

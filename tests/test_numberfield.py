@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from valext import NotIrreducible, NumberField, ZeroInversion
 from valext.polynomials import poly_divmod, poly_q
+
+T = sympy.Symbol("t")
 
 GAUSS = NumberField([1, 0, 1])  # x^2 + 1
 CUBIC = NumberField([-1, -1, 0, 1])  # x^3 - x - 1
@@ -22,6 +27,11 @@ def test_constructor_validation():
 def test_mul_defining_relation():
     i = GAUSS.gen()
     assert i * i == GAUSS.from_rational(-1)
+
+
+def test_from_poly_beyond_degree_2n_minus_2():
+    assert GAUSS.from_poly([0] * 20 + [1]) == 1
+    assert GAUSS.from_poly([0] * 23 + [1, 0, 5]) == GAUSS.element([0, 4])  # -a + 5a
 
 
 def test_mul_conjugates():
@@ -43,6 +53,51 @@ def test_inv():
         GAUSS.zero().inv()
     x = CUBIC.element([2, -1, Fraction(1, 3)])
     assert x * x.inv() == CUBIC.one()
+
+
+@st.composite
+def field_elements(draw):
+    """(field, x): f monic irreducible over Q of degree 1..6 with small
+    integer coefficients (irreducibility from sympy), and a nonzero x.
+    Some draws take f = h(t^k), k = 2 or 3, and x in Q(theta^k) or in Q,
+    so that the degree of x is often below n."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    h = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=6 // k)) + [1]
+    f = [0] * (k * (len(h) - 1) + 1)
+    f[::k] = h
+    assume(sympy.Poly(f[::-1], T).is_irreducible)
+    n = len(f) - 1
+    coords = draw(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=n, max_size=n)
+    )
+    step = draw(st.sampled_from([1, k, n]))
+    coords = [c if i % step == 0 else 0 for i, c in enumerate(coords)]
+    assume(any(coords))
+    return NumberField(f), coords
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(field_elements())
+def test_inverse_property(case):
+    fld, coords = case
+    x = fld.element(coords)
+    assert x * x.inv() == 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(field_elements())
+def test_min_poly_power_is_char_poly(case):
+    """The characteristic polynomial of multiplication by x is
+    min_poly(x)^(n/d); the matrix and its charpoly come from sympy alone."""
+    fld, coords = case
+    f = sympy.Poly(fld.f[::-1], T)
+    x = sympy.Poly(coords[::-1], T)
+    cols = [(x * T**j).rem(f).all_coeffs()[::-1] for j in range(fld.n)]
+    m = sympy.Matrix(fld.n, fld.n, lambda i, j: cols[j][i] if i < len(cols[j]) else 0)
+    mp = fld.element(coords).min_poly()
+    d = len(mp) - 1
+    assert fld.n % d == 0
+    assert m.charpoly(T) == sympy.Poly(mp[::-1], T, domain="QQ") ** (fld.n // d)
 
 
 def test_inv_detects_reducible():
@@ -126,7 +181,8 @@ def test_norm_multiplicative_trace_additive():
 
 def test_degree_one_field():
     line = NumberField([-3, 1])  # x - 3
-    assert line.gen() == line.from_rational(3)
+    assert line.gen() == 3
+    assert line.gen().inv() == Fraction(1, 3)
     x = line.from_rational(Fraction(7, 2))
     assert (x * x).coords == [Fraction(49, 4)]
     assert x.min_poly() == poly_q([Fraction(-7, 2), 1])
