@@ -1,8 +1,9 @@
 """Command-line interface: parse inputs, run the pipeline, print JSON or text.
 
 Exit codes: 0 success, 1 mathematical error (NotIrreducible, NegativeValue,
-...; machine-readable JSON on stdout when --output json), 2 usage or parse
-errors with a message on stderr.
+...) or failed internal check (AssertionError), both reported without a
+traceback and as JSON on stdout when --output json, 2 usage or parse errors
+with a message on stderr.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
         payload, lines, trace = run_command(args, parser)
     except PolyParseError as exc:
         parser.error(str(exc))
-    except ValExtError as exc:
+    except (ValExtError, AssertionError) as exc:
         if args.output == "json":
             print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         else:

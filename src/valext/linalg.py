@@ -155,14 +155,6 @@ def q_det(m: MatQ) -> Fraction:
     return det
 
 
-def q_inverse(m: MatQ) -> MatQ:
-    n = len(m)
-    rref, pivots = _rref([row + e for row, e in zip(m, q_identity(n))])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in rref]
-
-
 # ---------------------------------------------------------------------------
 # Matrices over F_p
 
@@ -283,11 +275,26 @@ def lattice_canonical(vectors: list[VecQ], p: int) -> list[VecQ]:
     return [col for _, _, col in basis]
 
 
+def require_triangular(basis: list[VecQ]) -> None:
+    """ValueError unless basis[k] is zero above row k and nonzero at row k."""
+    for k, col in enumerate(basis):
+        if len(col) != len(basis) or not col[k] or any(col[:k]):
+            raise ValueError("basis is not lower triangular with nonzero diagonal")
+
+
 def lattice_coords(basis: list[VecQ], v: VecQ) -> VecQ:
-    """Coordinates of v in the given full-rank basis (exact, over Q)."""
-    n = len(v)
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
-    coords = q_solve(rows, list(v))
-    if coords is None:
-        raise ValueError("vector not in the span")
+    """Coordinates c of v = sum_k c_k basis[k] by forward substitution, for a
+    basis of the shape lattice_canonical returns (see require_triangular).
+
+    Zero terms are skipped: most entries of a canonical basis are zero, and
+    every Fraction product costs a gcd.
+    """
+    require_triangular(basis)
+    coords: VecQ = []
+    for i, row in enumerate(basis):
+        x = Fraction(v[i])
+        for c, col in zip(coords, basis):
+            if c and col[i]:
+                x -= c * col[i]
+        coords.append(x / row[i] if x else x)
     return coords

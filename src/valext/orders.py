@@ -2,7 +2,10 @@
 
 The p-maximal order localized at p models the relative integral closure of
 Z_(p) in L. Only p-maximality is ever computed: integers coprime to p are
-units throughout, so the discriminant never needs factoring.
+units throughout, so the discriminant never needs factoring. Order bases
+are the lower-triangular ones of lattice_canonical, so coordinates come by
+forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
+makes Z[theta] p-maximal.
 """
 
 from __future__ import annotations
@@ -19,15 +22,24 @@ from .linalg import (
     lattice_coords,
     pval,
     q_identity,
-    q_inverse,
+    require_triangular,
 )
 from .numberfield import NFElem, NumberField
+
+
+def _mod_p(coords: VecQ, p: int, why: str) -> list[int]:
+    """Image in F_p of coordinates in Z_(p); NotIrreducible(why) otherwise."""
+    if any(c.denominator % p == 0 for c in coords):
+        raise NotIrreducible(why)
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in coords]
 
 
 class Order:
     """Full-rank unital subring of L given by a canonical lattice basis.
 
     basis[j] is the power-basis coordinate vector of the j-th basis element.
+    It must be lower triangular with nonzero diagonal, as lattice_canonical
+    returns it; any other basis raises ValueError.
     """
 
     def __init__(self, field: NumberField, basis: list[VecQ]):
@@ -35,17 +47,14 @@ class Order:
         self.basis = [[Fraction(x) for x in v] for v in basis]
         if len(self.basis) != field.n:
             raise ValueError("order basis must have full rank")
-        rows = [[self.basis[j][i] for j in range(field.n)] for i in range(field.n)]
-        self._inv_rows = q_inverse(rows)
+        require_triangular(self.basis)
         self._tables: dict[int, list[list[list[int]]]] = {}
 
     def element(self, coords) -> NFElem:
         out = [Fraction(0)] * self.field.n
         for c, b in zip(coords, self.basis):
-            c = Fraction(c)
-            if c != 0:
-                for i in range(self.field.n):
-                    out[i] += c * b[i]
+            if c:
+                out = [o + c * x for o, x in zip(out, b)]
         return self.field.element(out)
 
     def basis_element(self, j: int) -> NFElem:
@@ -53,21 +62,13 @@ class Order:
 
     def coords(self, x: NFElem) -> VecQ:
         """Exact coordinates of x in the order basis (over Q)."""
-        return [
-            sum((self._inv_rows[i][k] * x.coords[k] for k in range(self.field.n)), Fraction(0))
-            for i in range(self.field.n)
-        ]
+        return lattice_coords(self.basis, x.coords)
 
     def coords_mod_p(self, x: NFElem, p: int) -> list[int]:
         """Image of an order element in O/pO, as F_p coordinates."""
-        out = []
-        for c in self.coords(x):
-            if c != 0 and pval(c, p) < 0:
-                raise NotIrreducible(
-                    "element expected in the order has p in a coordinate denominator"
-                )
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return out
+        return _mod_p(
+            self.coords(x), p, "element expected in the order has p in a coordinate denominator"
+        )
 
     def mult_table_mod_p(self, p: int) -> list[list[list[int]]]:
         """Structure constants of O/pO over the order basis."""
@@ -126,26 +127,14 @@ def ring_of_multipliers(order: Order, ideal: list[VecQ], p: int) -> Order:
     pO'/pO.
     """
     n = order.field.n
-    ideal_elems = [order.field.element(v) for v in ideal]
     rows_stacked: list[list[int]] = []
-    for g in ideal_elems:
-        cols = []
-        for j in range(n):
-            prod = order.basis_element(j) * g
-            c = lattice_coords(ideal, prod.coords)
-            col = []
-            for x in c:
-                if x != 0 and pval(x, p) < 0:
-                    raise NotIrreducible("ideal is not multiplicatively closed")
-                col.append(x.numerator * pow(x.denominator, -1, p) % p)
-            cols.append(col)
-        for i in range(len(ideal)):
-            rows_stacked.append([cols[j][i] for j in range(n)])
+    for v in ideal:
+        g = order.field.element(v)
+        cols = [lattice_coords(ideal, (order.basis_element(j) * g).coords) for j in range(n)]
+        cols = [_mod_p(c, p, "ideal is not multiplicatively closed") for c in cols]
+        rows_stacked += [list(row) for row in zip(*cols)]
     kern = fp_kernel(rows_stacked, p)
-    gens = [order.basis[j][:] for j in range(n)]
-    for v in kern:
-        lifted = order.element(v).coords
-        gens.append([x / p for x in lifted])
+    gens = order.basis + [[x / p for x in order.element(v).coords] for v in kern]
     return Order(order.field, lattice_canonical(gens, p))
 
 
@@ -154,9 +143,11 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     disc = discriminant(field)
     if disc == 0:
         raise NotIrreducible("zero discriminant: defining polynomial is not squarefree")
-    max_steps = pval(disc, p) // 2 + 1
+    v = pval(disc, p)
     order = equation_order(field)
-    for _ in range(max_steps + 1):
+    if v <= 1:  # [O : Z[theta]]^2 divides disc(f), so Z[theta] is p-maximal
+        return order
+    for _ in range(v // 2 + 2):
         rad = p_radical(order, p)
         bigger = ring_of_multipliers(order, rad, p)
         if bigger == order:

@@ -222,6 +222,25 @@ def test_order_command(capsys):
     assert [[Fraction(x) for x in row] for row in data["basis"]]
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_internal_assertion_is_exit_1_without_traceback(capsys, monkeypatch, output):
+    def failing_check(field, p):
+        raise AssertionError("local factor dimension not divisible by residue degree")
+
+    monkeypatch.setattr("valext.cli.extensions_of", failing_check)
+    code, out, err = run_cli(
+        capsys, "extensions", "--prime", "5", "--poly", "x^2+1", "--output", output
+    )
+    assert code == 1
+    message = "local factor dimension not divisible by residue degree"
+    if output == "json":
+        assert json.loads(out) == {"error": {"type": "AssertionError", "message": message}}
+        assert err == ""
+    else:
+        assert out == ""
+        assert err == f"error: AssertionError: {message}\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["extensions", "--prime", "4", "--poly", "x^2+1"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -17,6 +17,7 @@ from valext.linalg import (
     fp_matvec,
     fp_rank,
     lattice_canonical,
+    lattice_coords,
     min_relation,
     pval,
     q_det,
@@ -279,3 +280,42 @@ def test_rep_mod_ppow():
             r = rep_mod_ppow(x, 2, k)
             if x != r:
                 assert pval(x - r, 2) >= k
+
+
+@st.composite
+def lattices_with_coords(draw):
+    """(p, basis, c): the canonical basis of a random full-rank Z_(p)-lattice
+    in Q^n, n = 1..5, p in {2, 3, 5}, and random rational coordinates c."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-p**3, max_value=p**3, max_denominator=p**2)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    gens = draw(st.lists(vector, min_size=n, max_size=n + 2))
+    try:
+        basis = lattice_canonical(gens, p)
+    except RankDeficient:
+        assume(False)
+    return p, basis, draw(vector)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lattices_with_coords(), st.data())
+def test_lattice_coords_round_trip(instance, data):
+    """lattice_coords inverts v = sum_k c_k basis[k] on canonical bases, and
+    refuses a basis with an entry above the diagonal or a zero pivot."""
+    p, basis, c = instance
+    n = len(basis)
+    assert all(basis[k][k] == Fraction(p) ** pval(basis[k][k], p) for k in range(n))
+    v = [sum((ck * b[i] for ck, b in zip(c, basis)), Fraction(0)) for i in range(n)]
+    assert lattice_coords(basis, v) == c
+    k = data.draw(st.integers(0, n - 1))
+    zero_pivot = [col[:] for col in basis]
+    zero_pivot[k][k] = Fraction(0)
+    with pytest.raises(ValueError):
+        lattice_coords(zero_pivot, v)
+    if n > 1:
+        k = data.draw(st.integers(1, n - 1))
+        above = [col[:] for col in basis]
+        above[k][data.draw(st.integers(0, k - 1))] = Fraction(data.draw(st.integers(1, 9)))
+        with pytest.raises(ValueError):
+            lattice_coords(above, v)

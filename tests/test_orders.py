@@ -1,7 +1,12 @@
 import itertools
 from fractions import Fraction
 
-from valext import NumberField, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from valext import NumberField, Order, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
 from valext.linalg import lattice_canonical, pval, q_identity
 from valext.polynomials import poly_q
 
@@ -177,3 +182,43 @@ def test_coords_round_trip():
     x = o.element([3, Fraction(1, 3), -2])
     assert o.coords(x) == [Fraction(3), Fraction(1, 3), Fraction(-2)]
     assert all(pval(c, 2) >= 0 for c in o.coords(x) if c != 0)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [[1, 0], [1, 1]],  # full rank, but an entry above the diagonal
+        [[0, 1], [1, 0]],  # full rank, zero pivot at row 0
+        [[1, 0], [0, 0]],  # singular
+    ],
+)
+def test_order_refuses_non_triangular_basis(basis):
+    with pytest.raises(ValueError):
+        Order(GAUSS, basis)
+
+
+@st.composite
+def shortcut_instances(draw):
+    """(f, p): f monic irreducible of degree 1..6 (sympy) with small integer
+    coefficients, p in {2, 3, 5, 7, 11} with v_p(disc f) <= 1 (sympy)."""
+    f = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6)) + [1]
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    poly = sympy.Poly(f[::-1], sympy.Symbol("t"))
+    assume(poly.is_irreducible)
+    assume(int(sympy.discriminant(poly)) % p**2 != 0)
+    return f, p
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shortcut_instances())
+def test_equation_order_maximal_where_p_squared_misses_disc(instance):
+    """Where v_p(disc f) <= 1, Z[theta] is the p-maximal order: Round 2 would
+    not move it, and Dedekind-Kummer reads the (e_i, f_i) off f mod p."""
+    f, p = instance
+    fld = NumberField(f)
+    eq = equation_order(fld)
+    assert p_maximal_order(fld, p) == eq
+    assert ring_of_multipliers(eq, p_radical(eq, p), p) == eq
+    _, factors = sympy.Poly(f[::-1], sympy.Symbol("t"), modulus=p).factor_list()
+    expected = sorted((m, g.degree()) for g, m in factors)
+    assert sorted((w.e, w.f) for w in extensions_of(fld, p)) == expected
