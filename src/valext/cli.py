@@ -84,15 +84,10 @@ def parse_poly(text: str, var: str) -> list[Fraction]:
 
 def parse_defining_poly(text: str) -> NumberField:
     coeffs = parse_poly(text, "x")
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        raise PolyParseError("defining polynomial must have degree >= 1")
-    if coeffs[-1] != 1:
-        raise PolyParseError("defining polynomial must be monic")
-    if any(c.denominator != 1 for c in coeffs):
-        raise PolyParseError("defining polynomial must have integer coefficients")
-    return NumberField(coeffs)
+    try:
+        return NumberField(coeffs)
+    except ValueError as exc:
+        raise PolyParseError(str(exc)) from None
 
 
 def parse_element(text: str, field: NumberField) -> NFElem:
@@ -144,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--poly", required=True, help="monic integer polynomial in x")
     shared.add_argument("--output", choices=["json", "text"], default="text")
     shared.add_argument("--trace", action="store_true", help="emit procedure trace lines")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--trials", type=_trials_type, default=100)
 
     sub.add_parser("extensions", parents=[shared], help="list all extensions of v_p")
 
@@ -172,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--extension", type=int, required=True, help="target index (1-based)")
     p_approx.add_argument("--gamma", type=_gamma_type, required=True, help="target value m/e")
 
-    sub.add_parser("verify", parents=[shared], help="run the fundamental-inequality check")
+    p_verify = sub.add_parser(
+        "verify", parents=[shared], help="run the fundamental-inequality check"
+    )
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=_trials_type, default=100)
     sub.add_parser("order", parents=[shared], help="print the p-maximal order basis")
     return parser
 

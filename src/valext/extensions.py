@@ -35,7 +35,7 @@ from .linalg import (
     pval,
 )
 from .numberfield import NFElem, NumberField
-from .orders import Order, denominator_clear, p_maximal_order
+from .orders import Order, p_maximal_order
 from .polynomials import poly_deg
 from .values import INFINITY, Val
 
@@ -205,14 +205,14 @@ def value(w: ExtensionValuation, x: NFElem) -> Val:
     if x.is_zero:
         return INFINITY
     e = w.e
-    y0, den = denominator_clear(x)
-    norm, _ = y0.norm_trace()
+    norm = x.norm()
     if norm == 0:
         raise NotIrreducible("nonzero element has zero norm")
-    vden = pval(Fraction(den), w.p) if den % w.p == 0 else 0
-    vnorm = pval(norm, w.p)
+    # x*d is integral for d the lcm of the coordinate denominators, and
+    # v_p(d) = vden, so -vden <= w(x) <= v_p(N(x*d)) = v_p(N(x)) + n*vden.
+    vden = max(pval(c.denominator, w.p) for c in x.coords)
     lo = -e * vden
-    hi = e * vnorm
+    hi = e * (pval(norm, w.p) + x.field.n * vden)
     xe = x**e
     pfrac = Fraction(w.p)
 

@@ -104,21 +104,6 @@ def min_relation(powers: list[list], p: int | None = None) -> list:
     return rel
 
 
-def _solve(a: list[list], b: list, p: int | None = None) -> list | None:
-    """One solution of a x = b, or None when inconsistent.
-
-    Free variables, if any, are set to zero.
-    """
-    cols = len(a[0]) if a else 0
-    rref, pivots = _rref([row + [y] for row, y in zip(a, b)], p)
-    if cols in pivots:
-        return None
-    x = [Fraction(0) if p is None else 0] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][cols]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Rational matrices
 
@@ -129,30 +114,6 @@ def q_identity(n: int) -> MatQ:
 
 def q_rank(m: MatQ) -> int:
     return len(_rref(m)[1])
-
-
-def q_solve(a: MatQ, b: VecQ) -> VecQ | None:
-    return _solve(a, b)
-
-
-def q_det(m: MatQ) -> Fraction:
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +166,18 @@ def fp_kernel(m: MatFp, p: int) -> list[VecFp]:
 
 
 def fp_solve(a: MatFp, b: VecFp, p: int) -> VecFp | None:
-    return _solve(a, b, p)
+    """One solution of a x = b, or None when inconsistent.
+
+    Free variables, if any, are set to zero.
+    """
+    cols = len(a[0]) if a else 0
+    rref, pivots = _rref([row + [y] for row, y in zip(a, b)], p)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][cols]
+    return x
 
 
 # ---------------------------------------------------------------------------

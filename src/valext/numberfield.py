@@ -1,7 +1,9 @@
 """Arithmetic in L = Q[x]/(f) for monic integer f, in the power basis.
 
 Elements are length-n rational coordinate vectors over 1, theta, ...,
-theta^(n-1). Irreducibility of f is assumed, never verified eagerly: any
+theta^(n-1). The norm of g(theta) is the resultant Res(f, g), and the
+inverse comes from the minimal polynomial, so no multiplication matrix is
+ever built. Irreducibility of f is assumed, never verified eagerly: any
 zero divisor met during inversion or minimal-polynomial work surfaces as
 NotIrreducible.
 """
@@ -11,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotIrreducible, ZeroInversion
-from .linalg import min_relation, q_det, q_solve
-from .polynomials import PolyQ, poly_deg, poly_divmod, poly_q
+from .linalg import min_relation
+from .polynomials import PolyQ, poly_deg, poly_divmod, poly_q, poly_resultant
 
 
 class NumberField:
@@ -64,9 +66,6 @@ class NumberField:
 
     def one(self) -> "NFElem":
         return self.element([1] + [0] * (self.n - 1))
-
-    def gen(self) -> "NFElem":
-        return self.from_poly([0, 1])
 
     def from_rational(self, q) -> "NFElem":
         return self.element([Fraction(q)] + [0] * (self.n - 1))
@@ -171,32 +170,23 @@ class NFElem:
         return hash(tuple(self.coords))
 
     def inv(self) -> "NFElem":
-        """Inverse as the solution y of mult_matrix() * y = 1. The system is
-        singular exactly when self is a zero divisor, which for nonzero self
-        means f is reducible."""
+        """Inverse from the minimal polynomial c_0 + c_1 x + ... + x^d:
+        x^-1 = -(c_1 + c_2 x + ... + x^(d-1)) / c_0 by Horner. c_0 = 0
+        exactly when self is a zero divisor, which for nonzero self means
+        f is reducible."""
         if self.is_zero:
             raise ZeroInversion("cannot invert 0")
-        y = q_solve(self.mult_matrix(), self.field.one().coords)
-        if y is None:
+        mp = self.min_poly()
+        if mp[0] == 0:
             raise NotIrreducible("nonzero zero divisor found: defining polynomial is reducible")
-        return NFElem(self.field, y)
+        acc = self.field.one()
+        for c in reversed(mp[1:-1]):
+            acc = acc * self + c
+        return acc * (-1 / mp[0])
 
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of multiplication by self on the power basis (columns are
-        images of 1, theta, ...)."""
-        n = self.field.n
-        cols = []
-        cur = self
-        gen = self.field.gen()
-        for _ in range(n):
-            cols.append(cur.coords)
-            cur = cur * gen
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    def norm_trace(self) -> tuple[Fraction, Fraction]:
-        m = self.mult_matrix()
-        tr = sum((m[i][i] for i in range(self.field.n)), Fraction(0))
-        return q_det(m), tr
+    def norm(self) -> Fraction:
+        """N(g(theta)) = Res(f, g) for monic f; 0 for a zero divisor."""
+        return poly_resultant(self.field.f, poly_q(self.coords))
 
     def min_poly(self) -> PolyQ:
         """Monic minimal polynomial: the least relation among the powers

@@ -11,7 +11,6 @@ makes Z[theta] p-maximal.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import NotIrreducible
 from .fpalgebra import nilradical, quotient_mod_p
@@ -71,13 +70,15 @@ class Order:
         )
 
     def mult_table_mod_p(self, p: int) -> list[list[list[int]]]:
-        """Structure constants of O/pO over the order basis."""
+        """Structure constants of O/pO over the order basis. O/pO is
+        commutative, so only the products b_i b_j with i <= j are computed."""
         if p not in self._tables:
             n = self.field.n
             elems = [self.basis_element(j) for j in range(n)]
-            table = [
-                [self.coords_mod_p(elems[i] * elems[j], p) for j in range(n)] for i in range(n)
-            ]
+            table = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    table[i][j] = table[j][i] = self.coords_mod_p(elems[i] * elems[j], p)
             self._tables[p] = table
         return self._tables[p]
 
@@ -101,13 +102,11 @@ def equation_order(field: NumberField) -> Order:
 
 
 def discriminant(field: NumberField) -> Fraction:
-    """disc(f) for monic f, via the norm of f'(theta)."""
+    """disc(f) = (-1)^(n(n-1)/2) N(f'(theta)) = (-1)^(n(n-1)/2) Res(f, f')
+    for monic f."""
     n = field.n
-    fprime = [field.f[i] * i for i in range(1, n + 1)]
-    deriv = field.from_poly(fprime)
-    norm, _ = deriv.norm_trace()
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * norm
+    norm = field.from_poly([field.f[i] * i for i in range(1, n + 1)]).norm()
+    return -norm if (n * (n - 1) // 2) % 2 else norm
 
 
 def p_radical(order: Order, p: int) -> list[VecQ]:
@@ -154,9 +153,3 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
             return order
         order = bigger
     raise NotIrreducible("Round-2 iteration exceeded the discriminant bound")
-
-
-def denominator_clear(x: NFElem) -> tuple[NFElem, int]:
-    """Write x = y/d with y in Z[theta] and d a positive integer."""
-    d = lcm(*(c.denominator for c in x.coords)) if x.coords else 1
-    return x * d, d

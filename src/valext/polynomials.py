@@ -1,5 +1,5 @@
 """Univariate polynomials over Q as coefficient lists, lowest degree first:
-normalisation, division with remainder, and formatting.
+normalisation, division with remainder, resultants, and formatting.
 
 PolyQ is a list of Fractions. The zero polynomial is the empty list;
 otherwise the leading coefficient is nonzero.
@@ -42,6 +42,25 @@ def poly_divmod(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ]:
             f[k + i] -= c * g[i]
         f = poly_trim(f)
     return poly_trim(q), f
+
+
+def poly_resultant(f: PolyQ, g: PolyQ) -> Fraction:
+    """Res(f, g) = lc(f)^deg(g) * prod g(alpha) over the roots alpha of f, by
+    Euclid: with r = g mod f, Res(f, g) = lc(f)^(deg g - deg r) Res(f, r) and
+    Res(f, r) = (-1)^(deg f deg r) Res(r, f). It is 0 when f and g share a
+    factor, and c^deg(g) for a constant f = c."""
+    if not f or not g:
+        return Fraction(0)
+    res = Fraction(1)
+    while len(f) > 1:
+        _, r = poly_divmod(g, f)
+        if not r:
+            return Fraction(0)
+        res *= f[-1] ** (len(g) - len(r))
+        if (len(f) - 1) * (len(r) - 1) % 2:
+            res = -res
+        f, g = r, f
+    return res * f[0] ** (len(g) - 1)
 
 
 def format_poly(coeffs, var: str) -> str:

@@ -3,8 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import sympy
+
 from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order
-from valext.linalg import fp_rank, pval, q_det, q_solve
+from valext.linalg import fp_rank, pval
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -57,14 +59,16 @@ def random_order_element(rng, order, p: int):
 # -- membership, unit and index oracles the tests compare against -----------
 
 
+def column_matrix(vectors) -> sympy.Matrix:
+    """sympy matrix whose columns are the given rational vectors."""
+    return sympy.Matrix([[sympy.Rational(x) for x in v] for v in vectors]).T
+
+
 def lattice_contains(basis, v, p: int) -> bool:
-    """Membership of v in the full-rank lattice spanned by basis over Z_(p)."""
-    n = len(v)
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
-    coords = q_solve(rows, list(v))
-    if coords is None:
-        return False
-    return all(c == 0 or pval(c, p) >= 0 for c in coords)
+    """Membership of v in the full-rank lattice spanned by basis over Z_(p),
+    solving for the coordinates with sympy."""
+    coords = column_matrix(basis).LUsolve(sympy.Matrix([sympy.Rational(x) for x in v]))
+    return all(c == 0 or pval(Fraction(int(c.p), int(c.q)), p) >= 0 for c in coords)
 
 
 def in_prime(w, x) -> bool:
@@ -73,11 +77,9 @@ def in_prime(w, x) -> bool:
 
 
 def index_valuation(sub, sup, p: int) -> int:
-    """v_p of the index [sup : sub] via basis determinants."""
-    n = sub.field.n
-    rows_sub = [[sub.basis[j][i] for j in range(n)] for i in range(n)]
-    rows_sup = [[sup.basis[j][i] for j in range(n)] for i in range(n)]
-    return pval(q_det(rows_sub) / q_det(rows_sup), p)
+    """v_p of the index [sup : sub] via sympy's basis determinants."""
+    ratio = column_matrix(sub.basis).det() / column_matrix(sup.basis).det()
+    return pval(Fraction(int(ratio.p), int(ratio.q)), p)
 
 
 def order_contains(order, x, p: int) -> bool:

@@ -253,6 +253,30 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        ("2x^2+1", "defining polynomial must be monic"),
+        ("x^2+1/2*x", "defining polynomial must have integer coefficients"),
+        ("5", "defining polynomial must have degree >= 1"),
+    ],
+    ids=["monic", "integer", "degree"],
+)
+def test_defining_poly_errors_exit_2(capsys, poly, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["extensions", "--prime", "5", "--poly", poly])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_seed_and_trials_belong_to_verify(capsys):
+    for flag in ("--seed", "--trials"):
+        with pytest.raises(SystemExit) as exc:
+            main(["extensions", "--prime", "5", "--poly", "x^2+1", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_negative_trials_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--prime", "5", "--poly", "x^2+1", "--trials", "-3"])

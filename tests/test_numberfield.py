@@ -6,7 +6,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from valext import NotIrreducible, NumberField, ZeroInversion
+from valext import NotIrreducible, NumberField, ZeroInversion, discriminant
 from valext.polynomials import poly_divmod, poly_q
 
 T = sympy.Symbol("t")
@@ -25,7 +25,7 @@ def test_constructor_validation():
 
 
 def test_mul_defining_relation():
-    i = GAUSS.gen()
+    i = GAUSS.from_poly([0, 1])
     assert i * i == GAUSS.from_rational(-1)
 
 
@@ -46,7 +46,7 @@ def test_mul_identity():
 
 
 def test_inv():
-    i = GAUSS.gen()
+    i = GAUSS.from_poly([0, 1])
     assert i.inv() == -i
     assert GAUSS.one().inv() == GAUSS.one()
     with pytest.raises(ZeroInversion):
@@ -108,7 +108,7 @@ def test_inv_detects_reducible():
 
 
 def test_min_poly_examples():
-    assert GAUSS.gen().min_poly() == poly_q([1, 0, 1])
+    assert GAUSS.from_poly([0, 1]).min_poly() == poly_q([1, 0, 1])
     q = GAUSS.from_rational(Fraction(3, 2))
     assert q.min_poly() == poly_q([Fraction(-3, 2), 1])
     assert GAUSS.element([1, 1]).min_poly() == poly_q([2, -2, 1])
@@ -146,49 +146,95 @@ def char_poly(m):
     return poly_q([(-1) ** (n - k) * e[n - k] for k in range(n + 1)])
 
 
+def mult_matrix(x):
+    """Matrix of multiplication by x on the power basis: column j is x*theta^j."""
+    theta = x.field.from_poly([0, 1])
+    cols = [x]
+    for _ in range(x.field.n - 1):
+        cols.append(cols[-1] * theta)
+    return [list(row) for row in zip(*(c.coords for c in cols))]
+
+
 def test_min_poly_divides_char_poly():
     rng = random.Random(4)
     for fld in (GAUSS, CUBIC):
         for _ in range(10):
             x = fld.element([Fraction(rng.randint(-4, 4)) for _ in range(fld.n)])
             mp = x.min_poly()
-            cp = char_poly(x.mult_matrix())
+            cp = char_poly(mult_matrix(x))
             _, rem = poly_divmod(cp, mp)
             assert rem == []
 
 
-def test_norm_trace_examples():
-    norm, tr = GAUSS.element([1, 1]).norm_trace()
-    assert (norm, tr) == (2, 2)
-    norm, tr = GAUSS.one().norm_trace()
-    assert (norm, tr) == (1, 2)
-    norm, tr = CUBIC.gen().norm_trace()
-    assert (norm, tr) == (1, 0)
+def test_norm_examples():
+    assert GAUSS.element([1, 1]).norm() == 2
+    assert GAUSS.one().norm() == 1
+    assert CUBIC.from_poly([0, 1]).norm() == 1
+    assert GAUSS.zero().norm() == 0
 
 
-def test_norm_multiplicative_trace_additive():
+def test_norm_multiplicative():
     rng = random.Random(5)
     for _ in range(25):
         x = CUBIC.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)])
         y = CUBIC.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)])
-        nx, tx = x.norm_trace()
-        ny, ty = y.norm_trace()
-        nxy, _ = (x * y).norm_trace()
-        _, txy = (x + y).norm_trace()
-        assert nxy == nx * ny
-        assert txy == tx + ty
+        assert (x * y).norm() == x.norm() * y.norm()
+
+
+@st.composite
+def monic_polys_and_elements(draw):
+    """(f, g): f monic of degree 1..6 with small integer coefficients, a
+    product of one to three random monic factors, so that it is often
+    reducible and sometimes not squarefree; g of degree < deg f with
+    small rational coefficients, sometimes a factor of f."""
+    factors = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(lambda h: h + [1]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    f = sympy.Poly(1, T)
+    for h in factors:
+        f *= sympy.Poly(h[::-1], T)
+    assume(1 <= f.degree() <= 6)
+    n = f.degree()
+    if len(factors) > 1 and draw(st.booleans()):
+        g = factors[0]
+    else:
+        g = draw(
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=n, max_size=n
+            )
+        )
+    coeffs = [int(c) for c in f.all_coeffs()[::-1]]
+    return coeffs, g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(monic_polys_and_elements())
+def test_discriminant_and_norm_match_sympy(case):
+    """disc f and N(g(theta)) = Res(f, g) against sympy's discriminant and
+    resultant, for reducible and non-squarefree f as well. deg g < deg f,
+    where sympy's resultant has the right sign (see test_polynomials)."""
+    coeffs, g = case
+    fld = NumberField(coeffs)
+    f = sympy.Poly(coeffs[::-1], T, domain="QQ")
+    assert discriminant(fld) == sympy.discriminant(f)
+    x = fld.from_poly(g)
+    assert x.norm() == sympy.resultant(f, sympy.Poly(g[::-1], T, domain="QQ"))
 
 
 def test_degree_one_field():
     line = NumberField([-3, 1])  # x - 3
-    assert line.gen() == 3
-    assert line.gen().inv() == Fraction(1, 3)
+    assert line.from_poly([0, 1]) == 3
+    assert line.from_poly([0, 1]).inv() == Fraction(1, 3)
     x = line.from_rational(Fraction(7, 2))
     assert (x * x).coords == [Fraction(49, 4)]
     assert x.min_poly() == poly_q([Fraction(-7, 2), 1])
 
 
 def test_power_negative_exponent():
-    i = GAUSS.gen()
+    i = GAUSS.from_poly([0, 1])
     assert i**-1 == -i
     assert (GAUSS.element([1, 1]) ** -2) * (GAUSS.element([1, 1]) ** 2) == GAUSS.one()

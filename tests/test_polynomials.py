@@ -1,9 +1,14 @@
 from fractions import Fraction
 
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from valext.polynomials import (
     poly_deg,
     poly_divmod,
     poly_q,
+    poly_resultant,
 )
 
 
@@ -34,3 +39,25 @@ def test_divmod():
     assert poly_q(
         [c + d for c, d in zip(product(q2, g) + [0] * 3, r2 + [0] * 3)]
     ) == f2
+
+
+small_polys = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=5
+).map(poly_q)
+
+
+def sylvester_det(f, g):
+    """Res(f, g) as the determinant of the Sylvester matrix, computed by
+    sympy. sympy.resultant itself is not the oracle here: sympy 1.14 gets
+    its sign wrong when deg f < deg g and both degrees are odd."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return sympy.Matrix(m + n, m + n, [sympy.Rational(x) for row in rows for x in row]).det()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_polys, small_polys)
+def test_resultant_matches_sylvester_determinant(f, g):
+    """Any leading coefficients and degrees, constants and zero included."""
+    assert poly_resultant(f, g) == (sylvester_det(f, g) if f and g else 0)

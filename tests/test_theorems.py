@@ -41,7 +41,7 @@ def test_weak_approx_split_example():
     # 3+2 = 5 = 0 and 3+3 = 6 = 1 mod 5; any output with these residues is valid
     fld = field_for((1, 0, 1))
     exts = extensions_for((1, 0, 1), 5)
-    ordered = sorted(exts, key=lambda w: tuple(residue(w, fld.gen())))
+    ordered = sorted(exts, key=lambda w: tuple(residue(w, fld.from_poly([0, 1]))))
     targets_by_ext = {ordered[0].index: [0], ordered[1].index: [1]}
     x = weak_approx(exts, [targets_by_ext[w.index] for w in exts])
     reference = fld.element([3, 1])
@@ -125,7 +125,7 @@ def test_check_min_formula_inert_example():
     fld = field_for((1, 0, 1))
     w = extensions_for((1, 0, 1), 7)[0]
     lhs, rhs, ok = check_min_formula(
-        w, [fld.one(), fld.gen()], [fld.one()], [[Fraction(7)], [Fraction(1)]]
+        w, [fld.one(), fld.from_poly([0, 1])], [fld.one()], [[Fraction(7)], [Fraction(1)]]
     )
     assert ok
     assert lhs == Val(0)
