@@ -168,10 +168,11 @@ def decide_position(x: NFElem, w: ExtensionValuation) -> Position:
     )
     c = [ci / mp[jstar] for ci in mp]
     kappa_of = w.residue_of_integral
-    alpha = x.field.zero()  # alpha_(d+1); x*alpha in the prime trivially
+    y = x.field.zero()  # x*alpha_(d+1) = 0, in the prime trivially
     for j in range(d + 1, 0, -1):
         c_prev = c[j - 1]
-        alpha_prev = x * alpha + x.field.from_rational(c_prev)
+        # alpha_(j-1) = x*alpha_j + c_(j-1), and x*alpha_j is the last y
+        alpha_prev = y + c_prev
         y = x * alpha_prev
         if c_prev != 0 and pval(c_prev, p) == 0:
             emit(f"CASE1{{j={j}}}")
@@ -192,7 +193,6 @@ def decide_position(x: NFElem, w: ExtensionValuation) -> Position:
                 return Position(PositionKind.UNIT, witness=(y, alpha_prev))
             return Position(PositionKind.OUTSIDE)
         emit(f"CASE3{{j={j}}}")
-        alpha = alpha_prev
     raise NotIrreducible("reverse induction failed to classify the element")
 
 
@@ -201,6 +201,8 @@ def value(w: ExtensionValuation, x: NFElem) -> Val:
 
     m = e*w(x) is the largest integer k with x^e p^(-k) still in the
     valuation ring; it is found by binary search inside norm-derived bounds.
+    The minimal polynomial of x^e is computed once, and each probe
+    x^e p^(-k) inherits it rescaled instead of eliminating again.
     """
     if x.is_zero:
         return INFINITY
@@ -213,7 +215,10 @@ def value(w: ExtensionValuation, x: NFElem) -> Val:
     vden = max(pval(c.denominator, w.p) for c in x.coords)
     lo = -e * vden
     hi = e * (pval(norm, w.p) + x.field.n * vden)
-    xe = x**e
+    # With e = 1 the relation is x's own, shared by every extension that
+    # values x; every probe below inherits it.
+    xe = x if e == 1 else x**e
+    xe.min_poly()
     pfrac = Fraction(w.p)
 
     def nonneg(k: int) -> bool:

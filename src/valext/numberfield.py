@@ -3,9 +3,11 @@
 Elements are length-n rational coordinate vectors over 1, theta, ...,
 theta^(n-1). The norm of g(theta) is the resultant Res(f, g), and the
 inverse comes from the minimal polynomial, so no multiplication matrix is
-ever built. Irreducibility of f is assumed, never verified eagerly: any
-zero divisor met during inversion or minimal-polynomial work surfaces as
-NotIrreducible.
+ever built. An element computes its minimal polynomial at most once, and a
+nonzero rational multiple inherits it rescaled, so the probes x^e p^-k of
+a value share one elimination. Irreducibility of f is assumed, never
+verified eagerly: any zero divisor met during inversion or
+minimal-polynomial work surfaces as NotIrreducible.
 """
 
 from __future__ import annotations
@@ -83,11 +85,12 @@ class NumberField:
 class NFElem:
     """Element of a NumberField as power-basis coordinates."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "coords", "_min_poly")
 
     def __init__(self, field: NumberField, coords: list[Fraction]):
         self.field = field
         self.coords = coords
+        self._min_poly: PolyQ | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -119,7 +122,14 @@ class NFElem:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return NFElem(self.field, [a * q for a in self.coords])
+            out = NFElem(self.field, [a * q for a in self.coords])
+            mp = self._min_poly
+            if mp is not None and q != 0:
+                # sum c_i t^i kills x, so sum c_i q^(d-i) t^i kills q*x; both
+                # are monic of degree d, and no lower relation exists for q*x.
+                d = len(mp) - 1
+                out._min_poly = [c * q ** (d - i) for i, c in enumerate(mp)]
+            return out
         other = self._coerce(other)
         n = self.field.n
         prod = [Fraction(0)] * (2 * n - 1)
@@ -190,11 +200,14 @@ class NFElem:
 
     def min_poly(self) -> PolyQ:
         """Monic minimal polynomial: the least relation among the powers
-        1, self, ..., self^n, found by one elimination on their coordinates."""
-        pows = [self.field.one()]
-        for _ in range(self.field.n):
-            pows.append(pows[-1] * self)
-        return min_relation([x.coords for x in pows])
+        1, self, ..., self^n, found by one elimination on their coordinates.
+        It is computed once per element; each call returns a fresh copy."""
+        if self._min_poly is None:
+            pows = [self.field.one()]
+            for _ in range(self.field.n):
+                pows.append(pows[-1] * self)
+            self._min_poly = min_relation([x.coords for x in pows])
+        return self._min_poly[:]
 
     def __repr__(self):
         return f"NFElem({[str(c) for c in self.coords]})"

@@ -394,6 +394,48 @@ GOLDEN = {
         "w_1(-a - 1/2) = 1\n"
         "w_2(-a - 1/2) = 0\n",
     ),
+    # Ramified extensions: value probes x^e p^-k with e = 5, and e = 1 and 2.
+    "value-trace-totally-ramified": (
+        ["value", "--prime", "5", "--poly", "x^5-5", "--elem", "a^2+5", "--trace"],
+        "LIFT{iteration=1}\n"
+        "CASE1{j=6}\n"
+        "CASE3{j=6}\n"
+        "CASE3{j=5}\n"
+        "CASE3{j=4}\n"
+        "CASE3{j=3}\n"
+        "CASE2{j=2}\n"
+        "CASE1{j=6}\n"
+        "CASE3{j=6}\n"
+        "CASE3{j=5}\n"
+        "CASE3{j=4}\n"
+        "CASE3{j=3}\n"
+        "CASE2{j=2}\n"
+        "CASE1{j=6}\n"
+        "w_1(a^2 + 5) = 2/5\n",
+    ),
+    "value-trace-partially-ramified": (
+        ["value", "--prime", "23", "--poly", "x^3-x-1", "--elem", "a^2-13*a+30", "--trace"],
+        "SPLIT{z=[6, 21], relation=[0, 2, 1], idempotent=[18, 12]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=1}\n"
+        "CASE1{j=4}\n"
+        "CASE3{j=4}\n"
+        "CASE3{j=3}\n"
+        "CASE1{j=2}\n"
+        "CASE3{j=4}\n"
+        "CASE3{j=3}\n"
+        "CASE2{j=2}\n"
+        "CASE3{j=4}\n"
+        "CASE3{j=3}\n"
+        "CASE1{j=2}\n"
+        "CASE1{j=4}\n"
+        "CASE3{j=4}\n"
+        "CASE2{j=3}\n"
+        "CASE1{j=4}\n"
+        "CASE1{j=4}\n"
+        "w_1(a^2 - 13*a + 30) = 1\n"
+        "w_2(a^2 - 13*a + 30) = 1/2\n",
+    ),
     "residue-trace": (
         ["residue", "--prime", "5", "--poly", "x^2+1", "--elem", "a", "--extension", "1",
          "--trace"],

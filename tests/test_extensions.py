@@ -234,6 +234,28 @@ def test_value_denominators_divide_e():
                 assert w.e % v.q.denominator == 0
 
 
+def test_value_eliminates_once_per_element(monkeypatch):
+    """Valuing one element at all four extensions of x^4+1 at 17 (each with
+    e = 1) runs one minimal-relation elimination: every binary-search probe
+    and every later extension reuses the relation of x, rescaled."""
+    import valext.numberfield
+
+    exts = extensions_for((1, 0, 0, 0, 1), 17)
+    x = exts[0].field.element([Fraction(3, 17), 2, 0, Fraction(-5, 289)])
+    calls = []
+    real = valext.numberfield.min_relation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(valext.numberfield, "min_relation", counted)
+    vals = [value(w, x) for w in exts]
+    assert len(exts) == 4 and all(w.e == 1 for w in exts)
+    assert sum(v.q for v in vals) == -8  # v_17(N(x)), by the product formula
+    assert len(calls) == 1
+
+
 def test_ramification_cross_check():
     """e from local-factor dimensions equals the lcm of the denominators of
     the prime-basis values: an independent derivation of the value group."""

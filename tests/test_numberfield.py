@@ -100,6 +100,39 @@ def test_min_poly_power_is_char_poly(case):
     assert m.charpoly(T) == sympy.Poly(mp[::-1], T, domain="QQ") ** (fld.n // d)
 
 
+SCALARS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.builds(
+        lambda sign, p, k: sign * Fraction(p) ** k,
+        st.sampled_from([1, -1]),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(-4, 4),
+    ),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(field_elements(), SCALARS)
+def test_scalar_multiple_inherits_min_poly(case, q):
+    """q*x and x*q take x's known relation rescaled, which must be the
+    relation a fresh element with the same coordinates computes; a list
+    that min_poly returned may be mutated without touching the memo."""
+    fld, coords = case
+    x = fld.element(coords)
+    mp = x.min_poly()
+    mp.append(Fraction(9))
+    mp[0] += 1
+    assert x.min_poly() == fld.element(coords).min_poly()
+    for y in (x * q, q * x):
+        fresh = fld.element(y.coords).min_poly()
+        got = y.min_poly()
+        assert got == fresh
+        got[0] += 1
+        got.pop()
+        assert y.min_poly() == fresh
+
+
 def test_inv_detects_reducible():
     red = NumberField([2, 3, 1])  # (x+1)(x+2)
     zero_divisor = red.element([1, 1])
