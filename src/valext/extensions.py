@@ -31,11 +31,10 @@ from .linalg import (
     fp_matvec,
     fp_kernel,
     fp_rank,
-    lattice_canonical,
     pval,
 )
 from .numberfield import NFElem, NumberField
-from .orders import Order, p_maximal_order
+from .orders import Order, ideal_over, p_maximal_order
 from .polynomials import poly_deg
 from .values import INFINITY, Val
 
@@ -118,16 +117,13 @@ def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
     total_local = 0
     for i, (comp, idem) in enumerate(zip(dec.components, lifted)):
         f_i = comp.dim
-        local = [alg.mul(alg.basis_vector(j), idem) for j in range(alg.dim)]
-        local_dim = fp_rank(local, p)
+        local_dim = fp_rank(alg.mult_matrix(idem), p)
         if local_dim % f_i:
             raise AssertionError("local factor dimension not divisible by residue degree")
         e_i = local_dim // f_i
         total_local += local_dim
         resproj = fp_matmul(comp.projection, proj, p)
-        gens = [order.element(v).coords for v in fp_kernel(resproj, p)]
-        gens += [[p * x for x in b] for b in order.basis]
-        prime = lattice_canonical(gens, p)
+        prime = ideal_over(order, fp_kernel(resproj, p), p)
         exts.append(
             ExtensionValuation(
                 index=i + 1,

@@ -19,6 +19,7 @@ from .events import emit
 from .linalg import (
     MatFp,
     VecFp,
+    columns,
     fp_identity,
     fp_kernel,
     fp_matpow,
@@ -46,10 +47,12 @@ class FpAlgebra:
             self._validate()
 
     def _validate(self):
-        d, p = self.dim, self.p
+        d = self.dim
         for i in range(d):
             if len(self.table[i]) != d or any(len(v) != d for v in self.table[i]):
                 raise ValueError("structure constant table not cubical")
+        if len(self.unit) != d:
+            raise ValueError(f"unit has length {len(self.unit)}, expected {d}")
         for i in range(d):
             for j in range(i):
                 if self.table[i][j] != self.table[j][i]:
@@ -102,8 +105,7 @@ class FpAlgebra:
 
     def mult_matrix(self, x: VecFp) -> MatFp:
         """Matrix of multiplication by x; column j is x * b_j."""
-        cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return columns([self.mul(x, self.basis_vector(j)) for j in range(self.dim)])
 
     def inverse(self, x: VecFp) -> VecFp:
         inv = fp_solve(self.mult_matrix(x), self.unit, self.p)
@@ -129,6 +131,8 @@ class AlgIdeal:
 
     def __init__(self, algebra: FpAlgebra, vectors: list[VecFp]):
         self.algebra = algebra
+        if any(len(v) != algebra.dim for v in vectors):
+            raise ValueError(f"ideal generators must have length {algebra.dim}")
         rows = [fp_vec(v, algebra.p) for v in vectors if any(x % algebra.p for x in v)]
         if rows:
             rref, pivots = fp_rref(rows, algebra.p)
@@ -173,13 +177,12 @@ class Component:
     """
 
     idempotent: VecFp
-    basis: MatFp
     projection: MatFp
     algebra: FpAlgebra
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.algebra.dim
 
 
 @dataclass
@@ -203,10 +206,8 @@ def quotient_mod_p(order, p: int) -> FpAlgebra:
 
 def nilradical(a: FpAlgebra) -> AlgIdeal:
     """Kernel of the m-fold Frobenius, p^m >= dim: exactly the nilpotents."""
-    frob_cols = [a.pow(a.basis_vector(i), a.p) for i in range(a.dim)]
-    frob = [[frob_cols[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    m = a.frobenius_power()
-    full = fp_matpow(frob, m, a.p) if m else fp_identity(a.dim)
+    frob = columns([a.pow(a.basis_vector(i), a.p) for i in range(a.dim)])
+    full = fp_matpow(frob, a.frobenius_power(), a.p)
     return AlgIdeal(a, fp_kernel(full, a.p))
 
 
@@ -228,11 +229,7 @@ def quotient_by(a: FpAlgebra, ideal: AlgIdeal) -> tuple[FpAlgebra, MatFp]:
     reps = [a.basis_vector(c) for c in free]
     table = [[qcoords(a.mul(r1, r2)) for r2 in reps] for r1 in reps]
     unit = qcoords(a.unit)
-    proj = [[0] * a.dim for _ in free]
-    for j in range(a.dim):
-        col = qcoords(a.basis_vector(j))
-        for i in range(len(free)):
-            proj[i][j] = col[i]
+    proj = columns([qcoords(a.basis_vector(j)) for j in range(a.dim)])
     return FpAlgebra(a.p, table, unit, validate=False), proj
 
 
@@ -248,10 +245,10 @@ def _span_coords(a: FpAlgebra, basis: MatFp, pivots: list[int], v: VecFp) -> Vec
     return coords
 
 
-def _factor_mult_matrix(a: FpAlgebra, basis: MatFp, pivots: list[int], z: VecFp) -> MatFp:
-    cols = [_span_coords(a, basis, pivots, a.mul(z, b)) for b in basis]
-    d = len(basis)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+def _restrict(a: FpAlgebra, basis: MatFp, pivots: list[int], fn) -> MatFp:
+    """Matrix, in the factor's echelon basis, of a linear map fn of the
+    factor into itself."""
+    return columns([_span_coords(a, basis, pivots, fn(b)) for b in basis])
 
 
 def _find_noninvertible(
@@ -267,10 +264,8 @@ def _find_noninvertible(
     coordinates in F_p^k is returned (Cantor-Zassenhaus). Such a c exists
     because z is not scalar, and about half of all c qualify.
     """
-    d = len(basis)
     p = a.p
-    cols = [_span_coords(a, basis, pivots, _sub(a.pow(b, p), b, p)) for b in basis]
-    ker = fp_kernel([[cols[j][i] for j in range(d)] for i in range(d)], p)
+    ker = fp_kernel(_restrict(a, basis, pivots, lambda b: _sub(a.pow(b, p), b, p)), p)
     if len(ker) == 1:
         return None
     u = _span_coords(a, basis, pivots, unit)
@@ -282,7 +277,7 @@ def _find_noninvertible(
         return z
     for c in range(p):
         w = _sub(a.pow([(x + c * y) % p for x, y in zip(z, unit)], (p - 1) // 2), unit, p)
-        if any(w) and fp_rank(_factor_mult_matrix(a, basis, pivots, w), p) < d:
+        if any(w) and fp_rank(_restrict(a, basis, pivots, lambda b: a.mul(w, b)), p) < len(basis):
             return w
     raise AssertionError("no splitting element among the shifts of z")
 
@@ -304,8 +299,7 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
     if nilradical(a).dim != 0:
         raise NotReduced("algebra has nonzero nilpotents")
     components: list[Component] = []
-    rows, pivots = fp_rref(fp_identity(a.dim), a.p)
-    _split_factor(a, a.unit[:], rows, pivots, components)
+    _split_factor(a, a.unit[:], fp_identity(a.dim), list(range(a.dim)), components)
     components.sort(key=lambda c: c.projection)
     return Decomposition(a, components)
 
@@ -315,7 +309,7 @@ def _split_factor(
 ):
     z = _find_noninvertible(a, unit, basis, pivots)
     if z is None:
-        out.append(_make_component(a, unit, basis, pivots))
+        out.append(_make_component(a, unit, basis))
         return
     # z^0 is the factor unit; z lives in a factor of dimension len(basis)
     powers = [unit]
@@ -344,7 +338,7 @@ def _split_factor(
         _split_factor(a, idem, sub_rows, sub_pivots, out)
 
 
-def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]) -> Component:
+def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp) -> Component:
     # Re-basis with the idempotent first, so component coordinates make the
     # unit [1, 0, ...] and one-dimensional residue fields read as canonical
     # F_p labels.
@@ -357,7 +351,7 @@ def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]) 
             chosen.append(row[:])
     if len(chosen) != d:
         raise AssertionError("failed to complete the component basis")
-    cols = [[chosen[j][i] for j in range(d)] for i in range(a.dim)]
+    cols = columns(chosen)
 
     def coords(v: VecFp) -> VecFp:
         sol = fp_solve(cols, v, a.p)
@@ -367,12 +361,8 @@ def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]) 
 
     table = [[coords(a.mul(chosen[i], chosen[j])) for j in range(d)] for i in range(d)]
     alg = FpAlgebra(a.p, table, coords(unit), validate=False)
-    proj = [[0] * a.dim for _ in range(d)]
-    for j in range(a.dim):
-        col = coords(a.mul(a.basis_vector(j), unit))
-        for i in range(d):
-            proj[i][j] = col[i]
-    return Component(idempotent=unit[:], basis=chosen, projection=proj, algebra=alg)
+    proj = columns([coords(a.mul(a.basis_vector(j), unit)) for j in range(a.dim)])
+    return Component(idempotent=unit[:], projection=proj, algebra=alg)
 
 
 def lift_idempotents(a: FpAlgebra, dec: Decomposition, proj: MatFp) -> list[VecFp]:

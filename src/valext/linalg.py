@@ -35,6 +35,11 @@ def pval(x: Fraction | int, p: int) -> int:
     return v
 
 
+def columns(vectors: list[list]) -> list[list]:
+    """The matrix whose j-th column is vectors[j]."""
+    return [list(row) for row in zip(*vectors)]
+
+
 # ---------------------------------------------------------------------------
 # One elimination core for both fields: p is None for Q (Fraction entries),
 # otherwise entries are ints reduced into [0, p).
@@ -94,8 +99,7 @@ def min_relation(powers: list[list], p: int | None = None) -> list:
     vectors of x^0, ..., x^m: the kernel vector of the first free column k
     of one elimination, which has 1 at k and zero beyond. The columns before
     k are independent, so no relation of lower degree exists."""
-    rows = [list(col) for col in zip(*powers)]
-    kernel = _kernel(rows, p)
+    kernel = _kernel(columns(powers), p)
     if not kernel:
         raise AssertionError("no relation among the given powers")
     rel = kernel[0]

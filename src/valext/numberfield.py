@@ -1,13 +1,14 @@
 """Arithmetic in L = Q[x]/(f) for monic integer f, in the power basis.
 
 Elements are length-n rational coordinate vectors over 1, theta, ...,
-theta^(n-1). The norm of g(theta) is the resultant Res(f, g), and the
-inverse comes from the minimal polynomial, so no multiplication matrix is
-ever built. An element computes its minimal polynomial at most once, and a
-nonzero rational multiple inherits it rescaled, so the probes x^e p^-k of
-a value share one elimination. Irreducibility of f is assumed, never
-verified eagerly: any zero divisor met during inversion or
-minimal-polynomial work surfaces as NotIrreducible.
+theta^(n-1). A product is a convolution reduced mod f by the polynomial
+division that from_poly uses. The norm of g(theta) is the resultant
+Res(f, g), and the inverse comes from the minimal polynomial, so no
+multiplication matrix is ever built. An element computes its minimal
+polynomial at most once, and a nonzero rational multiple inherits it
+rescaled, so the probes x^e p^-k of a value share one elimination.
+Irreducibility of f is assumed, never verified eagerly: any zero divisor
+met during inversion or minimal-polynomial work surfaces as NotIrreducible.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .errors import NotIrreducible, ZeroInversion
 from .linalg import min_relation
-from .polynomials import PolyQ, poly_deg, poly_divmod, poly_q, poly_resultant
+from .polynomials import PolyQ, poly_deg, poly_divmod, poly_q, poly_resultant, poly_trim
 
 
 class NumberField:
@@ -33,24 +34,6 @@ class NumberField:
             raise ValueError("defining polynomial must have integer coefficients")
         self.f = f
         self.n = n
-        # Power-basis coordinates of theta^k for k < 2n-1; products of two
-        # degree < n polynomials reduce against these.
-        self._theta_pows = self._power_table()
-
-    def _power_table(self) -> list[list[Fraction]]:
-        n = self.n
-        pows = []
-        cur = [Fraction(0)] * n
-        cur[0] = Fraction(1)
-        for _ in range(2 * n - 1):
-            pows.append(cur[:])
-            # multiply by theta: shift, then reduce theta^n = -(f - x^n)
-            top = cur[n - 1]
-            cur = [Fraction(0)] + cur[: n - 1]
-            if top != 0:
-                for i in range(n):
-                    cur[i] -= top * self.f[i]
-        return pows
 
     def element(self, coords) -> "NFElem":
         coords = [Fraction(c) for c in coords]
@@ -60,7 +43,11 @@ class NumberField:
 
     def from_poly(self, coeffs) -> "NFElem":
         """Element from a polynomial in the generator, reduced mod f."""
-        _, rem = poly_divmod(poly_q(coeffs), self.f)
+        return self._reduce(poly_q(coeffs))
+
+    def _reduce(self, g: PolyQ) -> "NFElem":
+        """The element g(theta), for g trimmed: its remainder mod f."""
+        _, rem = poly_divmod(g, self.f)
         return NFElem(self, rem + [Fraction(0)] * (self.n - len(rem)))
 
     def zero(self) -> "NFElem":
@@ -139,14 +126,7 @@ class NFElem:
             for j, b in enumerate(other.coords):
                 if b != 0:
                     prod[i + j] += a * b
-        out = [Fraction(0)] * n
-        pows = self.field._theta_pows
-        for k, c in enumerate(prod):
-            if c != 0:
-                pw = pows[k]
-                for i in range(n):
-                    out[i] += c * pw[i]
-        return NFElem(self.field, out)
+        return self.field._reduce(poly_trim(prod))
 
     __rmul__ = __mul__
     __radd__ = __add__

@@ -16,6 +16,7 @@ from .errors import NotIrreducible
 from .fpalgebra import nilradical, quotient_mod_p
 from .linalg import (
     VecQ,
+    columns,
     fp_kernel,
     lattice_canonical,
     lattice_coords,
@@ -109,13 +110,17 @@ def discriminant(field: NumberField) -> Fraction:
     return -norm if (n * (n - 1) // 2) % 2 else norm
 
 
-def p_radical(order: Order, p: int) -> list[VecQ]:
-    """Preimage in the order of the nilradical of O/pO, as a lattice basis."""
-    alg = quotient_mod_p(order, p)
-    nil = nilradical(alg)
-    gens = [order.element(v).coords for v in nil.basis]
+def ideal_over(order: Order, vectors: list[list[int]], p: int) -> list[VecQ]:
+    """The lattice between pO and O whose image in O/pO is spanned by the
+    given F_p coordinate vectors, as a canonical basis."""
+    gens = [order.element(v).coords for v in vectors]
     gens += [[p * x for x in b] for b in order.basis]
     return lattice_canonical(gens, p)
+
+
+def p_radical(order: Order, p: int) -> list[VecQ]:
+    """Preimage in the order of the nilradical of O/pO, as a lattice basis."""
+    return ideal_over(order, nilradical(quotient_mod_p(order, p)).basis, p)
 
 
 def ring_of_multipliers(order: Order, ideal: list[VecQ], p: int) -> Order:
@@ -131,7 +136,7 @@ def ring_of_multipliers(order: Order, ideal: list[VecQ], p: int) -> Order:
         g = order.field.element(v)
         cols = [lattice_coords(ideal, (order.basis_element(j) * g).coords) for j in range(n)]
         cols = [_mod_p(c, p, "ideal is not multiplicatively closed") for c in cols]
-        rows_stacked += [list(row) for row in zip(*cols)]
+        rows_stacked += columns(cols)
     kern = fp_kernel(rows_stacked, p)
     gens = order.basis + [[x / p for x in order.element(v).coords] for v in kern]
     return Order(order.field, lattice_canonical(gens, p))

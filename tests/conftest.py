@@ -77,8 +77,9 @@ def in_prime(w, x) -> bool:
 
 
 def index_valuation(sub, sup, p: int) -> int:
-    """v_p of the index [sup : sub] via sympy's basis determinants."""
-    ratio = column_matrix(sub.basis).det() / column_matrix(sup.basis).det()
+    """v_p of the index [sup : sub] of two lattice bases via sympy's
+    determinants."""
+    ratio = column_matrix(sub).det() / column_matrix(sup).det()
     return pval(Fraction(int(ratio.p), int(ratio.q)), p)
 
 

@@ -60,6 +60,9 @@ F2_T2P1 = poly_algebra(2, [1, 0, 1])  # F_2[t]/((t+1)^2), non-reduced
 def test_validation_catches_bad_tables():
     with pytest.raises(ValueError):
         FpAlgebra(2, [[[1, 0], [0, 0]], [[1, 0], [0, 1]]], [1, 0])
+    for unit in ([1], [1, 0, 0]):  # the table of F_5[t]/(t^2+1), a unit of the wrong length
+        with pytest.raises(ValueError):
+            FpAlgebra(5, F5_T2P1.table, unit)
 
 
 # The instances of test_beyond_corpus, as (coefficients low to high, p).
@@ -143,6 +146,12 @@ def test_quotient_by_radical_of_double_root():
     assert q.unit == [1]
     # t maps to the same class as 1
     assert fp_matvec(proj, [0, 1], 2) == fp_matvec(proj, [1, 0], 2)
+
+
+def test_alg_ideal_rejects_generators_of_wrong_length():
+    for gens in ([[1, 2, 3]], [[1]], [[1, 0], [0]]):
+        with pytest.raises(ValueError):
+            AlgIdeal(F5_T2P1, gens)
 
 
 def test_quotient_by_whole_algebra_rejected():

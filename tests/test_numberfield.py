@@ -258,6 +258,42 @@ def test_discriminant_and_norm_match_sympy(case):
     assert x.norm() == sympy.resultant(f, sympy.Poly(g[::-1], T, domain="QQ"))
 
 
+@st.composite
+def products_mod_f(draw):
+    """(f, g, h): f monic of degree 1..8 with integer coefficients in
+    [-9, 9], either dense or with at most three nonzero terms below the
+    leading one, and g, h rational coordinate vectors of length deg f,
+    some of their entries zero. f need not be irreducible."""
+    n = draw(st.integers(1, 8))
+    coeff = st.integers(-9, 9)
+    if draw(st.booleans()):
+        f = draw(st.lists(coeff, min_size=n, max_size=n))
+    else:
+        f = [0] * n
+        for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            f[k] = draw(coeff)
+    entry = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    )
+    vec = st.lists(entry, min_size=n, max_size=n)
+    return f + [1], draw(vec), draw(vec)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(products_mod_f())
+def test_mul_is_remainder_of_product(case):
+    """g(theta)*h(theta) has the coefficients of sympy's rem(g*h, f)."""
+    f, g, h = case
+    fld = NumberField(f)
+    rem = sympy.rem(
+        sympy.Poly(g[::-1], T, domain="QQ") * sympy.Poly(h[::-1], T, domain="QQ"),
+        sympy.Poly(f[::-1], T, domain="QQ"),
+    )
+    expected = [Fraction(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
+    expected += [Fraction(0)] * (fld.n - len(expected))
+    assert (fld.element(g) * fld.element(h)).coords == expected
+
+
 def test_degree_one_field():
     line = NumberField([-3, 1])  # x - 3
     assert line.from_poly([0, 1]) == 3

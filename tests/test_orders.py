@@ -10,7 +10,15 @@ from valext import NumberField, Order, extensions_of, discriminant, equation_ord
 from valext.linalg import lattice_canonical, pval, q_identity
 from valext.polynomials import poly_q
 
-from conftest import index_valuation, lattice_contains, order_contains
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    extensions_for,
+    index_valuation,
+    lattice_contains,
+    order_contains,
+    order_for,
+)
 
 GAUSS = NumberField([1, 0, 1])
 DEDEKIND = NumberField([8, -2, 1, 1])  # x^3 + x^2 - 2x + 8
@@ -115,13 +123,13 @@ def test_p_maximal_order_examples():
         [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]], 2
     )
     assert o.basis == expected
-    assert index_valuation(equation_order(DEDEKIND), o, 2) == 1
+    assert index_valuation(equation_order(DEDEKIND).basis, o.basis, 2) == 1
 
 
 def test_round2_chain_increases_index():
     o = equation_order(DEDEKIND)
     bigger = ring_of_multipliers(o, p_radical(o, 2), 2)
-    assert index_valuation(o, bigger, 2) >= 1
+    assert index_valuation(o.basis, bigger.basis, 2) >= 1
     top = p_maximal_order(DEDEKIND, 2)
     fix = ring_of_multipliers(top, p_radical(top, 2), 2)
     assert fix == top
@@ -161,7 +169,7 @@ def test_round2_deep_chain():
     # needs several enlargement steps before stabilizing at Z[(8+theta)/16]
     fld = NumberField([-320, 0, 1])
     o = p_maximal_order(fld, 2)
-    assert index_valuation(equation_order(fld), o, 2) == 4
+    assert index_valuation(equation_order(fld).basis, o.basis, 2) == 4
     golden = fld.element([Fraction(1, 2), Fraction(1, 16)])  # (8+theta)/16
     mp = golden.min_poly()
     assert all(c.denominator == 1 for c in mp)  # x^2 - x - 1
@@ -169,6 +177,22 @@ def test_round2_deep_chain():
     from valext import extensions_of
 
     assert [(w.e, w.f) for w in extensions_of(fld, 2)] == [(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "coeffs,p",
+    CORPUS + [((1, 0, 0, 0, 1), 2), ((1, 0, 0, 0, 1), 3), ((-2, 0, 0, 1), 5)],
+    ids=CORPUS_IDS + ["x4+1@2", "x4+1@3", "x3-2@5"],
+)
+def test_ideal_over_indices_are_residue_degrees(coeffs, p):
+    """ideal_over builds both the prime lattices of extensions_of and the
+    p-radical: v_p[O : P_i] = f_i, and the radical, the intersection of the
+    P_i, has v_p[O : rad] = sum f_i. Indices from sympy's determinants."""
+    o = order_for(coeffs, p)
+    exts = extensions_for(coeffs, p)
+    for w in exts:
+        assert index_valuation(w.prime_basis, o.basis, p) == w.f
+    assert index_valuation(p_radical(o, p), o.basis, p) == sum(w.f for w in exts)
 
 
 def test_order_contains_one():
