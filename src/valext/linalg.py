@@ -258,19 +258,33 @@ def require_triangular(basis: list[VecQ]) -> None:
             raise ValueError("basis is not lower triangular with nonzero diagonal")
 
 
+def _exact_div(a, b):
+    """a / b over Q; for two ints, their integer quotient, and ValueError
+    when b does not divide a."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError(f"{b} does not divide {a}")
+        return q
+    return a / b
+
+
 def lattice_coords(basis: list[VecQ], v: VecQ) -> VecQ:
     """Coordinates c of v = sum_k c_k basis[k] by forward substitution, for a
     basis of the shape lattice_canonical returns (see require_triangular).
 
+    With Fraction entries the coordinates are rationals. With int entries
+    throughout they are ints, and a coordinate outside Z raises ValueError,
+    so the same solve decides membership in the Z-span of the basis.
     Zero terms are skipped: most entries of a canonical basis are zero, and
     every Fraction product costs a gcd.
     """
     require_triangular(basis)
     coords: VecQ = []
     for i, row in enumerate(basis):
-        x = Fraction(v[i])
+        x = v[i]
         for c, col in zip(coords, basis):
             if c and col[i]:
                 x -= c * col[i]
-        coords.append(x / row[i] if x else x)
+        coords.append(_exact_div(x, row[i]) if x else x)
     return coords

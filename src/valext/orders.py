@@ -6,10 +6,15 @@ units throughout, so the discriminant never needs factoring. Order bases
 are the lower-triangular ones of lattice_canonical, so coordinates come by
 forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
 makes Z[theta] p-maximal.
+
+Every order carries its integer structure constants, computed once by exact
+integer arithmetic, and Round 2 multiplies through them: no product of
+number-field elements is formed here.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NotIrreducible
@@ -34,12 +39,52 @@ def _mod_p(coords: VecQ, p: int, why: str) -> list[int]:
     return [c.numerator * pow(c.denominator, -1, p) % p for c in coords]
 
 
+def _structure_constants(field: NumberField, basis: list[VecQ]) -> list[list[list[int]]]:
+    """table[i][j] = the integer coordinates of b_i b_j in the basis, or
+    ValueError where one is not an integer.
+
+    Over a common denominator d, b_j = num[j] / d with num[j] integral, so
+    b_i b_j = w / d^2 with w = num[i] num[j] mod f, integral because f is
+    monic with integer coefficients; the coordinates c of the product solve
+    sum_k c_k d num[k] = w, exactly in integers.
+    """
+    n = field.n
+    f = [int(c) for c in field.f]
+    d = math.lcm(*(x.denominator for v in basis for x in v))
+    num = [[x.numerator * (d // x.denominator) for x in v] for v in basis]
+    solve_basis = [[d * x for x in v] for v in num]
+    table: list[list[list[int]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            w = [0] * (2 * n - 1)
+            for a, x in enumerate(num[i]):
+                if x:
+                    for b, y in enumerate(num[j]):
+                        if y:
+                            w[a + b] += x * y
+            for m in range(2 * n - 2, n - 1, -1):  # theta^m = theta^(m-n) (theta^n - f)
+                if w[m]:
+                    for k, fk in enumerate(f[:n]):
+                        if fk:
+                            w[m - n + k] -= w[m] * fk
+            try:
+                table[i][j] = table[j][i] = lattice_coords(solve_basis, w[:n])
+            except ValueError:
+                raise ValueError("basis is not closed under multiplication") from None
+    return table
+
+
 class Order:
     """Full-rank unital subring of L given by a canonical lattice basis.
 
     basis[j] is the power-basis coordinate vector of the j-th basis element.
     It must be lower triangular with nonzero diagonal, as lattice_canonical
-    returns it; any other basis raises ValueError.
+    returns it; any other basis raises ValueError. The structure constants
+    table[i][j][k], with b_i b_j = sum_k table[i][j][k] b_k, are computed
+    once and must be integers; otherwise the basis spans no ring over Z and
+    ValueError is raised. Canonical bases of orders always pass: their
+    entries lie in Z[1/p] with p-power pivots, so the constants lie in
+    Z[1/p] and in Z_(p), hence in Z.
     """
 
     def __init__(self, field: NumberField, basis: list[VecQ]):
@@ -48,7 +93,7 @@ class Order:
         if len(self.basis) != field.n:
             raise ValueError("order basis must have full rank")
         require_triangular(self.basis)
-        self._tables: dict[int, list[list[list[int]]]] = {}
+        self.table = _structure_constants(field, self.basis)
 
     def element(self, coords) -> NFElem:
         out = [Fraction(0)] * self.field.n
@@ -56,9 +101,6 @@ class Order:
             if c:
                 out = [o + c * x for o, x in zip(out, b)]
         return self.field.element(out)
-
-    def basis_element(self, j: int) -> NFElem:
-        return self.field.element(self.basis[j])
 
     def coords(self, x: NFElem) -> VecQ:
         """Exact coordinates of x in the order basis (over Q)."""
@@ -71,17 +113,8 @@ class Order:
         )
 
     def mult_table_mod_p(self, p: int) -> list[list[list[int]]]:
-        """Structure constants of O/pO over the order basis. O/pO is
-        commutative, so only the products b_i b_j with i <= j are computed."""
-        if p not in self._tables:
-            n = self.field.n
-            elems = [self.basis_element(j) for j in range(n)]
-            table = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    table[i][j] = table[j][i] = self.coords_mod_p(elems[i] * elems[j], p)
-            self._tables[p] = table
-        return self._tables[p]
+        """Structure constants of O/pO over the order basis: the table mod p."""
+        return [[[x % p for x in c] for c in row] for row in self.table]
 
     def __eq__(self, other):
         return (
@@ -128,18 +161,36 @@ def ring_of_multipliers(order: Order, ideal: list[VecQ], p: int) -> Order:
 
     Computed via pO' = {w in O : w I <= p I}: each generator g of I gives an
     F_p-linear map O/pO -> I/pI, and the intersection of their kernels is
-    pO'/pO.
+    pO'/pO, which is zero exactly when O' = O. The generators of I have
+    integer coordinates in O (both bases are canonical), b_j g is a
+    contraction with the order's table, and its coordinates in I come from
+    an exact integer solve.
     """
     n = order.field.n
-    rows_stacked: list[list[int]] = []
+    gens: list[list[int]] = []
     for v in ideal:
-        g = order.field.element(v)
-        cols = [lattice_coords(ideal, (order.basis_element(j) * g).coords) for j in range(n)]
-        cols = [_mod_p(c, p, "ideal is not multiplicatively closed") for c in cols]
+        c = order.coords(order.field.element(v))
+        if any(x.denominator != 1 for x in c):
+            raise ValueError("ideal is not inside the order")
+        gens.append([x.numerator for x in c])
+    rows_stacked: list[list[int]] = []
+    for g in gens:
+        cols = []
+        for row in order.table:
+            prod = [0] * n
+            for gl, t in zip(g, row):
+                if gl:
+                    prod = [s + gl * x for s, x in zip(prod, t)]
+            try:
+                cols.append([x % p for x in lattice_coords(gens, prod)])
+            except ValueError:
+                raise NotIrreducible("ideal is not multiplicatively closed") from None
         rows_stacked += columns(cols)
     kern = fp_kernel(rows_stacked, p)
-    gens = order.basis + [[x / p for x in order.element(v).coords] for v in kern]
-    return Order(order.field, lattice_canonical(gens, p))
+    if not kern:  # pO' = pO: O is its own ring of multipliers
+        return order
+    gens_q = order.basis + [[x / p for x in order.element(v).coords] for v in kern]
+    return Order(order.field, lattice_canonical(gens_q, p))
 
 
 def p_maximal_order(field: NumberField, p: int) -> Order:

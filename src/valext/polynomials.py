@@ -38,8 +38,9 @@ def poly_divmod(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ]:
         k = len(f) - len(g)
         c = f[-1] * inv
         q[k] = c
-        for i in range(len(g)):
-            f[k + i] -= c * g[i]
+        for i, gi in enumerate(g):
+            if gi:  # a sparse divisor such as x^8 + 1 is mostly zeros
+                f[k + i] -= c * gi
         f = poly_trim(f)
     return poly_trim(q), f
 

@@ -480,6 +480,54 @@ GOLDEN = {
         '"CASE1{j=2}", "CASE3{j=3}", "CASE1{j=2}", "CASE1{j=3}", "CASE2{j=3}", '
         '"CASE1{j=3}"]}\n',
     ),
+    # p-maximal orders that Round 2 reaches in 15, 5, 6 and 4 enlargement
+    # steps, each step through the integer table of the order before it.
+    "order-round2-x8+4096": (
+        ["order", "--prime", "2", "--poly", "x^8+4096", "--output", "json"],
+        '{"prime": 2, "poly": "x^8+4096", "basis": ['
+        '["1", "0", "0", "0", "0", "0", "0", "0"], '
+        '["0", "1/4", "0", "0", "0", "1/256", "0", "0"], '
+        '["0", "0", "1/8", "0", "0", "0", "0", "0"], '
+        '["0", "0", "0", "1/32", "0", "0", "0", "1/2048"], '
+        '["0", "0", "0", "0", "1/64", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "1/128", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "1/512", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "1/1024"]]}\n',
+    ),
+    "order-round2-x6-2187": (
+        ["order", "--prime", "3", "--poly", "x^6-2187", "--output", "json"],
+        '{"prime": 3, "poly": "x^6-2187", "basis": ['
+        '["1", "0", "0", "0", "0", "0"], '
+        '["0", "1/3", "0", "0", "0", "0"], '
+        '["0", "0", "1/9", "0", "0", "0"], '
+        '["0", "0", "0", "1/27", "0", "0"], '
+        '["0", "0", "0", "0", "1/81", "0"], '
+        '["0", "0", "0", "0", "0", "1/243"]]}\n',
+    ),
+    "order-round2-x4-1536": (
+        ["order", "--prime", "2", "--poly", "x^4-1536", "--output", "json"],
+        '{"prime": 2, "poly": "x^4-1536", "basis": ['
+        '["1", "0", "0", "0"], '
+        '["0", "1/4", "0", "0"], '
+        '["0", "0", "1/16", "0"], '
+        '["0", "0", "0", "1/64"]]}\n',
+    ),
+    "order-round2-x12+x6+4": (
+        ["order", "--prime", "2", "--poly", "x^12+x^6+4", "--output", "json"],
+        '{"prime": 2, "poly": "x^12+x^6+4", "basis": ['
+        '["1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+        '["0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+        '["0", "0", "1/2", "0", "0", "1/4", "0", "0", "1/2", "0", "0", "1/4"], '
+        '["0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0", "0"], '
+        '["0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0"], '
+        '["0", "0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2"], '
+        '["0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1"]]}\n',
+    ),
 }
 
 

@@ -287,6 +287,18 @@ def lattices_with_coords(draw):
     return p, basis, draw(vector)
 
 
+def test_lattice_coords_over_z_is_exact():
+    """With int entries the solve stays in Z and refuses a coordinate
+    outside it; the same basis over Q gives that coordinate as a rational."""
+    basis = [[2, 1], [0, 4]]  # 2 + theta, 4 theta
+    assert lattice_coords(basis, [6, 7]) == [3, 1]
+    assert all(type(c) is int for c in lattice_coords(basis, [6, 7]))
+    with pytest.raises(ValueError):
+        lattice_coords(basis, [6, 5])
+    rational = [[Fraction(x) for x in col] for col in basis]
+    assert lattice_coords(rational, [Fraction(6), Fraction(5)]) == [3, Fraction(1, 2)]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(lattices_with_coords(), st.data())
 def test_lattice_coords_round_trip(instance, data):

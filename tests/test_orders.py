@@ -140,7 +140,7 @@ def test_multiplicative_closure_of_maximal_orders():
         o = p_maximal_order(fld, p)
         for i in range(fld.n):
             for j in range(fld.n):
-                prod = o.basis_element(i) * o.basis_element(j)
+                prod = o.field.element(o.basis[i]) * o.field.element(o.basis[j])
                 assert order_contains(o, prod, p)
 
 
@@ -219,6 +219,57 @@ def test_coords_round_trip():
 def test_order_refuses_non_triangular_basis(basis):
     with pytest.raises(ValueError):
         Order(GAUSS, basis)
+
+
+def test_order_refuses_basis_not_closed_under_multiplication():
+    # (theta/2)^2 = -1/4 is not in Z + Z theta/2
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        Order(GAUSS, [[1, 0], [0, Fraction(1, 2)]])
+    # theta^2/2 is not integral at 2: the 2-maximal order is Z[theta, (theta+theta^2)/2]
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        Order(DEDEKIND, [[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
+
+
+@st.composite
+def round2_instances(draw):
+    """(f, p): f monic irreducible of degree 1..8 (sympy) with small integer
+    coefficients, p in {2, 3, 5, 7}. Half the draws are p^n g(x/p), where
+    theta/p is integral, so p divides the index of Z[theta] once n >= 2."""
+    g = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8)) + [1]
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    assume(sympy.Poly(g[::-1], sympy.Symbol("t")).is_irreducible)
+    n = len(g) - 1
+    if draw(st.booleans()):
+        g = [c * p ** (n - i) for i, c in enumerate(g)]
+    return g, p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(round2_instances(), st.data())
+def test_structure_constants_match_sympy(instance, data):
+    """The table of the p-maximal order is integral, sum_k T[i][j][k] b_k is
+    sympy's rem(b_i b_j, f), and mult_table_mod_p is T mod p. Dividing any
+    basis vector by p leaves the p-maximal order, so that lattice is no ring
+    and Order refuses it."""
+    f, p = instance
+    fld = NumberField(f)
+    o = p_maximal_order(fld, p)
+    t = sympy.Symbol("t")
+    modulus = sympy.Poly(f[::-1], t, domain="QQ")
+    b = [sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in v[::-1]], t,
+                    domain="QQ") for v in o.basis]
+    for i in range(fld.n):
+        for j in range(fld.n):
+            consts = o.table[i][j]
+            assert all(type(c) is int for c in consts)
+            combo = sum((c * bk for c, bk in zip(consts, b)), sympy.Poly(0, t, domain="QQ"))
+            assert combo == (b[i] * b[j]).rem(modulus)
+    assert o.mult_table_mod_p(p) == [[[c % p for c in cs] for cs in row] for row in o.table]
+    k = data.draw(st.integers(0, fld.n - 1))
+    bigger = [v[:] for v in o.basis]
+    bigger[k] = [x / p for x in bigger[k]]
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        Order(fld, bigger)
 
 
 @st.composite
