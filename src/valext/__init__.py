@@ -10,7 +10,6 @@ from .errors import (
     NegativeValue,
     NotIrreducible,
     NotReduced,
-    RankDeficient,
     ValExtError,
     ZeroElement,
     ZeroInversion,
@@ -78,7 +77,6 @@ __all__ = [
     "PAdicValuation",
     "Position",
     "PositionKind",
-    "RankDeficient",
     "Val",
     "ValExtError",
     "ZeroElement",

@@ -40,7 +40,3 @@ class GammaNotInValueGroup(ValExtError):
 
 class HypothesisViolation(ValExtError):
     """Inputs fail the stated hypotheses of the formula being checked."""
-
-
-class RankDeficient(ValExtError):
-    """Vectors fail to span a full-rank lattice where one is required."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RankDeficient
-
 VecQ = list[Fraction]
 MatQ = list[list[Fraction]]
 VecFp = list[int]
@@ -186,8 +184,10 @@ def fp_solve(a: MatFp, b: VecFp, p: int) -> VecFp | None:
 
 # ---------------------------------------------------------------------------
 # Z_(p)-lattices: finitely generated submodules of Q^n over the localization
-# of Z at p. Integers coprime to p are units, so canonical bases have p-power
-# pivots with off-pivot entries reduced modulo the pivot power.
+# of Z at p. Integers coprime to p are units, so a full-rank lattice has a
+# unique lower-triangular basis with p-power pivots and the entries of each
+# row reduced modulo its pivot. Round 2 reads a triangular basis of each of
+# its lattices off an F_p echelon form, so nothing is eliminated over Z_(p).
 
 
 def rep_mod_ppow(x: Fraction, p: int, k: int) -> Fraction:
@@ -207,48 +207,30 @@ def rep_mod_ppow(x: Fraction, p: int, k: int) -> Fraction:
     return Fraction(c) * Fraction(p) ** v
 
 
-def lattice_canonical(vectors: list[VecQ], p: int) -> list[VecQ]:
-    """Canonical basis of the Z_(p)-module generated by the given vectors.
+def lattice_canonical(basis: list[VecQ], p: int) -> list[VecQ]:
+    """Canonical basis of the Z_(p)-lattice spanned by a lower-triangular
+    basis (see require_triangular; any other basis raises ValueError).
 
-    Column echelon over the localization: pivot rows are processed top down,
-    each pivot entry is normalized to an exact power of p (its unit part is
-    divided out), and entries of earlier basis vectors at later pivot rows
-    are reduced modulo the pivot power. The result is unique for the module,
-    and the map is idempotent.
+    Each column is divided by the unit part of its pivot, so pivots become
+    exact powers of p; then the entries of each column below its pivot are
+    reduced modulo the later pivot powers, in increasing row order, which
+    is stable because a later column vanishes above its own pivot. The
+    result is unique for the lattice, and the map is idempotent.
     """
-    if not vectors:
-        raise ValueError("no generators")
-    n = len(vectors[0])
-    cols = [[Fraction(x) for x in v] for v in vectors if any(Fraction(x) != 0 for x in v)]
-    basis: list[tuple[int, int, VecQ]] = []  # (pivot row, pivot power, column)
-    for i in range(n):
-        cand = [c for c in cols if c[i] != 0]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda c: pval(c[i], p))
-        cols.remove(piv)
-        k = pval(piv[i], p)
-        unit = piv[i] / Fraction(p) ** k
-        piv = [x / unit for x in piv]
-        pk = Fraction(p) ** k
-        for c in cols:
-            if c[i] != 0:
-                f = c[i] / pk
-                for r in range(n):
-                    c[r] -= f * piv[r]
-        basis.append((i, k, piv))
-    if len(basis) < n:
-        raise RankDeficient(f"generators span rank {len(basis)} < {n}")
-    # Reduce entries at later pivot rows; later pivot columns vanish on
-    # earlier pivot rows, so reductions in increasing row order are stable.
-    for bi, (_, _, col) in enumerate(basis):
-        for pj, kj, pivcol in basis[bi + 1 :]:
-            rep = rep_mod_ppow(col[pj], p, kj)
-            if col[pj] != rep:
-                f = (col[pj] - rep) / (Fraction(p) ** kj)
-                for r in range(len(col)):
-                    col[r] -= f * pivcol[r]
-    return [col for _, _, col in basis]
+    require_triangular(basis)
+    cols = []
+    for k, col in enumerate(basis):
+        unit = Fraction(col[k]) / Fraction(p) ** pval(col[k], p)
+        cols.append([x / unit for x in col])
+    powers = [pval(col[k], p) for k, col in enumerate(cols)]
+    for bi, col in enumerate(cols):
+        for j in range(bi + 1, len(cols)):
+            rep = rep_mod_ppow(col[j], p, powers[j])
+            if col[j] != rep:
+                f = (col[j] - rep) / Fraction(p) ** powers[j]
+                for r in range(j, len(col)):
+                    col[r] -= f * cols[j][r]
+    return cols
 
 
 def require_triangular(basis: list[VecQ]) -> None:

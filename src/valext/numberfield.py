@@ -1,12 +1,14 @@
 """Arithmetic in L = Q[x]/(f) for monic integer f, in the power basis.
 
 Elements are length-n rational coordinate vectors over 1, theta, ...,
-theta^(n-1). A product is a convolution reduced mod f by the polynomial
-division that from_poly uses. The norm of g(theta) is the resultant
-Res(f, g), and the inverse comes from the minimal polynomial, so no
-multiplication matrix is ever built. An element computes its minimal
-polynomial at most once, and a nonzero rational multiple inherits it
-rescaled, so the probes x^e p^-k of a value share one elimination.
+theta^(n-1). A product is a convolution reduced mod f by
+theta^m = theta^(m-n) (theta^n - f), with no division since f is monic;
+the same product gives the integer structure constants of orders. The
+norm of g(theta) is the resultant Res(f, g), and the inverse comes from
+the minimal polynomial, so no multiplication matrix is ever built. An
+element computes its minimal polynomial at most once, and a nonzero
+rational multiple inherits it rescaled, so the probes x^e p^-k of a value
+share one elimination.
 Irreducibility of f is assumed, never verified eagerly: any zero divisor
 met during inversion or minimal-polynomial work surfaces as NotIrreducible.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from .errors import NotIrreducible, ZeroInversion
 from .linalg import min_relation
-from .polynomials import PolyQ, poly_deg, poly_divmod, poly_q, poly_resultant, poly_trim
+from .polynomials import PolyQ, poly_deg, poly_q, poly_resultant
 
 
 class NumberField:
@@ -34,6 +36,7 @@ class NumberField:
             raise ValueError("defining polynomial must have integer coefficients")
         self.f = f
         self.n = n
+        self._low = [int(c) for c in f[:n]]  # f - theta^n, as ints
 
     def element(self, coords) -> "NFElem":
         coords = [Fraction(c) for c in coords]
@@ -43,12 +46,31 @@ class NumberField:
 
     def from_poly(self, coeffs) -> "NFElem":
         """Element from a polynomial in the generator, reduced mod f."""
-        return self._reduce(poly_q(coeffs))
+        return NFElem(self, self._reduce(poly_q(coeffs) + [Fraction(0)] * self.n))
 
-    def _reduce(self, g: PolyQ) -> "NFElem":
-        """The element g(theta), for g trimmed: its remainder mod f."""
-        _, rem = poly_divmod(g, self.f)
-        return NFElem(self, rem + [Fraction(0)] * (self.n - len(rem)))
+    def _reduce(self, g: list) -> list:
+        """g(theta) over the power basis, for int or Fraction coefficients g,
+        len(g) >= n, in place: each top term c theta^m becomes
+        -c theta^(m-n) (f - theta^n), and entries keep their type."""
+        n = self.n
+        for m in range(len(g) - 1, n - 1, -1):
+            c = g[m]
+            if c:
+                for k, fk in enumerate(self._low):
+                    if fk:  # a sparse f such as x^8 + 1 is mostly zeros
+                        g[m - n + k] -= c * fk
+        del g[n:]
+        return g
+
+    def _mul(self, a: list, b: list) -> list:
+        """a(theta) b(theta) for coordinate vectors of ints or Fractions."""
+        prod = [0 * a[0]] * (2 * self.n - 1)  # zero of the entries' type
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return self._reduce(prod)
 
     def zero(self) -> "NFElem":
         return self.element([0] * self.n)
@@ -118,15 +140,7 @@ class NFElem:
                 out._min_poly = [c * q ** (d - i) for i, c in enumerate(mp)]
             return out
         other = self._coerce(other)
-        n = self.field.n
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b != 0:
-                    prod[i + j] += a * b
-        return self.field._reduce(poly_trim(prod))
+        return NFElem(self.field, self.field._mul(self.coords, other.coords))
 
     __rmul__ = __mul__
     __radd__ = __add__

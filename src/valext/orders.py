@@ -7,9 +7,12 @@ are the lower-triangular ones of lattice_canonical, so coordinates come by
 forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
 makes Z[theta] p-maximal.
 
-Every order carries its integer structure constants, computed once by exact
-integer arithmetic, and Round 2 multiplies through them: no product of
-number-field elements is formed here.
+Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
+so it is fixed by an F_p-subspace of O/pO, and the echelon form of that
+subspace gives a triangular basis of it directly: nothing is eliminated
+over Z_(p). Every order carries its integer structure constants, computed
+once by exact integer arithmetic, and Round 2 multiplies through them: no
+product of number-field elements is formed here.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .linalg import (
     VecQ,
     columns,
     fp_kernel,
+    fp_rref,
     lattice_canonical,
     lattice_coords,
     pval,
@@ -30,13 +34,7 @@ from .linalg import (
     require_triangular,
 )
 from .numberfield import NFElem, NumberField
-
-
-def _mod_p(coords: VecQ, p: int, why: str) -> list[int]:
-    """Image in F_p of coordinates in Z_(p); NotIrreducible(why) otherwise."""
-    if any(c.denominator % p == 0 for c in coords):
-        raise NotIrreducible(why)
-    return [c.numerator * pow(c.denominator, -1, p) % p for c in coords]
+from .padic import is_prime
 
 
 def _structure_constants(field: NumberField, basis: list[VecQ]) -> list[list[list[int]]]:
@@ -49,26 +47,14 @@ def _structure_constants(field: NumberField, basis: list[VecQ]) -> list[list[lis
     sum_k c_k d num[k] = w, exactly in integers.
     """
     n = field.n
-    f = [int(c) for c in field.f]
     d = math.lcm(*(x.denominator for v in basis for x in v))
     num = [[x.numerator * (d // x.denominator) for x in v] for v in basis]
     solve_basis = [[d * x for x in v] for v in num]
     table: list[list[list[int]]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            w = [0] * (2 * n - 1)
-            for a, x in enumerate(num[i]):
-                if x:
-                    for b, y in enumerate(num[j]):
-                        if y:
-                            w[a + b] += x * y
-            for m in range(2 * n - 2, n - 1, -1):  # theta^m = theta^(m-n) (theta^n - f)
-                if w[m]:
-                    for k, fk in enumerate(f[:n]):
-                        if fk:
-                            w[m - n + k] -= w[m] * fk
             try:
-                table[i][j] = table[j][i] = lattice_coords(solve_basis, w[:n])
+                table[i][j] = table[j][i] = lattice_coords(solve_basis, field._mul(num[i], num[j]))
             except ValueError:
                 raise ValueError("basis is not closed under multiplication") from None
     return table
@@ -108,9 +94,10 @@ class Order:
 
     def coords_mod_p(self, x: NFElem, p: int) -> list[int]:
         """Image of an order element in O/pO, as F_p coordinates."""
-        return _mod_p(
-            self.coords(x), p, "element expected in the order has p in a coordinate denominator"
-        )
+        coords = self.coords(x)
+        if any(c.denominator % p == 0 for c in coords):
+            raise NotIrreducible("element expected in the order has p in a coordinate denominator")
+        return [c.numerator * pow(c.denominator, -1, p) % p for c in coords]
 
     def mult_table_mod_p(self, p: int) -> list[list[list[int]]]:
         """Structure constants of O/pO over the order basis: the table mod p."""
@@ -145,9 +132,18 @@ def discriminant(field: NumberField) -> Fraction:
 
 def ideal_over(order: Order, vectors: list[list[int]], p: int) -> list[VecQ]:
     """The lattice between pO and O whose image in O/pO is spanned by the
-    given F_p coordinate vectors, as a canonical basis."""
-    gens = [order.element(v).coords for v in vectors]
-    gens += [[p * x for x in b] for b in order.basis]
+    given F_p coordinate vectors, as a canonical basis. Generator k is the
+    element of the echelon row with pivot k, or p b_k where no row has that
+    pivot: triangular on the triangular order basis, as such a row is 1 at
+    k and 0 before it, and spanning pO, as p b_k for a pivot k is p times
+    its row less multiples of the p b_j at non-pivots j.
+    """
+    rows, pivots = fp_rref(vectors, p)
+    by_pivot = dict(zip(pivots, rows))
+    gens = [
+        order.element(by_pivot[k]).coords if k in by_pivot else [p * x for x in b]
+        for k, b in enumerate(order.basis)
+    ]
     return lattice_canonical(gens, p)
 
 
@@ -189,12 +185,14 @@ def ring_of_multipliers(order: Order, ideal: list[VecQ], p: int) -> Order:
     kern = fp_kernel(rows_stacked, p)
     if not kern:  # pO' = pO: O is its own ring of multipliers
         return order
-    gens_q = order.basis + [[x / p for x in order.element(v).coords] for v in kern]
-    return Order(order.field, lattice_canonical(gens_q, p))
+    # O' = p^-1 ideal_over(kern), and canonical bases scale with powers of p
+    return Order(order.field, [[x / p for x in b] for b in ideal_over(order, kern, p)])
 
 
 def p_maximal_order(field: NumberField, p: int) -> Order:
     """Round 2: enlarge through multiplier rings of the p-radical until stable."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     disc = discriminant(field)
     if disc == 0:
         raise NotIrreducible("zero discriminant: defining polynomial is not squarefree")

@@ -1,5 +1,5 @@
 """Univariate polynomials over Q as coefficient lists, lowest degree first:
-normalisation, division with remainder, resultants, and formatting.
+normalisation, remainders, resultants, and formatting.
 
 PolyQ is a list of Fractions. The zero polynomial is the empty list;
 otherwise the leading coefficient is nonzero.
@@ -28,21 +28,20 @@ def poly_deg(f: PolyQ) -> int:
     return len(f) - 1
 
 
-def poly_divmod(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ]:
+def poly_rem(f: PolyQ, g: PolyQ) -> PolyQ:
+    """The remainder of f on division by g."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = f[:]
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
     inv = 1 / g[-1]
     while len(f) >= len(g) and f:
         k = len(f) - len(g)
         c = f[-1] * inv
-        q[k] = c
         for i, gi in enumerate(g):
             if gi:  # a sparse divisor such as x^8 + 1 is mostly zeros
                 f[k + i] -= c * gi
         f = poly_trim(f)
-    return poly_trim(q), f
+    return f
 
 
 def poly_resultant(f: PolyQ, g: PolyQ) -> Fraction:
@@ -54,7 +53,7 @@ def poly_resultant(f: PolyQ, g: PolyQ) -> Fraction:
         return Fraction(0)
     res = Fraction(1)
     while len(f) > 1:
-        _, r = poly_divmod(g, f)
+        r = poly_rem(g, f)
         if not r:
             return Fraction(0)
         res *= f[-1] ** (len(g) - len(r))

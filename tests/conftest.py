@@ -6,7 +6,7 @@ from functools import lru_cache
 import sympy
 
 from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order
-from valext.linalg import fp_rank, pval
+from valext.linalg import fp_rank, pval, rep_mod_ppow
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -69,6 +69,51 @@ def lattice_contains(basis, v, p: int) -> bool:
     solving for the coordinates with sympy."""
     coords = column_matrix(basis).LUsolve(sympy.Matrix([sympy.Rational(x) for x in v]))
     return all(c == 0 or pval(Fraction(int(c.p), int(c.q)), p) >= 0 for c in coords)
+
+
+def canonical_basis(gens, p: int) -> list:
+    """Canonical basis of the Z_(p)-lattice spanned by arbitrary generators,
+    by a general column echelon over Z_(p); ValueError when they do not
+    span full rank. The library only ever normalizes triangular bases, so
+    this elimination is the independent route to the same unique form.
+
+    Pivot rows are processed top down, each pivot entry is normalized to an
+    exact power of p (its unit part is divided out), and entries of earlier
+    basis vectors at later pivot rows are reduced modulo the pivot power.
+    """
+    if not gens:
+        raise ValueError("no generators")
+    n = len(gens[0])
+    cols = [[Fraction(x) for x in v] for v in gens if any(Fraction(x) != 0 for x in v)]
+    basis = []  # (pivot row, pivot power, column)
+    for i in range(n):
+        cand = [c for c in cols if c[i] != 0]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda c: pval(c[i], p))
+        cols.remove(piv)
+        k = pval(piv[i], p)
+        unit = piv[i] / Fraction(p) ** k
+        piv = [x / unit for x in piv]
+        pk = Fraction(p) ** k
+        for c in cols:
+            if c[i] != 0:
+                f = c[i] / pk
+                for r in range(n):
+                    c[r] -= f * piv[r]
+        basis.append((i, k, piv))
+    if len(basis) < n:
+        raise ValueError(f"generators span rank {len(basis)} < {n}")
+    # Reduce entries at later pivot rows; later pivot columns vanish on
+    # earlier pivot rows, so reductions in increasing row order are stable.
+    for bi, (_, _, col) in enumerate(basis):
+        for pj, kj, pivcol in basis[bi + 1 :]:
+            rep = rep_mod_ppow(col[pj], p, kj)
+            if col[pj] != rep:
+                f = (col[pj] - rep) / (Fraction(p) ** kj)
+                for r in range(len(col)):
+                    col[r] -= f * pivcol[r]
+    return [col for _, _, col in basis]
 
 
 def in_prime(w, x) -> bool:

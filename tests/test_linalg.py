@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from valext.errors import RankDeficient
 from valext.linalg import (
     _kernel,
     _rref,
@@ -23,7 +22,7 @@ from valext.linalg import (
     rep_mod_ppow,
 )
 
-from conftest import lattice_contains
+from conftest import canonical_basis, lattice_contains
 
 
 def q_mat(rows):
@@ -217,8 +216,9 @@ def test_lattice_standard_basis_fixed():
 
 def test_lattice_canonical_example_p2():
     gens = q_mat([[2, 0], [1, 1]])
-    basis = lattice_canonical(gens, 2)
+    basis = canonical_basis(gens, 2)
     assert basis == q_mat([[1, 1], [0, 2]])
+    assert lattice_canonical(q_mat([[1, 1], [0, 2]]), 2) == basis
     # oracle: same membership on a small grid, via independent 2x2 solves
     for x in range(-4, 5):
         for y in range(-4, 5):
@@ -240,19 +240,50 @@ def test_lattice_canonical_idempotent():
                 for _ in range(4)
             ]
             try:
-                basis = lattice_canonical(gens, p)
-            except RankDeficient:
+                basis = canonical_basis(gens, p)
+            except ValueError:
                 continue
+            assert canonical_basis(basis, p) == basis
             assert lattice_canonical(basis, p) == basis
 
 
 def test_lattice_rank_deficiency_detected():
-    with pytest.raises(RankDeficient):
-        lattice_canonical(q_mat([[1, 1], [2, 2]]), 3)
+    with pytest.raises(ValueError):
+        canonical_basis(q_mat([[1, 1], [2, 2]]), 3)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [[2, 0], [1, 1]],  # full rank, but an entry above the diagonal
+        [[0, 1], [1, 0]],  # full rank, zero pivot at row 0
+        [[1, 1], [0, 0]],  # singular
+        [[1, 0, 0], [0, 1, 0]],  # too few vectors
+    ],
+)
+def test_lattice_canonical_refuses_non_triangular_basis(basis):
+    with pytest.raises(ValueError, match="not lower triangular"):
+        lattice_canonical(q_mat(basis), 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_lattice_canonical_of_triangular_basis_matches_general_elimination(data):
+    """On a lower-triangular basis with nonzero diagonal and arbitrary
+    rational entries below it, lattice_canonical gives the canonical basis
+    of the general Z_(p) elimination."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-p**3, max_value=p**3, max_denominator=p**2)
+    basis = [[Fraction(0)] * k + data.draw(st.lists(entry, min_size=n - k, max_size=n - k))
+             for k in range(n)]
+    for k in range(n):
+        assume(basis[k][k] != 0)
+    assert lattice_canonical(basis, p) == canonical_basis(basis, p)
 
 
 def test_lattice_contains():
-    basis = lattice_canonical(q_mat([[2, 0], [1, 1]]), 2)
+    basis = canonical_basis(q_mat([[2, 0], [1, 1]]), 2)
     assert lattice_contains(basis, q_mat([[2, 0]])[0], 2)
     assert lattice_contains(basis, q_mat([[3, 1]])[0], 2)
     assert not lattice_contains(basis, q_mat([[1, 0]])[0], 2)
@@ -281,8 +312,8 @@ def lattices_with_coords(draw):
     vector = st.lists(entry, min_size=n, max_size=n)
     gens = draw(st.lists(vector, min_size=n, max_size=n + 2))
     try:
-        basis = lattice_canonical(gens, p)
-    except RankDeficient:
+        basis = canonical_basis(gens, p)
+    except ValueError:
         assume(False)
     return p, basis, draw(vector)
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -7,12 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valext import NumberField, Order, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
-from valext.linalg import lattice_canonical, pval, q_identity
+from valext import orders
+from valext.linalg import fp_kernel, lattice_canonical, pval, q_identity
+from valext.orders import ideal_over
 from valext.polynomials import poly_q
 
 from conftest import (
     CORPUS,
     CORPUS_IDS,
+    canonical_basis,
     extensions_for,
     index_valuation,
     lattice_contains,
@@ -49,7 +54,7 @@ def test_p_radical_ramified_case():
     o = equation_order(GAUSS)
     rad = p_radical(o, 2)
     # (1+theta)^2 = 2*theta = 0 mod 2o, so 1+theta generates the radical
-    assert rad == lattice_canonical([[1, 1], [2, 0]], 2)
+    assert rad == canonical_basis([[1, 1], [2, 0]], 2)
     assert lattice_contains(rad, [Fraction(1), Fraction(1)], 2)
     assert not lattice_contains(rad, [Fraction(1), Fraction(0)], 2)
 
@@ -62,9 +67,9 @@ def nilpotents_mod_2(field):
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 prod[i + j] += x * y
-        from valext.polynomials import poly_divmod
+        from valext.polynomials import poly_rem
 
-        _, rem = poly_divmod(poly_q(prod), field.f)
+        rem = poly_rem(poly_q(prod), field.f)
         rem = list(rem) + [Fraction(0)] * (field.n - len(rem))
         return [Fraction(int(c) % 2) for c in rem]
 
@@ -85,7 +90,7 @@ def test_p_radical_dedekind_case():
     assert set(nils) == {(0, 0, 0), (0, 1, 1)}
     o = equation_order(DEDEKIND)
     rad = p_radical(o, 2)
-    expected = lattice_canonical([[0, 1, 1], [2, 0, 0], [0, 2, 0], [0, 0, 2]], 2)
+    expected = canonical_basis([[0, 1, 1], [2, 0, 0], [0, 2, 0], [0, 0, 2]], 2)
     assert rad == expected
 
 
@@ -119,7 +124,7 @@ def test_p_maximal_order_examples():
     # Z[i] is maximal at 2 as well: one Round-2 step is a fixpoint
     assert p_maximal_order(GAUSS, 2) == equation_order(GAUSS)
     o = p_maximal_order(DEDEKIND, 2)
-    expected = lattice_canonical(
+    expected = canonical_basis(
         [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]], 2
     )
     assert o.basis == expected
@@ -297,3 +302,67 @@ def test_equation_order_maximal_where_p_squared_misses_disc(instance):
     _, factors = sympy.Poly(f[::-1], sympy.Symbol("t"), modulus=p).factor_list()
     expected = sorted((m, g.degree()) for g, m in factors)
     assert sorted((w.e, w.f) for w in extensions_of(fld, p)) == expected
+
+
+@pytest.mark.parametrize("p", [1, -5, 0, 4, 6, 9])
+def test_non_prime_p_is_refused(p):
+    """Without the check, p = 1 and p = -5 never return (pval divides by 1
+    forever, FpAlgebra.pow shifts a negative exponent forever), and 0, 4, 6
+    and 9 fail with unrelated ZeroDivisionError or ValueError messages."""
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        p_maximal_order(GAUSS, p)
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        extensions_of(DEDEKIND, p)
+
+
+@st.composite
+def subspace_instances(draw):
+    """(f, p, vectors): f monic irreducible of degree 1..6 (sympy) with small
+    integer coefficients, p in {2, 3, 5}, and up to n + 1 random vectors over
+    F_p of length n. Half the draws are p^n g((x - c)/p), where (theta - c)/p
+    is integral, so that Round 2 runs and its orders are not diagonal."""
+    g = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6)) + [1]
+    p = draw(st.sampled_from([2, 3, 5]))
+    assume(sympy.Poly(g[::-1], sympy.Symbol("t")).is_irreducible)
+    n = len(g) - 1
+    if draw(st.booleans()):
+        c = draw(st.integers(0, p - 1))
+        g = [sum(g[i] * p ** (n - i) * math.comb(i, k) * (-c) ** (i - k) for i in range(k, n + 1))
+             for k in range(n + 1)]
+    vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return g, p, draw(st.lists(vector, max_size=n + 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(subspace_instances())
+def test_lattices_from_echelon_form_match_general_elimination(instance):
+    """ideal_over and ring_of_multipliers read their bases off an F_p echelon
+    form. A general Z_(p) elimination of their full generator sets gives the
+    same canonical bases: lift(V) + pO for ideal_over, O + p^-1 lift(V) for
+    its p^-1 multiple, and O + p^-1 lift(kernel) for each multiplier ring
+    along Round 2 from Z[theta]."""
+    f, p, vectors = instance
+    fld = NumberField(f)
+    top = p_maximal_order(fld, p)
+    lifts = [top.element(v).coords for v in vectors]
+    ideal = ideal_over(top, vectors, p)
+    assert ideal == canonical_basis(lifts + [[p * x for x in b] for b in top.basis], p)
+    assert [[x / p for x in b] for b in ideal] == canonical_basis(
+        top.basis + [[x / p for x in v] for v in lifts], p
+    )
+    kernels = []
+
+    def recorded_kernel(m, q):
+        kernels.append(fp_kernel(m, q))
+        return kernels[-1]
+
+    order = equation_order(fld)
+    with mock.patch.object(orders, "fp_kernel", recorded_kernel):
+        while True:
+            bigger = ring_of_multipliers(order, p_radical(order, p), p)
+            kern = [[x / p for x in order.element(v).coords] for v in kernels[-1]]
+            assert bigger.basis == canonical_basis(order.basis + kern, p)
+            if bigger == order:
+                break
+            order = bigger
+    assert order == top

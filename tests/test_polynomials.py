@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from valext.polynomials import (
     poly_deg,
-    poly_divmod,
     poly_q,
+    poly_rem,
     poly_resultant,
 )
 
@@ -29,16 +29,14 @@ def test_normalization():
 
 
 def test_divmod():
-    f = poly_q([1, 0, 0, 1])  # x^3 + 1
+    f = poly_q([1, 0, 0, 1])  # x^3 + 1 = (x^2 - x + 1)(x + 1)
     g = poly_q([1, 1])  # x + 1
-    q, r = poly_divmod(f, g)
-    assert r == []
-    assert product(q, g) == f
-    f2 = poly_q([2, 0, 1])
-    q2, r2 = poly_divmod(f2, g)
-    assert poly_q(
-        [c + d for c, d in zip(product(q2, g) + [0] * 3, r2 + [0] * 3)]
-    ) == f2
+    assert poly_rem(f, g) == []
+    assert product(poly_q([1, -1, 1]), g) == f
+    f2 = poly_q([2, 0, 1])  # x^2 + 2 = (x - 1)(x + 1) + 3
+    r2 = poly_rem(f2, g)
+    assert r2 == poly_q([3])
+    assert poly_q([c - d for c, d in zip(f2, product(poly_q([-1, 1]), g))]) == r2
 
 
 small_polys = st.lists(
