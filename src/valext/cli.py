@@ -76,6 +76,8 @@ def parse_poly(text: str, var: str) -> list[Fraction]:
             if coef is None:
                 coef = Fraction(1)
         elif coef is None:
+            if i == n:
+                raise PolyParseError(f"expected a term at the end of {text!r}")
             raise PolyParseError(f"unexpected character {s[i]!r} in {text!r}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
     deg = max(coeffs) if coeffs else 0

@@ -123,7 +123,7 @@ def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
         e_i = local_dim // f_i
         total_local += local_dim
         resproj = fp_matmul(comp.projection, proj, p)
-        prime = ideal_over(order, fp_kernel(resproj, p), p)
+        prime = order.lattice_basis(ideal_over(order, fp_kernel(resproj, p), p), p)
         exts.append(
             ExtensionValuation(
                 index=i + 1,

@@ -8,11 +8,11 @@ forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
 makes Z[theta] p-maximal.
 
 Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
-so it is fixed by an F_p-subspace of O/pO, and the echelon form of that
-subspace gives a triangular basis of it directly: nothing is eliminated
-over Z_(p). Every order carries its integer structure constants, computed
-once by exact integer arithmetic, and Round 2 multiplies through them: no
-product of number-field elements is formed here.
+so it is fixed by an F_p-subspace of O/pO, whose echelon form is its
+canonical basis in integer O-coordinates; power bases are formed only for
+new orders and primes. Every order carries its integer structure
+constants, computed once, and Round 2 multiplies through them: no product
+of number-field elements is formed here.
 """
 
 from __future__ import annotations
@@ -85,8 +85,12 @@ class Order:
         out = [Fraction(0)] * self.field.n
         for c, b in zip(coords, self.basis):
             if c:
-                out = [o + c * x for o, x in zip(out, b)]
+                out = [o + c * x if x else o for o, x in zip(out, b)]
         return self.field.element(out)
+
+    def lattice_basis(self, gens: list[list[int]], p: int) -> list[VecQ]:
+        """Canonical power basis of the lattice with O-coordinate basis gens."""
+        return lattice_canonical([self.element(g).coords for g in gens], p)
 
     def coords(self, x: NFElem) -> VecQ:
         """Exact coordinates of x in the order basis (over Q)."""
@@ -130,55 +134,47 @@ def discriminant(field: NumberField) -> Fraction:
     return -norm if (n * (n - 1) // 2) % 2 else norm
 
 
-def ideal_over(order: Order, vectors: list[list[int]], p: int) -> list[VecQ]:
+def ideal_over(order: Order, vectors: list[list[int]], p: int) -> list[list[int]]:
     """The lattice between pO and O whose image in O/pO is spanned by the
-    given F_p coordinate vectors, as a canonical basis. Generator k is the
-    element of the echelon row with pivot k, or p b_k where no row has that
-    pivot: triangular on the triangular order basis, as such a row is 1 at
-    k and 0 before it, and spanning pO, as p b_k for a pivot k is p times
-    its row less multiples of the p b_j at non-pivots j.
-    """
+    given F_p coordinate vectors, in integer O-coordinates: the echelon row
+    with pivot k, or p e_k where no row has pivot k. They span pO (p e_k is
+    p times row k less multiples of the p e_j at non-pivots j) and are the
+    canonical basis: lower triangular, pivots 1 or p, zero in the other
+    pivot rows and reduced into [0, p) elsewhere."""
     rows, pivots = fp_rref(vectors, p)
     by_pivot = dict(zip(pivots, rows))
-    gens = [
-        order.element(by_pivot[k]).coords if k in by_pivot else [p * x for x in b]
-        for k, b in enumerate(order.basis)
-    ]
-    return lattice_canonical(gens, p)
+    n = order.field.n
+    return [by_pivot.get(k) or [p * (j == k) for j in range(n)] for k in range(n)]
 
 
-def p_radical(order: Order, p: int) -> list[VecQ]:
-    """Preimage in the order of the nilradical of O/pO, as a lattice basis."""
+def p_radical(order: Order, p: int) -> list[list[int]]:
+    """Preimage in the order of the nilradical of O/pO, as ideal_over gives it."""
     return ideal_over(order, nilradical(quotient_mod_p(order, p)).basis, p)
 
 
-def ring_of_multipliers(order: Order, ideal: list[VecQ], p: int) -> Order:
-    """The order {x in L : x I <= I} for an ideal I containing pO.
+def ring_of_multipliers(order: Order, ideal: list[list[int]], p: int) -> Order:
+    """The order {x in L : x I <= I} for an ideal I containing pO, given in
+    integer O-coordinates as ideal_over gives it: a basis that is not lower
+    triangular with nonzero diagonal, or not of ints, raises ValueError.
 
     Computed via pO' = {w in O : w I <= p I}: each generator g of I gives an
     F_p-linear map O/pO -> I/pI, and the intersection of their kernels is
-    pO'/pO, which is zero exactly when O' = O. The generators of I have
-    integer coordinates in O (both bases are canonical), b_j g is a
-    contraction with the order's table, and its coordinates in I come from
-    an exact integer solve.
+    pO'/pO, zero exactly when O' = O. Each b_j g is a contraction with the
+    table, solved in I in integers: a remainder means I is no ideal.
     """
-    n = order.field.n
-    gens: list[list[int]] = []
-    for v in ideal:
-        c = order.coords(order.field.element(v))
-        if any(x.denominator != 1 for x in c):
-            raise ValueError("ideal is not inside the order")
-        gens.append([x.numerator for x in c])
+    if len(ideal) != order.field.n or any(type(x) is not int for g in ideal for x in g):
+        raise ValueError("ideal generators must be n integer O-coordinate vectors")
+    require_triangular(ideal)
     rows_stacked: list[list[int]] = []
-    for g in gens:
+    for g in ideal:
         cols = []
         for row in order.table:
-            prod = [0] * n
+            prod = [0] * len(g)
             for gl, t in zip(g, row):
                 if gl:
                     prod = [s + gl * x for s, x in zip(prod, t)]
             try:
-                cols.append([x % p for x in lattice_coords(gens, prod)])
+                cols.append([x % p for x in lattice_coords(ideal, prod)])
             except ValueError:
                 raise NotIrreducible("ideal is not multiplicatively closed") from None
         rows_stacked += columns(cols)
@@ -186,7 +182,8 @@ def ring_of_multipliers(order: Order, ideal: list[VecQ], p: int) -> Order:
     if not kern:  # pO' = pO: O is its own ring of multipliers
         return order
     # O' = p^-1 ideal_over(kern), and canonical bases scale with powers of p
-    return Order(order.field, [[x / p for x in b] for b in ideal_over(order, kern, p)])
+    bigger = order.lattice_basis(ideal_over(order, kern, p), p)
+    return Order(order.field, [[x / p for x in b] for b in bigger])
 
 
 def p_maximal_order(field: NumberField, p: int) -> Order:

@@ -34,7 +34,8 @@ def test_parse_poly_whitespace_insensitive():
 
 
 def test_parse_poly_rejects_garbage():
-    for bad in ["", "x^", "x**2", "^2", "x^2 + + 1", "y^2+1", "1/0", "3..5"]:
+    for bad in ["", "x^", "x**2", "^2", "x^2 + + 1", "y^2+1", "1/0", "3..5",
+                "x^2+", "-", "x^2 -"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad, "x")
 
@@ -259,8 +260,9 @@ def test_usage_errors_exit_2():
         ("2x^2+1", "defining polynomial must be monic"),
         ("x^2+1/2*x", "defining polynomial must have integer coefficients"),
         ("5", "defining polynomial must have degree >= 1"),
+        ("x^2+", "expected a term at the end of 'x^2+'"),
     ],
-    ids=["monic", "integer", "degree"],
+    ids=["monic", "integer", "degree", "trailing-sign"],
 )
 def test_defining_poly_errors_exit_2(capsys, poly, message):
     with pytest.raises(SystemExit) as exc:

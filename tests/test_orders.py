@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from valext import NumberField, Order, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
 from valext import orders
+from valext.errors import NotIrreducible
 from valext.linalg import fp_kernel, lattice_canonical, pval, q_identity
 from valext.orders import ideal_over
 from valext.polynomials import poly_q
@@ -102,7 +103,31 @@ def test_ring_of_multipliers_of_free_module():
 
 def test_ring_of_multipliers_of_whole_order():
     o = equation_order(GAUSS)
-    assert ring_of_multipliers(o, [row[:] for row in o.basis], 5) == o
+    # the whole order in O-coordinates is the identity
+    assert ring_of_multipliers(o, [[1, 0], [0, 1]], 5) == o
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        [[0, 1], [1, 0]],  # full rank, zero pivot at row 0
+        [[1, 1], [1, 2]],  # full rank, an entry above the diagonal
+        [[Fraction(1), 0], [0, 1]],  # triangular, but not ints
+        [[1, 0]],  # too few generators
+    ],
+)
+def test_ring_of_multipliers_refuses_malformed_generators(ideal):
+    """Generators that are no triangular basis of ints are a caller's error:
+    ValueError, not NotIrreducible, since x^2+1 is irreducible."""
+    with pytest.raises(ValueError) as exc:
+        ring_of_multipliers(equation_order(GAUSS), ideal, 2)
+    assert not isinstance(exc.value, NotIrreducible)
+
+
+def test_ring_of_multipliers_refuses_lattice_not_closed():
+    # Z(1+i) + Z 4i is no ideal of Z[i]: i(1+i) = -1 + i leaves it
+    with pytest.raises(NotIrreducible, match="not multiplicatively closed"):
+        ring_of_multipliers(equation_order(GAUSS), [[1, 1], [0, 4]], 2)
 
 
 def test_ring_of_multipliers_dedekind():
@@ -159,7 +184,7 @@ def test_radical_nilpotency():
         while q < fld.n:
             q *= p
         p_o = lattice_canonical([[p * x for x in b] for b in o.basis], p)
-        gens = [fld.element(v) for v in rad]
+        gens = [o.element(v) for v in rad]
         for g in gens:
             assert lattice_contains(p_o, (g**q).coords, p)
         for combo in itertools.product(gens, repeat=fld.n):
@@ -192,12 +217,18 @@ def test_round2_deep_chain():
 def test_ideal_over_indices_are_residue_degrees(coeffs, p):
     """ideal_over builds both the prime lattices of extensions_of and the
     p-radical: v_p[O : P_i] = f_i, and the radical, the intersection of the
-    P_i, has v_p[O : rad] = sum f_i. Indices from sympy's determinants."""
+    P_i, has v_p[O : rad] = sum f_i. Indices from sympy's determinants. The
+    radical comes in canonical O-coordinates, and Order.lattice_basis maps
+    it to the canonical power basis of a general elimination."""
     o = order_for(coeffs, p)
     exts = extensions_for(coeffs, p)
     for w in exts:
         assert index_valuation(w.prime_basis, o.basis, p) == w.f
-    assert index_valuation(p_radical(o, p), o.basis, p) == sum(w.f for w in exts)
+    rad = p_radical(o, p)
+    assert_canonical_o_coordinates(rad, p)
+    rad_basis = o.lattice_basis(rad, p)
+    assert rad_basis == canonical_basis([o.element(g).coords for g in rad], p)
+    assert index_valuation(rad_basis, o.basis, p) == sum(w.f for w in exts)
 
 
 def test_order_contains_one():
@@ -235,17 +266,38 @@ def test_order_refuses_basis_not_closed_under_multiplication():
         Order(DEDEKIND, [[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
 
 
+def assert_canonical_o_coordinates(gens, p):
+    """gens is a canonical lattice basis in O-coordinates, as ideal_over
+    returns it: int entries, lower triangular with pivots 1 or p, and below
+    a pivot zero in each row whose pivot is 1, in [0, p) in each other row."""
+    ones = {k for k, g in enumerate(gens) if g[k] == 1}
+    for k, g in enumerate(gens):
+        assert all(type(x) is int for x in g)
+        assert g[k] in (1, p) and not any(g[:k])
+        for j in range(k + 1, len(g)):
+            assert g[j] == 0 if j in ones else 0 <= g[j] < p
+
+
+def shifted_scaling(g, p, c):
+    """Coefficients of p^n g((x - c)/p), whose root theta = c + p theta_g
+    makes (theta - c)/p integral."""
+    n = len(g) - 1
+    return [sum(g[i] * p ** (n - i) * math.comb(i, k) * (-c) ** (i - k) for i in range(k, n + 1))
+            for k in range(n + 1)]
+
+
 @st.composite
 def round2_instances(draw):
     """(f, p): f monic irreducible of degree 1..8 (sympy) with small integer
-    coefficients, p in {2, 3, 5, 7}. Half the draws are p^n g(x/p), where
-    theta/p is integral, so p divides the index of Z[theta] once n >= 2."""
+    coefficients, p in {2, 3, 5, 7}. Half the draws are p^n g((x - c)/p)
+    with 0 <= c < p, where (theta - c)/p is integral, so p divides the index
+    of Z[theta] once n >= 2; c = 0 gives a diagonal p-maximal order, other
+    c give entries below the diagonal."""
     g = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8)) + [1]
     p = draw(st.sampled_from([2, 3, 5, 7]))
     assume(sympy.Poly(g[::-1], sympy.Symbol("t")).is_irreducible)
-    n = len(g) - 1
     if draw(st.booleans()):
-        g = [c * p ** (n - i) for i, c in enumerate(g)]
+        g = shifted_scaling(g, p, draw(st.integers(0, p - 1)))
     return g, p
 
 
@@ -326,9 +378,7 @@ def subspace_instances(draw):
     assume(sympy.Poly(g[::-1], sympy.Symbol("t")).is_irreducible)
     n = len(g) - 1
     if draw(st.booleans()):
-        c = draw(st.integers(0, p - 1))
-        g = [sum(g[i] * p ** (n - i) * math.comb(i, k) * (-c) ** (i - k) for i in range(k, n + 1))
-             for k in range(n + 1)]
+        g = shifted_scaling(g, p, draw(st.integers(0, p - 1)))
     vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
     return g, p, draw(st.lists(vector, max_size=n + 1))
 
@@ -338,14 +388,19 @@ def subspace_instances(draw):
 def test_lattices_from_echelon_form_match_general_elimination(instance):
     """ideal_over and ring_of_multipliers read their bases off an F_p echelon
     form. A general Z_(p) elimination of their full generator sets gives the
-    same canonical bases: lift(V) + pO for ideal_over, O + p^-1 lift(V) for
-    its p^-1 multiple, and O + p^-1 lift(kernel) for each multiplier ring
-    along Round 2 from Z[theta]."""
+    same canonical bases: V + pZ^n in O-coordinates for ideal_over, and
+    through Order.lattice_basis lift(V) + pO, O + p^-1 lift(V) for its p^-1
+    multiple, and O + p^-1 lift(kernel) for each multiplier ring along
+    Round 2 from Z[theta]."""
     f, p, vectors = instance
     fld = NumberField(f)
     top = p_maximal_order(fld, p)
     lifts = [top.element(v).coords for v in vectors]
-    ideal = ideal_over(top, vectors, p)
+    gens = ideal_over(top, vectors, p)
+    assert_canonical_o_coordinates(gens, p)
+    assert gens == canonical_basis(vectors + [[p * (j == k) for j in range(fld.n)]
+                                              for k in range(fld.n)], p)
+    ideal = top.lattice_basis(gens, p)
     assert ideal == canonical_basis(lifts + [[p * x for x in b] for b in top.basis], p)
     assert [[x / p for x in b] for b in ideal] == canonical_basis(
         top.basis + [[x / p for x in v] for v in lifts], p
