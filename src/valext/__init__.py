@@ -23,6 +23,7 @@ from .extensions import (
     extensions_of,
     residue,
     value,
+    value_by_count,
 )
 from .fpalgebra import (
     AlgIdeal,
@@ -101,6 +102,7 @@ __all__ = [
     "ring_of_multipliers",
     "split_reduced",
     "value",
+    "value_by_count",
     "weak_approx",
 ]
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ValExtError
 from .events import recording
-from .extensions import extensions_of, residue, value
+from .extensions import extensions_of, residue, value, value_by_count
 from .numberfield import NFElem, NumberField
 from .orders import p_maximal_order
 from .padic import PRIME_BOUND, is_prime
@@ -264,7 +264,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
     if args.command == "approx":
         w = _pick_extension(exts, args.extension, parser)
         x = approx_element(exts, w.index - 1, args.gamma)
-        vals = [(u.index, value(u, x)) for u in exts]
+        vals = [(u.index, value_by_count(u, x)) for u in exts]
         estr = format_element(x)
         payload = {
             "element": estr,

@@ -5,6 +5,13 @@ extensions_of runs the pipeline p-maximal order -> O/pO -> reduced quotient
 field component. decide_position classifies an element against one
 extension's valuation ring by reverse induction on its minimal polynomial
 relation; value and residue are recovered from it exactly.
+
+value_by_count is a second, independent route to w(x) that uses the prime
+P directly: it counts how often x can be multiplied by beta/p, for an
+anti-uniformizer beta of P, and stay in the order (Cohen, GTM 138, Alg.
+4.8.17). It needs no minimal polynomial and no search, and it is what the
+theorems layer and the approx command use; the value and residue commands
+keep the walk, whose CASE steps they trace.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .linalg import (
     MatFp,
     VecFp,
     VecQ,
+    columns,
     fp_matmul,
     fp_matvec,
     fp_kernel,
@@ -62,7 +70,8 @@ class ExtensionValuation:
 
     Values of nonzero elements lie in (1/e)Z; the residue field is the
     field component of the reduced quotient, reached through
-    residue_projection applied to O/pO coordinates.
+    residue_projection applied to O/pO coordinates. The anti-uniformizer
+    that value_by_count steps with is built on its first use.
     """
 
     def __init__(
@@ -86,6 +95,28 @@ class ExtensionValuation:
         self.residue_algebra = residue_algebra
         self.residue_projection = residue_projection
         self.prime_basis = prime_basis
+        self._beta_matrix: list[list[int]] | None = None
+
+    def anti_uniformizer_matrix(self) -> list[list[int]]:
+        """Integer matrix of y -> beta*y over the order basis, for some beta
+        outside pO with beta*P <= pO, built on the first call.
+
+        P/pO is the kernel of the residue projection, and beta mod p is a
+        nonzero element of its annihilator in O/pO, which is P^(e-1)/P^e at
+        P and zero at every other prime over p. So v_P(beta) = e - 1 and
+        beta/p is integral away from P. When P = pO, beta = 1.
+        """
+        if self._beta_matrix is None:
+            p, table = self.p, self.order.table
+            prime = fp_kernel(self.residue_projection, p)
+            if prime:
+                stacked = [row for g in prime for row in _mult_matrix(table, g)]
+                beta = fp_kernel(stacked, p)[0]
+                self._beta_matrix = _mult_matrix(table, beta)
+            else:
+                n = len(table)
+                self._beta_matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+        return self._beta_matrix
 
     def residue_of_integral(self, x: NFElem) -> VecFp:
         """Residue-field image of an element of the p-maximal order."""
@@ -102,6 +133,20 @@ class ExtensionValuation:
 
     def __repr__(self):
         return f"ExtensionValuation(index={self.index}, e={self.e}, f={self.f}, p={self.p})"
+
+
+def _mult_matrix(table: list[list[list[int]]], v: list[int]) -> list[list[int]]:
+    """Matrix of y -> v*y over an order basis with structure constants
+    table: column j is v*b_j = sum_i v_i table[i][j]."""
+    n = len(v)
+    cols = []
+    for j in range(n):
+        col = [0] * n
+        for vi, row in zip(v, table):
+            if vi:
+                col = [c + vi * t for c, t in zip(col, row[j])]
+        cols.append(col)
+    return columns(cols)
 
 
 def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
@@ -234,6 +279,41 @@ def value(w: ExtensionValuation, x: NFElem) -> Val:
     if final.kind is not PositionKind.UNIT:
         raise AssertionError("binary search did not land on a unit")
     return Val(Fraction(m, e))
+
+
+def value_by_count(w: ExtensionValuation, x: NFElem) -> Val:
+    """w(x) by counting steps with the anti-uniformizer beta of w's prime.
+
+    v_P(beta/p) = -1 and beta/p is integral at every other prime over p, so
+    for y in O, e*w(y) is the number of steps y <- y*beta/p that stay in O.
+    With p^a the largest p-power among the denominators of x's order
+    coordinates, y = x*p^a has coordinates in Z_(p) and e*w(x) is that count
+    less e*a. The product formula bounds the count by
+    e*v_p(N(y)) = e*(v_p(N(x)) + n*a); passing the bound raises
+    AssertionError. The first bound+1 steps depend only on y mod
+    p^(bound+1), so the coordinates are kept reduced modulo it, and each
+    step loses one power of p.
+    """
+    if x.is_zero:
+        return INFINITY
+    norm = x.norm()
+    if norm == 0:
+        raise NotIrreducible("nonzero element has zero norm")
+    p, e = w.p, w.e
+    coords = w.order.coords(x)
+    a = max(0, max(-pval(c, p) for c in coords if c))
+    bound = e * (pval(norm, p) + x.field.n * a)
+    mod = p ** (bound + 1)
+    scaled = [c * p**a for c in coords]
+    y = [c.numerator * pow(c.denominator, -1, mod) % mod for c in scaled]
+    m = w.anti_uniformizer_matrix()
+    for steps in range(bound + 1):
+        y = [sum(r * c for r, c in zip(row, y)) % mod for row in m]
+        if any(c % p for c in y):
+            return Val(Fraction(steps - e * a, e))
+        y = [c // p for c in y]
+        mod //= p
+    raise AssertionError("anti-uniformizer count passed the norm bound")
 
 
 def residue(w: ExtensionValuation, x: NFElem) -> VecFp:

@@ -5,6 +5,10 @@ of the reduced quotient; approx_element realizes a prescribed value at one
 extension while staying strictly above it at the others; check_min_formula
 and check_fundamental verify the min-value formulas with exact rational
 comparison and certify sum(e_i f_i) <= [L:Q] by an explicit independent set.
+
+Every value here is counted with the anti-uniformizer of its extension's
+prime (extensions.value_by_count), not found by the reverse-induction walk;
+the residues that check_min_formula needs still come from the walk.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import GammaNotInValueGroup, HypothesisViolation
-from .extensions import ExtensionValuation, residue, value
+from .extensions import ExtensionValuation, residue, value_by_count
 from .linalg import VecFp, fp_rank, fp_solve, q_rank
 from .numberfield import NFElem
 from .padic import PAdicValuation
@@ -61,7 +65,7 @@ def approx_element(
     others = [w for i, w in enumerate(exts) if i != target]
 
     x0 = _element_of_value(w1, gamma)
-    values_x0 = {w.index: value(w, x0) for w in others}
+    values_x0 = {w.index: value_by_count(w, x0) for w in others}
 
     def unit_target(w: ExtensionValuation) -> VecFp:
         return list(w.residue_algebra.unit)
@@ -98,7 +102,7 @@ def _element_of_value(w1: ExtensionValuation, gamma: Fraction) -> NFElem:
     target_val = Val(Fraction(1, w1.e))
     for vec in w1.prime_basis:
         g = fld.element(vec)
-        if value(w1, g) == target_val:
+        if value_by_count(w1, g) == target_val:
             return g ** int(w1.e * gamma)
     raise AssertionError("prime basis has no element of minimal positive value")
 
@@ -115,7 +119,7 @@ def check_min_formula(
         raise ValueError("coefficient matrix shape must be len(a) x len(b)")
     residues = []
     for ai in a:
-        if value(w, ai) != Val(0):
+        if value_by_count(w, ai) != Val(0):
             raise HypothesisViolation("a-elements must be units of the valuation ring")
         residues.append(residue(w, ai))
     if fp_rank(residues, w.p) != len(a):
@@ -124,7 +128,7 @@ def check_min_formula(
     for bj in b:
         if bj.is_zero:
             raise HypothesisViolation("b-elements must be nonzero")
-        bvals.append(value(w, bj))
+        bvals.append(value_by_count(w, bj))
     for i in range(len(bvals)):
         for j in range(i):
             if (bvals[i].q - bvals[j].q).denominator == 1:
@@ -139,8 +143,8 @@ def check_min_formula(
                 continue
             term = ai * bj * cij
             total = total + term
-            rhs = min(rhs, value(w, term))
-    lhs = value(w, total) if not total.is_zero else INFINITY
+            rhs = min(rhs, value_by_count(w, term))
+    lhs = value_by_count(w, total)
     return lhs, rhs, lhs == rhs
 
 
@@ -169,7 +173,7 @@ def build_ef_basis(exts: list[ExtensionValuation]) -> EfBasis:
                 for other in exts
             ]
             x = weak_approx(exts, targets)
-            if value(w, x) != Val(0):
+            if value_by_count(w, x) != Val(0):
                 raise AssertionError("residue lift is not a unit at its own extension")
             a_i.append(x)
         a_all.append(a_i)
@@ -178,7 +182,7 @@ def build_ef_basis(exts: list[ExtensionValuation]) -> EfBasis:
         for k in range(w.e):
             gamma = Fraction(k, w.e)
             x = approx_element(exts, i, gamma)
-            got = value(w, x)
+            got = value_by_count(w, x)
             if got != Val(gamma):
                 raise AssertionError("value representative has the wrong value")
             b_i.append(x)
@@ -284,9 +288,7 @@ def check_fundamental(
                         rhs = min(rhs, vp.value(cval) + basis.b_values[i][k])
                 ci.append(cj)
             coeffs.append(ci)
-        lhs = (
-            min(value(w, total) for w in exts) if not total.is_zero else INFINITY
-        )
+        lhs = min(value_by_count(w, total) for w in exts)
         equal = lhs == rhs
         all_equal = all_equal and equal
         flat = [str(c) for ci in coeffs for cj in ci for c in cj]

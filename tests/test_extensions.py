@@ -3,19 +3,25 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from valext import (
     INFINITY,
+    NotIrreducible,
     NumberField,
     PAdicValuation,
     PositionKind,
     Val,
     ZeroElement,
     decide_position,
+    equation_order,
     extensions_of,
     recording,
     residue,
     value,
+    value_by_count,
 )
 from valext.errors import NegativeValue
 
@@ -28,6 +34,7 @@ from conftest import (
     random_element,
     random_order_element,
 )
+from test_orders import shifted_scaling
 
 
 def splitting_by_roots(coeffs, p):
@@ -254,6 +261,100 @@ def test_value_eliminates_once_per_element(monkeypatch):
     assert len(exts) == 4 and all(w.e == 1 for w in exts)
     assert sum(v.q for v in vals) == -8  # v_17(N(x)), by the product formula
     assert len(calls) == 1
+
+
+def test_anti_uniformizer_by_the_walk():
+    """beta, read off the matrix as beta*1, lies in O outside pO and maps
+    every generator of P into pO; the walk gives beta/p the value -1/e at
+    its own extension and a value >= 0 at the others. extensions_of builds
+    no beta: the matrix appears on the first count and is then reused."""
+    for coeffs, p in CORPUS:
+        exts = extensions_of(field_for(coeffs), p)
+        assert all(w._beta_matrix is None for w in exts)
+        for w in exts:
+            order = w.order
+            m = w.anti_uniformizer_matrix()
+            assert w.anti_uniformizer_matrix() is m
+            one = order.coords(w.field.one())
+            beta = [sum(r * c for r, c in zip(row, one)) for row in m]
+            assert all(c.denominator == 1 for c in beta) and any(c % p for c in beta)
+            for g in w.prime_basis:
+                g_coords = order.coords(w.field.element(g))
+                assert all(sum(r * c for r, c in zip(row, g_coords)) % p == 0 for row in m)
+            beta_over_p = order.element(beta) / p
+            assert value(w, beta_over_p) == Val(Fraction(-1, w.e))
+            assert all(value(u, beta_over_p) >= 0 for u in exts if u is not w)
+
+
+def test_count_refusals(monkeypatch):
+    """The count of 0 is infinite; over a reducible f an element of zero
+    norm is refused before any step is taken; and a beta = p, every step of
+    which stays in O, is stopped by the norm bound instead of looping."""
+    for coeffs, p in CORPUS:
+        for w in extensions_for(coeffs, p):
+            assert value_by_count(w, w.field.zero()) == INFINITY
+    w = extensions_of(field_for((1, 0, 1)), 5)[0]
+    times_p = [[5 * (i == j) for j in range(2)] for i in range(2)]
+    monkeypatch.setattr(w, "anti_uniformizer_matrix", lambda: times_p)
+    with pytest.raises(AssertionError, match="norm bound"):
+        value_by_count(w, w.field.element([2, 1]))
+    red = NumberField([-4, 0, 1])  # (x-2)(x+2)
+    for w in extensions_of(red, 3):
+        with pytest.raises(NotIrreducible, match="zero norm"):
+            value_by_count(w, red.element([-2, 1]))
+
+
+def mixed_denominators(p: int, n: int):
+    """n rationals a/(u p^k), not all zero, with u prime to p and k >= 0,
+    some numerators carrying p as well."""
+    u = st.integers(1, 40).filter(lambda d: d % p)
+    coord = st.builds(lambda a, d, k: Fraction(a, d * p**k),
+                      st.integers(-40, 40), u, st.integers(0, 3))
+    return st.lists(coord, min_size=n, max_size=n).filter(any)
+
+
+@st.composite
+def index_divisible_instances(draw):
+    """(f, p, elements): f = p^n g((x - c)/p) for g monic irreducible of
+    degree 2..4, so (theta - c)/p is integral and p divides the index of
+    Z[theta]; a few elements with mixed denominators."""
+    g = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4)) + [1]
+    assume(sympy.Poly(g[::-1], sympy.Symbol("t")).is_irreducible)
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = shifted_scaling(g, p, draw(st.integers(0, p - 1)))
+    n = len(f) - 1
+    return f, p, draw(st.lists(mixed_denominators(p, n), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(index_divisible_instances())
+def test_count_equals_walk_where_p_divides_the_index(case):
+    """Where the p-maximal order is not Z[theta], so the order coordinates
+    of x differ from its power-basis coordinates, the anti-uniformizer count
+    equals the reverse-induction walk at every extension."""
+    f, p, elements = case
+    fld = NumberField(f)
+    exts = extensions_of(fld, p)
+    assert exts[0].order != equation_order(fld)
+    for coords in elements:
+        x = fld.element(coords)
+        assert [value_by_count(w, x) for w in exts] == [value(w, x) for w in exts]
+
+
+@pytest.mark.parametrize(
+    "coeffs,p",
+    [((1, 0, 0, 0, 0, 0, 0, 0, 1), 17), ((1, 0, 0, 1, 0, 0, 1), 3), ((8, -2, 1, 1), 2),
+     ((-5, 0, 0, 0, 0, 1), 5)],
+    ids=["x8+1@17", "x6+x3+1@3", "dedekind@2", "x5-5@5"],
+)
+def test_count_equals_walk_on_pinned_fields(coeffs, p):
+    """The fields on which the count was first timed against the walk."""
+    rng = random.Random(15)
+    fld = field_for(coeffs)
+    exts = extensions_for(coeffs, p)
+    for _ in range(4):
+        x = random_element(rng, fld, p)
+        assert [value_by_count(w, x) for w in exts] == [value(w, x) for w in exts]
 
 
 def test_ramification_cross_check():

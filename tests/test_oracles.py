@@ -1,7 +1,9 @@
 """Property tests of the extensions and their values against oracles that
 share no code with the pipeline: Ore's theorem on Newton polygons, sympy's
 prime decomposition and resultant, and the product formula
-sum e_i f_i w_i(x) = v_p(N(x)).
+sum e_i f_i w_i(x) = v_p(N(x)). Both routes to w_i(x) are held to them: the
+reverse-induction walk (value) and the anti-uniformizer count
+(value_by_count).
 
 The strategy draws monic f of degree 2..5 with small integer coefficients,
 irreducible over Q by sympy, and p in {2, 3, 5, 7}, so that ramified and
@@ -22,7 +24,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from sympy.polys.numberfields.primes import prime_decomp
 
-from valext import NumberField, Val, extensions_of, value
+from valext import NumberField, Val, extensions_of, value, value_by_count
 
 T = sympy.Symbol("t")
 
@@ -140,7 +142,8 @@ def test_extensions_and_values_against_oracles(case):
     """(e_i, f_i) as Ore's theorem gives them, or sympy's prime_decomp
     where f is not p-regular; the product formula with N(x) from sympy's
     resultant; and w(p^k q x) = k + v_p(q) + w(x), whose probes inherit
-    the relation that w(x) computed."""
+    the relation that w(x) computed. The anti-uniformizer count equals the
+    walk at every extension and meets the same two formulas on its own."""
     f, p, coords, k, q = case
     exts = extensions_of(NumberField(f), p)
     expected = ore_ef(f, p)
@@ -159,3 +162,8 @@ def test_extensions_and_values_against_oracles(case):
     y = x * (Fraction(p) ** k * q)
     shift = Val(k + vp(q, p))
     assert [value(w, y) for w in exts] == [v + shift for v in vals]
+
+    counts = [value_by_count(w, x) for w in exts]
+    assert counts == vals
+    assert sum((w.e * w.f * v.q for w, v in zip(exts, counts)), Fraction(0)) == vp(norm, p)
+    assert [value_by_count(w, y) for w in exts] == [v + shift for v in counts]
