@@ -34,11 +34,11 @@ from .linalg import (
     MatFp,
     VecFp,
     VecQ,
-    columns,
     fp_matmul,
     fp_matvec,
     fp_kernel,
     fp_rank,
+    mult_matrix,
     pval,
 )
 from .numberfield import NFElem, NumberField
@@ -110,9 +110,9 @@ class ExtensionValuation:
             p, table = self.p, self.order.table
             prime = fp_kernel(self.residue_projection, p)
             if prime:
-                stacked = [row for g in prime for row in _mult_matrix(table, g)]
+                stacked = [row for g in prime for row in mult_matrix(table, g)]
                 beta = fp_kernel(stacked, p)[0]
-                self._beta_matrix = _mult_matrix(table, beta)
+                self._beta_matrix = mult_matrix(table, beta)
             else:
                 n = len(table)
                 self._beta_matrix = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -133,20 +133,6 @@ class ExtensionValuation:
 
     def __repr__(self):
         return f"ExtensionValuation(index={self.index}, e={self.e}, f={self.f}, p={self.p})"
-
-
-def _mult_matrix(table: list[list[list[int]]], v: list[int]) -> list[list[int]]:
-    """Matrix of y -> v*y over an order basis with structure constants
-    table: column j is v*b_j = sum_i v_i table[i][j]."""
-    n = len(v)
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        for vi, row in zip(v, table):
-            if vi:
-                col = [c + vi * t for c, t in zip(col, row[j])]
-        cols.append(col)
-    return columns(cols)
 
 
 def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:

@@ -28,6 +28,7 @@ from .linalg import (
     fp_solve,
     fp_vec,
     min_relation,
+    mult_matrix,
 )
 
 
@@ -105,7 +106,7 @@ class FpAlgebra:
 
     def mult_matrix(self, x: VecFp) -> MatFp:
         """Matrix of multiplication by x; column j is x * b_j."""
-        return columns([self.mul(x, self.basis_vector(j)) for j in range(self.dim)])
+        return mult_matrix(self.table, x, self.p)
 
     def inverse(self, x: VecFp) -> VecFp:
         inv = fp_solve(self.mult_matrix(x), self.unit, self.p)
@@ -361,7 +362,7 @@ def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp) -> Component:
 
     table = [[coords(a.mul(chosen[i], chosen[j])) for j in range(d)] for i in range(d)]
     alg = FpAlgebra(a.p, table, coords(unit), validate=False)
-    proj = columns([coords(a.mul(a.basis_vector(j), unit)) for j in range(a.dim)])
+    proj = columns([coords(col) for col in zip(*a.mult_matrix(unit))])
     return Component(idempotent=unit[:], projection=proj, algebra=alg)
 
 

@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over Q and F_p, and Z_(p)-lattice bases.
+"""Exact dense linear algebra over Q, F_p and Z, and Z_(p)-lattice bases.
 
 Matrices are lists of rows; vectors are flat lists. Everything over Q uses
-fractions.Fraction, everything over F_p uses ints reduced into [0, p).
-Sizes here are desk scale (the dimension is the field degree), so plain
-Gaussian elimination is the right tool.
+fractions.Fraction, everything over F_p uses ints reduced into [0, p), and
+integer determinants stay in ints. Sizes here are desk scale (the dimension
+is the field degree), so plain Gaussian elimination is the right tool.
 """
 
 from __future__ import annotations
@@ -36,6 +36,44 @@ def pval(x: Fraction | int, p: int) -> int:
 def columns(vectors: list[list]) -> list[list]:
     """The matrix whose j-th column is vectors[j]."""
     return [list(row) for row in zip(*vectors)]
+
+
+def mult_matrix(table: list[list[list[int]]], v: list[int], p: int | None = None) -> list[list[int]]:
+    """Matrix of y -> v*y over a basis with integer structure constants
+    table[i][j] (the coordinates of b_i b_j): column j is
+    v*b_j = sum_i v_i table[i][j], reduced into [0, p) when p is given."""
+    cols = []
+    for j in range(len(v)):
+        col = [0] * len(v)
+        for vi, row in zip(v, table):
+            if vi:
+                col = [c + vi * t for c, t in zip(col, row[j])]
+        cols.append(col if p is None else [c % p for c in col])
+    return columns(cols)
+
+
+def int_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Cohen, GTM 138, §2.2): every entry it leaves is a minor of
+    m, so each division is exact and no rational is formed.
+    A zero pivot is swapped with a lower row, which flips the sign."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pr is None:
+                return 0
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for i in range(k + 1, n):
+            c = m[i][k]
+            tail = zip(m[i][k + 1 :], top[k + 1 :])
+            m[i] = [0] * (k + 1) + [(pivot * x - c * y) // prev for x, y in tail]
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +291,9 @@ def _exact_div(a, b):
 
 def lattice_coords(basis: list[VecQ], v: VecQ) -> VecQ:
     """Coordinates c of v = sum_k c_k basis[k] by forward substitution, for a
-    basis of the shape lattice_canonical returns (see require_triangular).
+    basis of the shape lattice_canonical returns. The basis must already have
+    passed require_triangular: it is not checked again here, since every
+    caller solves many vectors against one basis.
 
     With Fraction entries the coordinates are rationals. With int entries
     throughout they are ints, and a coordinate outside Z raises ValueError,
@@ -261,7 +301,6 @@ def lattice_coords(basis: list[VecQ], v: VecQ) -> VecQ:
     Zero terms are skipped: most entries of a canonical basis are zero, and
     every Fraction product costs a gcd.
     """
-    require_triangular(basis)
     coords: VecQ = []
     for i, row in enumerate(basis):
         x = v[i]

@@ -4,22 +4,23 @@ Elements are length-n rational coordinate vectors over 1, theta, ...,
 theta^(n-1). A product is a convolution reduced mod f by
 theta^m = theta^(m-n) (theta^n - f), with no division since f is monic;
 the same product gives the integer structure constants of orders. The
-norm of g(theta) is the resultant Res(f, g), and the inverse comes from
-the minimal polynomial, so no multiplication matrix is ever built. An
-element computes its minimal polynomial at most once, and a nonzero
-rational multiple inherits it rescaled, so the probes x^e p^-k of a value
-share one elimination.
+norm is the determinant of the integer matrix of multiplication by a
+denominator-free multiple, and the inverse comes from the minimal
+polynomial. An element computes its minimal polynomial at most once, and
+a nonzero rational multiple inherits it rescaled, so the probes x^e p^-k
+of a value share one elimination.
 Irreducibility of f is assumed, never verified eagerly: any zero divisor
 met during inversion or minimal-polynomial work surfaces as NotIrreducible.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NotIrreducible, ZeroInversion
-from .linalg import min_relation
-from .polynomials import PolyQ, poly_deg, poly_q, poly_resultant
+from .linalg import int_det, min_relation
+from .polynomials import PolyQ, poly_deg, poly_q
 
 
 class NumberField:
@@ -189,8 +190,16 @@ class NFElem:
         return acc * (-1 / mp[0])
 
     def norm(self) -> Fraction:
-        """N(g(theta)) = Res(f, g) for monic f; 0 for a zero divisor."""
-        return poly_resultant(self.field.f, poly_q(self.coords))
+        """N(x) = det(M) / d^n, with d the lcm of the coordinate denominators
+        and M the integer matrix whose column j is d x theta^j; 0 for a zero
+        divisor."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        col = [c.numerator * (d // c.denominator) for c in self.coords]
+        cols = [col]
+        for _ in range(self.field.n - 1):
+            col = self.field._reduce([0] + col)
+            cols.append(col)
+        return Fraction(int_det(cols), d**self.field.n)  # det M^T = det M
 
     def min_poly(self) -> PolyQ:
         """Monic minimal polynomial: the least relation among the powers

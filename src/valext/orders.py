@@ -29,6 +29,7 @@ from .linalg import (
     fp_rref,
     lattice_canonical,
     lattice_coords,
+    mult_matrix,
     pval,
     q_identity,
     require_triangular,
@@ -168,11 +169,7 @@ def ring_of_multipliers(order: Order, ideal: list[list[int]], p: int) -> Order:
     rows_stacked: list[list[int]] = []
     for g in ideal:
         cols = []
-        for row in order.table:
-            prod = [0] * len(g)
-            for gl, t in zip(g, row):
-                if gl:
-                    prod = [s + gl * x for s, x in zip(prod, t)]
+        for prod in zip(*mult_matrix(order.table, g)):
             try:
                 cols.append([x % p for x in lattice_coords(ideal, prod)])
             except ValueError:

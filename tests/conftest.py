@@ -59,6 +59,20 @@ def random_order_element(rng, order, p: int):
 # -- membership, unit and index oracles the tests compare against -----------
 
 
+def poly_rem(f, g) -> list:
+    """Remainder of f on division by g, coefficient lists lowest degree
+    first with g[-1] != 0, by schoolbook division; trailing zeros dropped."""
+    f = [Fraction(c) for c in f]
+    while True:
+        while f and f[-1] == 0:
+            f.pop()
+        if len(f) < len(g):
+            return f
+        c, k = f[-1] / g[-1], len(f) - len(g)
+        for i, gi in enumerate(g):
+            f[k + i] -= c * gi
+
+
 def column_matrix(vectors) -> sympy.Matrix:
     """sympy matrix whose columns are the given rational vectors."""
     return sympy.Matrix([[sympy.Rational(x) for x in v] for v in vectors]).T

@@ -23,7 +23,7 @@ from valext import (
 )
 from valext import extensions as extensions_module
 from valext import orders as orders_module
-from valext.linalg import fp_matvec, fp_rank
+from valext.linalg import columns, fp_matvec, fp_rank, mult_matrix
 
 from conftest import CORPUS, CORPUS_IDS, field_for, idempotents, is_unit, order_for
 
@@ -375,3 +375,18 @@ def test_rational_images_in_components(coeffs, p):
                 assert not any(comp_image)
     p_image = order.coords_mod_p(order.field.from_rational(p), p)
     assert not any(fp_matvec(proj, p_image, p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 7, 10**9 + 7]), st.data())
+def test_mult_matrix_columns_are_products(p, data):
+    """On F_p[t]/(g) for a random monic g, column j of
+    linalg.mult_matrix(table, x, p), and of FpAlgebra.mult_matrix(x), is
+    the product x * b_j that FpAlgebra.mul computes."""
+    d = data.draw(st.integers(1, 6))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    alg = poly_algebra(p, data.draw(coeffs) + [1])
+    x = data.draw(coeffs)
+    products = columns([alg.mul(x, alg.basis_vector(j)) for j in range(d)])
+    assert mult_matrix(alg.table, x, p) == products
+    assert alg.mult_matrix(x) == products

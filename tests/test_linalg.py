@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -15,11 +15,13 @@ from valext.linalg import (
     fp_matvec,
     fp_rank,
     fp_solve,
+    int_det,
     lattice_canonical,
     lattice_coords,
     min_relation,
     pval,
     rep_mod_ppow,
+    require_triangular,
 )
 
 from conftest import canonical_basis, lattice_contains
@@ -334,7 +336,8 @@ def test_lattice_coords_over_z_is_exact():
 @given(lattices_with_coords(), st.data())
 def test_lattice_coords_round_trip(instance, data):
     """lattice_coords inverts v = sum_k c_k basis[k] on canonical bases, and
-    refuses a basis with an entry above the diagonal or a zero pivot."""
+    require_triangular refuses a basis with an entry above the diagonal or a
+    zero pivot, which lattice_coords leaves to its callers."""
     p, basis, c = instance
     n = len(basis)
     assert all(basis[k][k] == Fraction(p) ** pval(basis[k][k], p) for k in range(n))
@@ -344,10 +347,42 @@ def test_lattice_coords_round_trip(instance, data):
     zero_pivot = [col[:] for col in basis]
     zero_pivot[k][k] = Fraction(0)
     with pytest.raises(ValueError):
-        lattice_coords(zero_pivot, v)
+        require_triangular(zero_pivot)
     if n > 1:
         k = data.draw(st.integers(1, n - 1))
         above = [col[:] for col in basis]
         above[k][data.draw(st.integers(0, k - 1))] = Fraction(data.draw(st.integers(1, 9)))
         with pytest.raises(ValueError):
-            lattice_coords(above, v)
+            require_triangular(above)
+
+
+@st.composite
+def int_square_matrices(draw):
+    """A square integer matrix of size 0..6: as drawn, made singular by a
+    last row that combines two others, or with a zero leading entry, which
+    forces a row swap when the first column has another nonzero entry."""
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    m = draw(st.lists(row, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["drawn", "singular", "zero lead"]))
+    if n and kind == "singular":
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[min(1, n - 2)])] if n > 1 else [0]
+    elif n and kind == "zero lead":
+        m[0][0] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(int_square_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # a zero pivot at the second step
+@example([[0, 2], [0, 3]])
+def test_int_det_matches_sympy(m):
+    """int_det is sympy's determinant, an int, and leaves its input alone."""
+    before = [row[:] for row in m]
+    det = int_det(m)
+    assert type(det) is int
+    assert det == sympy.Matrix(len(m), len(m), [x for row in m for x in row]).det()
+    assert m == before

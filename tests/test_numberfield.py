@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valext import NotIrreducible, NumberField, ZeroInversion, discriminant
-from valext.polynomials import poly_q, poly_rem
+from valext.polynomials import poly_q
+
+from conftest import poly_rem
 
 T = sympy.Symbol("t")
 

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from valext import NumberField, Order, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
 from valext import orders
 from valext.errors import NotIrreducible
-from valext.linalg import fp_kernel, lattice_canonical, pval, q_identity
+from valext.linalg import columns, fp_kernel, lattice_canonical, mult_matrix, pval, q_identity
 from valext.orders import ideal_over
-from valext.polynomials import poly_q
 
 from conftest import (
     CORPUS,
@@ -24,6 +23,7 @@ from conftest import (
     lattice_contains,
     order_contains,
     order_for,
+    poly_rem,
 )
 
 GAUSS = NumberField([1, 0, 1])
@@ -68,9 +68,7 @@ def nilpotents_mod_2(field):
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 prod[i + j] += x * y
-        from valext.polynomials import poly_rem
-
-        rem = poly_rem(poly_q(prod), field.f)
+        rem = poly_rem(prod, field.f)
         rem = list(rem) + [Fraction(0)] * (field.n - len(rem))
         return [Fraction(int(c) % 2) for c in rem]
 
@@ -327,6 +325,24 @@ def test_structure_constants_match_sympy(instance, data):
     bigger[k] = [x / p for x in bigger[k]]
     with pytest.raises(ValueError, match="not closed under multiplication"):
         Order(fld, bigger)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(round2_instances(), st.data())
+def test_mult_matrix_over_z_matches_order_products(instance, data):
+    """Column j of linalg.mult_matrix(O.table, v) holds the order
+    coordinates of O.element(v) * b_j, on p-maximal orders that need not be
+    Z[theta]; with p given it is the same matrix mod p."""
+    f, p = instance
+    o = p_maximal_order(NumberField(f), p)
+    n = o.field.n
+    v = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    x = o.element(v)
+    unit_vectors = [[int(i == j) for i in range(n)] for j in range(n)]
+    products = columns([o.coords(x * o.element(e)) for e in unit_vectors])
+    m = mult_matrix(o.table, v)
+    assert m == products
+    assert mult_matrix(o.table, v, p) == [[c % p for c in row] for row in m]
 
 
 @st.composite
