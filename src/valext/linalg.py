@@ -161,7 +161,13 @@ def q_rank(m: MatQ) -> int:
 
 
 def fp_vec(v, p: int) -> VecFp:
-    return [int(x) % p for x in v]
+    """Integer entries (an int, or a Fraction with denominator 1) reduced
+    into [0, p). An entry that int() would change, such as 1/2, raises
+    ValueError: it is refused, not truncated."""
+    ints = [int(x) for x in v]
+    if ints != [*v]:
+        raise ValueError("F_p coordinates must be integers")
+    return [x % p for x in ints]
 
 
 def fp_identity(n: int) -> MatFp:
@@ -225,47 +231,38 @@ def fp_solve(a: MatFp, b: VecFp, p: int) -> VecFp | None:
 # of Z at p. Integers coprime to p are units, so a full-rank lattice has a
 # unique lower-triangular basis with p-power pivots and the entries of each
 # row reduced modulo its pivot. Round 2 reads a triangular basis of each of
-# its lattices off an F_p echelon form, so nothing is eliminated over Z_(p).
+# its lattices off an F_p echelon form, with Z[1/p] entries and p-power
+# pivots, so nothing is eliminated over Z_(p) and the reduction is floor
+# division.
 
 
-def rep_mod_ppow(x: Fraction, p: int, k: int) -> Fraction:
-    """Canonical representative of x modulo p^k Z_(p).
-
-    The representative is p^v * c with v = pval(x) and 0 <= c < p^(k-v),
-    p not dividing c; zero when pval(x) >= k.
-    """
-    if x == 0:
-        return Fraction(0)
-    v = pval(x, p)
-    if v >= k:
-        return Fraction(0)
-    u = x / Fraction(p) ** v
-    mod = p ** (k - v)
-    c = u.numerator * pow(u.denominator, -1, mod) % mod
-    return Fraction(c) * Fraction(p) ** v
+def _is_p_power(n: int, p: int) -> bool:
+    """True iff the nonzero integer n is p^k for some k >= 0."""
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def lattice_canonical(basis: list[VecQ], p: int) -> list[VecQ]:
     """Canonical basis of the Z_(p)-lattice spanned by a lower-triangular
-    basis (see require_triangular; any other basis raises ValueError).
+    basis (see require_triangular) with Z[1/p] entries and pivots p^k,
+    k in Z; any other basis raises ValueError.
 
-    Each column is divided by the unit part of its pivot, so pivots become
-    exact powers of p; then the entries of each column below its pivot are
-    reduced modulo the later pivot powers, in increasing row order, which
-    is stable because a later column vanishes above its own pivot. The
-    result is unique for the lattice, and the map is idempotent.
+    The entries of each column below its pivot are reduced modulo the later
+    pivots by floor division, in increasing row order, which is stable
+    because a later column vanishes above its own pivot. The result is
+    unique for the lattice, and the map is idempotent.
     """
     require_triangular(basis)
-    cols = []
-    for k, col in enumerate(basis):
-        unit = Fraction(col[k]) / Fraction(p) ** pval(col[k], p)
-        cols.append([x / unit for x in col])
-    powers = [pval(col[k], p) for k, col in enumerate(cols)]
+    if not all(_is_p_power(x.denominator, p) for col in basis for x in col) or not all(
+        _is_p_power(col[k].numerator, p) for k, col in enumerate(basis)
+    ):
+        raise ValueError(f"basis needs Z[1/{p}] entries and powers of {p} as pivots")
+    cols = [col[:] for col in basis]
     for bi, col in enumerate(cols):
         for j in range(bi + 1, len(cols)):
-            rep = rep_mod_ppow(col[j], p, powers[j])
-            if col[j] != rep:
-                f = (col[j] - rep) / Fraction(p) ** powers[j]
+            f = col[j] // cols[j][j]
+            if f:
                 for r in range(j, len(col)):
                     col[r] -= f * cols[j][r]
     return cols

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import GammaNotInValueGroup, HypothesisViolation
 from .extensions import ExtensionValuation, residue, value_by_count
-from .linalg import VecFp, fp_rank, fp_solve, q_rank
+from .linalg import VecFp, fp_rank, fp_solve, fp_vec, q_rank
 from .numberfield import NFElem
 from .padic import PAdicValuation
 from .polynomials import format_poly
@@ -39,7 +39,7 @@ def weak_approx(exts: list[ExtensionValuation], targets: list[VecFp]) -> NFElem:
         if len(t) != w.f:
             raise ValueError(f"target for extension {w.index} must have {w.f} coordinates")
         stacked.extend(w.residue_projection)
-        rhs.extend(int(c) % p for c in t)
+        rhs.extend(fp_vec(t, p))
     sol = fp_solve(stacked, rhs, p)
     if sol is None:
         raise AssertionError("stacked residue system is inconsistent")

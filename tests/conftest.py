@@ -6,7 +6,7 @@ from functools import lru_cache
 import sympy
 
 from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order
-from valext.linalg import fp_rank, pval, rep_mod_ppow
+from valext.linalg import fp_rank
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -71,6 +71,35 @@ def poly_rem(f, g) -> list:
         c, k = f[-1] / g[-1], len(f) - len(g)
         for i, gi in enumerate(g):
             f[k + i] -= c * gi
+
+
+def pval(x, p: int) -> int:
+    """p-adic valuation of a nonzero rational, for the oracles below; they
+    share no code with valext.linalg."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("pval of zero")
+    v = 0
+    for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+        while n % p == 0:
+            n //= p
+            v += sign
+    return v
+
+
+def rep_mod_ppow(x, p: int, k: int) -> Fraction:
+    """Canonical representative of x modulo p^k Z_(p), for any rational x
+    (Cohen, GTM 138, §2.4): zero when pval(x) >= k, otherwise p^v c with
+    v = pval(x) and c the unit part x/p^v modulo p^(k-v), in [0, p^(k-v))."""
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(0)
+    v = pval(x, p)
+    if v >= k:
+        return Fraction(0)
+    u = x / Fraction(p) ** v
+    mod = p ** (k - v)
+    return Fraction(u.numerator * pow(u.denominator, -1, mod) % mod) * Fraction(p) ** v
 
 
 def column_matrix(vectors) -> sympy.Matrix:

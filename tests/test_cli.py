@@ -223,6 +223,26 @@ def test_order_command(capsys):
     assert [[Fraction(x) for x in row] for row in data["basis"]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("weak-approx", "--prime", "3", "--poly", "x^2-4", "--targets", "0;1"),
+        ("value", "--prime", "3", "--poly", "x^2-4", "--elem", "a-2"),
+        ("verify", "--prime", "3", "--poly", "x^2-4"),
+        ("verify", "--prime", "2", "--poly", "x^4+4"),
+        ("verify", "--prime", "1000000007", "--poly", "x^8+x+1"),
+    ],
+    ids=["weak-approx-x2-4", "value-x2-4", "verify-x2-4", "verify-x4+4", "verify-x8+x+1"],
+)
+def test_reducible_f_is_refused(capsys, argv):
+    """These commands refuse a reducible f today through zero-divisor and
+    zero-norm checks deep in the pipeline. Only the error type is pinned:
+    the message may come to name a factor."""
+    code, out, err = run_cli(capsys, *argv, "--output", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NotIrreducible"
+
+
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_internal_assertion_is_exit_1_without_traceback(capsys, monkeypatch, output):
     def failing_check(field, p):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -63,6 +64,18 @@ def test_validation_catches_bad_tables():
     for unit in ([1], [1, 0, 0]):  # the table of F_5[t]/(t^2+1), a unit of the wrong length
         with pytest.raises(ValueError):
             FpAlgebra(5, F5_T2P1.table, unit)
+
+
+def test_rational_coordinates_are_refused_not_truncated():
+    """F_p coordinates must be integers. Truncation would make the ideal
+    of 1/2 in F_5[t]/(t^2+1) zero and a unit 6/5 pass as 1, so both are
+    refused; an integral Fraction is the integer it equals."""
+    with pytest.raises(ValueError, match="F_p coordinates must be integers"):
+        AlgIdeal(F5_T2P1, [[Fraction(1, 2), 0]])
+    with pytest.raises(ValueError, match="F_p coordinates must be integers"):
+        FpAlgebra(5, [[[1]]], [Fraction(6, 5)])
+    assert AlgIdeal(F5_T2P1, [[Fraction(5), Fraction(10, 2)]]).dim == 0
+    assert FpAlgebra(5, [[[1]]], [Fraction(6)]).unit == [1]
 
 
 # The instances of test_beyond_corpus, as (coefficients low to high, p).

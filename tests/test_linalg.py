@@ -20,11 +20,10 @@ from valext.linalg import (
     lattice_coords,
     min_relation,
     pval,
-    rep_mod_ppow,
     require_triangular,
 )
 
-from conftest import canonical_basis, lattice_contains
+from conftest import canonical_basis, lattice_contains, rep_mod_ppow
 
 
 def q_mat(rows):
@@ -228,9 +227,20 @@ def test_lattice_canonical_example_p2():
             assert in_lattice2(gens, v, 2) == in_lattice2(basis, v, 2)
 
 
-def test_lattice_unit_scaling_p2():
-    basis = lattice_canonical(q_mat([[3, 0], [0, 1]]), 2)
-    assert basis == q_mat([[1, 0], [0, 1]])
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [[3, 0], [0, 1]],  # pivot 3 is a unit at 2, not a power of 2
+        [[-2, 0], [0, 1]],  # negative pivot
+        [[1, Fraction(1, 3)], [0, 1]],  # 1/3 lies in Z_(2) but not in Z[1/2]
+    ],
+    ids=["unit-pivot", "negative-pivot", "entry-1/3"],
+)
+def test_lattice_canonical_refuses_bases_outside_z_1_over_p(basis):
+    """lattice_canonical normalizes only what Round 2 forms: Z[1/p] entries
+    and pivots p^k. A general Z_(p) basis is refused, not normalized."""
+    with pytest.raises(ValueError, match=r"Z\[1/2\] entries and powers of 2"):
+        lattice_canonical(q_mat(basis), 2)
 
 
 def test_lattice_canonical_idempotent():
@@ -271,17 +281,22 @@ def test_lattice_canonical_refuses_non_triangular_basis(basis):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_lattice_canonical_of_triangular_basis_matches_general_elimination(data):
-    """On a lower-triangular basis with nonzero diagonal and arbitrary
-    rational entries below it, lattice_canonical gives the canonical basis
-    of the general Z_(p) elimination."""
+    """On a lower-triangular basis with pivots p^k, k in -2..3, and Z[1/p]
+    entries below them, lattice_canonical gives the canonical basis of the
+    general Z_(p) elimination, leaves its input alone and fixes its output."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(1, 5))
-    entry = st.fractions(min_value=-p**3, max_value=p**3, max_denominator=p**2)
-    basis = [[Fraction(0)] * k + data.draw(st.lists(entry, min_size=n - k, max_size=n - k))
-             for k in range(n)]
-    for k in range(n):
-        assume(basis[k][k] != 0)
-    assert lattice_canonical(basis, p) == canonical_basis(basis, p)
+    entry = st.builds(lambda a, k: Fraction(a, p**k), st.integers(-p**3, p**3), st.integers(0, 2))
+    basis = [
+        [Fraction(0)] * k + [Fraction(p) ** data.draw(st.integers(-2, 3))]
+        + data.draw(st.lists(entry, min_size=n - k - 1, max_size=n - k - 1))
+        for k in range(n)
+    ]
+    before = [col[:] for col in basis]
+    canonical = lattice_canonical(basis, p)
+    assert basis == before
+    assert canonical == canonical_basis(basis, p)
+    assert lattice_canonical(canonical, p) == canonical
 
 
 def test_lattice_contains():
@@ -292,6 +307,7 @@ def test_lattice_contains():
 
 
 def test_rep_mod_ppow():
+    """The oracle's representative modulo p^k Z_(p), on any rational."""
     assert rep_mod_ppow(Fraction(7), 2, 1) == Fraction(1)
     assert rep_mod_ppow(Fraction(4), 2, 2) == Fraction(0)
     assert rep_mod_ppow(Fraction(1, 3), 5, 1) == Fraction(2)  # 1/3 = 2 mod 5

@@ -345,6 +345,20 @@ def test_mult_matrix_over_z_matches_order_products(instance, data):
     assert mult_matrix(o.table, v, p) == [[c % p for c in row] for row in m]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(round2_instances())
+def test_round2_bases_are_canonical_z_1_over_p_bases(instance):
+    """Every basis Round 2 keeps lies in lattice_canonical's domain, Z[1/p]
+    entries and p-power pivots, and is canonical: the p-maximal order's
+    basis and each prime's basis are fixed by lattice_canonical and equal
+    the canonical basis of the general Z_(p) elimination."""
+    f, p = instance
+    fld = NumberField(f)
+    bases = [p_maximal_order(fld, p).basis] + [w.prime_basis for w in extensions_of(fld, p)]
+    for basis in bases:
+        assert lattice_canonical(basis, p) == basis == canonical_basis(basis, p)
+
+
 @st.composite
 def shortcut_instances(draw):
     """(f, p): f monic irreducible of degree 1..6 (sympy) with small integer

@@ -36,6 +36,16 @@ def test_weak_approx_single_extension():
     assert residue(w, x) == target
 
 
+def test_weak_approx_refuses_rational_targets():
+    """A residue target 1/2 is refused, not truncated to 0; an integral
+    Fraction is the integer it equals."""
+    exts = extensions_for((1, 0, 1), 5)
+    with pytest.raises(ValueError, match="F_p coordinates must be integers"):
+        weak_approx(exts, [[Fraction(1, 2)], [0]])
+    x = weak_approx(exts, [[Fraction(6)], [Fraction(-3)]])
+    assert [residue(w, x) for w in exts] == [[1], [2]]
+
+
 def test_weak_approx_split_example():
     # targets (0, 1): x = 3+theta works under (theta->2, theta->3) since
     # 3+2 = 5 = 0 and 3+3 = 6 = 1 mod 5; any output with these residues is valid
