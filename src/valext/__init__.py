@@ -26,7 +26,6 @@ from .extensions import (
     value_by_count,
 )
 from .fpalgebra import (
-    AlgIdeal,
     Component,
     Decomposition,
     FpAlgebra,
@@ -58,7 +57,6 @@ from .theorems import (
 from .values import INFINITY, Val
 
 __all__ = [
-    "AlgIdeal",
     "CheckReport",
     "Component",
     "Decomposition",

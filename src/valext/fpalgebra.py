@@ -30,6 +30,7 @@ from .linalg import (
     min_relation,
     mult_matrix,
 )
+from .padic import is_prime
 
 
 class FpAlgebra:
@@ -49,6 +50,10 @@ class FpAlgebra:
 
     def _validate(self):
         d = self.dim
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
+        if d == 0:
+            raise ValueError("the zero algebra has no residue field")
         for i in range(d):
             if len(self.table[i]) != d or any(len(v) != d for v in self.table[i]):
                 raise ValueError("structure constant table not cubical")
@@ -127,48 +132,6 @@ class FpAlgebra:
         return f"FpAlgebra(p={self.p}, dim={self.dim})"
 
 
-class AlgIdeal:
-    """Ideal of an FpAlgebra, stored as an echelonized basis."""
-
-    def __init__(self, algebra: FpAlgebra, vectors: list[VecFp]):
-        self.algebra = algebra
-        if any(len(v) != algebra.dim for v in vectors):
-            raise ValueError(f"ideal generators must have length {algebra.dim}")
-        rows = [fp_vec(v, algebra.p) for v in vectors if any(x % algebra.p for x in v)]
-        if rows:
-            rref, pivots = fp_rref(rows, algebra.p)
-            self.basis = rref[: len(pivots)]
-            self.pivots = pivots
-        else:
-            self.basis = []
-            self.pivots = []
-        self._validate()
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def _validate(self):
-        for v in self.basis:
-            for i in range(self.algebra.dim):
-                prod = self.algebra.mul(v, self.algebra.basis_vector(i))
-                if not self.contains(prod):
-                    raise ValueError("not closed under multiplication by the algebra")
-
-    def reduce(self, v: VecFp) -> VecFp:
-        """Canonical coset representative: v minus its ideal part."""
-        p = self.algebra.p
-        v = fp_vec(v, p)
-        for row, pc in zip(self.basis, self.pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
-
-    def contains(self, v: VecFp) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-
 @dataclass
 class Component:
     """One field factor of a decomposed reduced algebra.
@@ -190,7 +153,6 @@ class Component:
 class Decomposition:
     """Orthogonal idempotent decomposition of a reduced algebra into fields."""
 
-    algebra: FpAlgebra
     components: list[Component]
 
 
@@ -205,33 +167,52 @@ def quotient_mod_p(order, p: int) -> FpAlgebra:
     return FpAlgebra(p, table, unit, validate=False)
 
 
-def nilradical(a: FpAlgebra) -> AlgIdeal:
-    """Kernel of the m-fold Frobenius, p^m >= dim: exactly the nilpotents."""
+def nilradical(a: FpAlgebra) -> list[VecFp]:
+    """A basis of the nilpotents: the kernel of F^m, F the Frobenius matrix
+    and p^m >= dim. The nilpotents of a commutative ring form an ideal, so
+    this basis is not checked for closure here; quotient_by checks what it
+    is given."""
     frob = columns([a.pow(a.basis_vector(i), a.p) for i in range(a.dim)])
-    full = fp_matpow(frob, a.frobenius_power(), a.p)
-    return AlgIdeal(a, fp_kernel(full, a.p))
+    return fp_kernel(fp_matpow(frob, a.frobenius_power(), a.p), a.p)
 
 
-def quotient_by(a: FpAlgebra, ideal: AlgIdeal) -> tuple[FpAlgebra, MatFp]:
-    """Quotient algebra and the projection matrix onto it.
+def quotient_by(a: FpAlgebra, gens: list[VecFp]) -> tuple[FpAlgebra, MatFp]:
+    """Quotient by the ideal the generators span, and the projection onto it.
 
-    Coordinates of the quotient are the non-pivot positions of the ideal's
-    echelon basis, so the projection has an obvious section (fill pivots
-    with zero).
+    The one place an ideal enters. Generators of the wrong length or with
+    non-integer entries, and a span not closed under multiplication, raise
+    ValueError; a span holding the unit raises IllegalIdeal. The quotient's
+    coordinates are the non-pivot positions of the span's echelon basis, so
+    the projection has an obvious section (fill pivots with zero). Round 2
+    needs no such check: p_radical hands nilradical's basis, an ideal by
+    construction, straight to ideal_over.
     """
-    if ideal.dim and ideal.contains(a.unit):
+    if any(len(v) != a.dim for v in gens):
+        raise ValueError(f"ideal generators must have length {a.dim}")
+    p = a.p
+    rows, pivots = fp_rref([fp_vec(v, p) for v in gens], p)
+
+    def reduce(v: VecFp) -> VecFp:
+        for row, pc in zip(rows, pivots):
+            if f := v[pc]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return v
+
+    if any(any(reduce(a.mul(v, a.basis_vector(i)))) for v in rows for i in range(a.dim)):
+        raise ValueError("not closed under multiplication by the algebra")
+    if not any(reduce(a.unit)):
         raise IllegalIdeal("ideal contains the unit")
-    free = [c for c in range(a.dim) if c not in ideal.pivots]
+    free = [c for c in range(a.dim) if c not in pivots]
 
     def qcoords(v: VecFp) -> VecFp:
-        red = ideal.reduce(v)
+        red = reduce(v)
         return [red[c] for c in free]
 
     reps = [a.basis_vector(c) for c in free]
     table = [[qcoords(a.mul(r1, r2)) for r2 in reps] for r1 in reps]
     unit = qcoords(a.unit)
     proj = columns([qcoords(a.basis_vector(j)) for j in range(a.dim)])
-    return FpAlgebra(a.p, table, unit, validate=False), proj
+    return FpAlgebra(p, table, unit, validate=False), proj
 
 
 def _span_coords(a: FpAlgebra, basis: MatFp, pivots: list[int], v: VecFp) -> VecFp:
@@ -297,12 +278,12 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
     back sorted by projection matrix, so their order depends only on the
     algebra, not on which z the search found.
     """
-    if nilradical(a).dim != 0:
+    if nilradical(a):
         raise NotReduced("algebra has nonzero nilpotents")
     components: list[Component] = []
     _split_factor(a, a.unit[:], fp_identity(a.dim), list(range(a.dim)), components)
     components.sort(key=lambda c: c.projection)
-    return Decomposition(a, components)
+    return Decomposition(components)
 
 
 def _split_factor(

@@ -150,7 +150,7 @@ def ideal_over(order: Order, vectors: list[list[int]], p: int) -> list[list[int]
 
 def p_radical(order: Order, p: int) -> list[list[int]]:
     """Preimage in the order of the nilradical of O/pO, as ideal_over gives it."""
-    return ideal_over(order, nilradical(quotient_mod_p(order, p)).basis, p)
+    return ideal_over(order, nilradical(quotient_mod_p(order, p)), p)
 
 
 def ring_of_multipliers(order: Order, ideal: list[list[int]], p: int) -> Order:

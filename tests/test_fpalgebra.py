@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valext import (
-    AlgIdeal,
     FpAlgebra,
     IllegalIdeal,
     NotReduced,
@@ -66,15 +65,29 @@ def test_validation_catches_bad_tables():
             FpAlgebra(5, F5_T2P1.table, unit)
 
 
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_validation_refuses_composite_modulus(p):
+    """Z/15[t]/(t^2+1) is F_9 x F_5 x F_5, not a field, and the splitting
+    search assumes a field of scalars, so a composite modulus is refused."""
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        poly_algebra(p, [1, 0, 1])
+
+
+def test_validation_refuses_zero_algebra():
+    with pytest.raises(ValueError, match="zero algebra"):
+        FpAlgebra(5, [], [])
+
+
 def test_rational_coordinates_are_refused_not_truncated():
     """F_p coordinates must be integers. Truncation would make the ideal
     of 1/2 in F_5[t]/(t^2+1) zero and a unit 6/5 pass as 1, so both are
-    refused; an integral Fraction is the integer it equals."""
+    refused; an integral Fraction is the integer it equals, here the
+    generator 0 of the zero ideal."""
     with pytest.raises(ValueError, match="F_p coordinates must be integers"):
-        AlgIdeal(F5_T2P1, [[Fraction(1, 2), 0]])
+        quotient_by(F5_T2P1, [[Fraction(1, 2), 0]])
     with pytest.raises(ValueError, match="F_p coordinates must be integers"):
         FpAlgebra(5, [[[1]]], [Fraction(6, 5)])
-    assert AlgIdeal(F5_T2P1, [[Fraction(5), Fraction(10, 2)]]).dim == 0
+    assert quotient_by(F5_T2P1, [[Fraction(5), Fraction(10, 2)]])[0].dim == 2
     assert FpAlgebra(5, [[[1]]], [Fraction(6)]).unit == [1]
 
 
@@ -133,22 +146,22 @@ def test_quotient_mod_p_dedekind_is_split():
 
 
 def test_nilradical_semisimple_is_zero():
-    assert nilradical(F5_T2P1).dim == 0
+    assert nilradical(F5_T2P1) == []
 
 
 def test_nilradical_of_double_root():
     nil = nilradical(F2_T2P1)
-    assert nil.dim == 1
-    assert nil.contains([1, 1])  # t+1, since (t+1)^2 = 0
-    assert not nil.contains([1, 0])
+    assert len(nil) == 1
+    assert fp_rank(nil + [[1, 1]], 2) == 1  # t+1, since (t+1)^2 = 0
+    assert fp_rank(nil + [[1, 0]], 2) == 2
 
 
 def test_nilradical_of_field_is_zero():
-    assert nilradical(F7_T2P1).dim == 0
+    assert nilradical(F7_T2P1) == []
 
 
 def test_quotient_by_zero_ideal_is_isomorphic():
-    q, proj = quotient_by(F5_T2P1, AlgIdeal(F5_T2P1, []))
+    q, proj = quotient_by(F5_T2P1, [])
     assert q.dim == 2
     assert fp_matvec(proj, [3, 4], 5) == [3, 4]
 
@@ -161,16 +174,21 @@ def test_quotient_by_radical_of_double_root():
     assert fp_matvec(proj, [0, 1], 2) == fp_matvec(proj, [1, 0], 2)
 
 
-def test_alg_ideal_rejects_generators_of_wrong_length():
+def test_quotient_by_rejects_generators_of_wrong_length():
     for gens in ([[1, 2, 3]], [[1]], [[1, 0], [0]]):
-        with pytest.raises(ValueError):
-            AlgIdeal(F5_T2P1, gens)
+        with pytest.raises(ValueError, match="must have length 2"):
+            quotient_by(F5_T2P1, gens)
+
+
+def test_quotient_by_rejects_a_span_that_is_no_ideal():
+    """t spans a line of F_5[t]/(t^2+1), but t * t = -1 leaves it."""
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        quotient_by(F5_T2P1, [[0, 1]])
 
 
 def test_quotient_by_whole_algebra_rejected():
-    whole = AlgIdeal(F5_T2P1, [[1, 0], [0, 1]])
     with pytest.raises(IllegalIdeal):
-        quotient_by(F5_T2P1, whole)
+        quotient_by(F5_T2P1, [[1, 0], [0, 1]])
 
 
 def test_is_unit():
@@ -267,7 +285,7 @@ def test_split_matches_factorisation_oracle(case):
 
 def test_decomposition_invariants():
     for alg in (F5_T2P1, F7_T2P1, poly_algebra(3, [2, 0, 0, 1])):
-        if nilradical(alg).dim != 0:
+        if nilradical(alg):
             continue
         dec = split_reduced(alg)
         idems = idempotents(dec)
@@ -343,7 +361,7 @@ def test_lift_of_unit_is_unit():
 def test_reduced_quotient_has_no_nilpotents(coeffs, p):
     alg = quotient_mod_p(order_for(coeffs, p), p)
     red, _ = quotient_by(alg, nilradical(alg))
-    assert nilradical(red).dim == 0
+    assert nilradical(red) == []
     # exhaustive for small cases, randomized otherwise
     if red.p ** red.dim <= 700:
         for v in itertools.product(range(red.p), repeat=red.dim):
