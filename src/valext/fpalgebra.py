@@ -37,21 +37,27 @@ class FpAlgebra:
     """Commutative unital F_p-algebra given by structure constants.
 
     table[i][j] is the coordinate vector of b_i * b_j; unit is the
-    coordinate vector of 1.
+    coordinate vector of 1. With validate (the default) the modulus is
+    checked to be prime, every coordinate is reduced into [0, p), and the
+    table is checked to be commutative, associative and unital. Without it,
+    as the quotients below build their algebras, table and unit are kept as
+    given and must already be reduced.
     """
 
     def __init__(self, p: int, table: list[list[VecFp]], unit: VecFp, validate: bool = True):
         self.p = p
         self.dim = len(table)
-        self.table = [[fp_vec(v, p) for v in row] for row in table]
-        self.unit = fp_vec(unit, p)
+        self.table = table
+        self.unit = unit
         if validate:
             self._validate()
 
     def _validate(self):
-        d = self.dim
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        d, p = self.dim, self.p
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.table = [[fp_vec(v, p) for v in row] for row in self.table]
+        self.unit = fp_vec(self.unit, p)
         if d == 0:
             raise ValueError("the zero algebra has no residue field")
         for i in range(d):

@@ -9,10 +9,19 @@ comparison and certify sum(e_i f_i) <= [L:Q] by an explicit independent set.
 Every value here is counted with the anti-uniformizer of its extension's
 prime (extensions.value_by_count), not found by the reverse-induction walk;
 the residues that check_min_formula needs still come from the walk.
+
+The approximation lemma prescribes values only, so its element matters only
+modulo terms of larger value, and the fundamental-inequality proof uses no
+more than that. approx_element therefore returns its element reduced modulo
+p^N O, N = floor(gamma) + 1 (for gamma >= 0, its coordinates over the
+p-maximal order lie in [0, p^N)): without the reduction its rationals grow
+with every inversion, and verify carries them through every norm and value
+it computes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -55,6 +64,13 @@ def approx_element(
     corrects the other extensions with weak-approximation elements a, b and
     the scaling constant c = p^(2 e gamma): the result is c y^(1-2e) with
     y = x + b c (a x)^(1-2e).
+
+    The lemma fixes x only up to terms of larger value, so x is returned
+    reduced modulo p^N O, N = floor(gamma) + 1: an error of value >= N > gamma
+    changes no value that the lemma prescribes. With k = max(0, -floor(gamma)),
+    p^k x lies in O (its values are >= gamma + k >= 0); each of its order
+    coordinates, in Z_(p), is replaced by its residue in [0, p^(N+k)), and
+    the result is divided by p^k again.
     """
     gamma = Fraction(gamma)
     w1 = exts[target]
@@ -91,7 +107,14 @@ def approx_element(
     e_ord = gamma.denominator
     c = Fraction(w1.p) ** int(2 * e_ord * gamma)
     y = x0 + b * c * (a * x0) ** (1 - 2 * e_ord)
-    return y ** (1 - 2 * e_ord) * c
+    x = y ** (1 - 2 * e_ord) * c
+
+    floor = math.floor(gamma)
+    k = max(0, -floor)
+    mod = w1.p ** (floor + 1 + k)
+    coords = w1.order.coords(x * Fraction(w1.p**k))
+    reduced = w1.order.element([q.numerator * pow(q.denominator, -1, mod) % mod for q in coords])
+    return reduced * Fraction(1, w1.p**k)
 
 
 def _element_of_value(w1: ExtensionValuation, gamma: Fraction) -> NFElem:

@@ -65,12 +65,14 @@ def test_validation_catches_bad_tables():
             FpAlgebra(5, F5_T2P1.table, unit)
 
 
-@pytest.mark.parametrize("p", [4, 9, 15])
+@pytest.mark.parametrize("p", [0, 4, 9, 15])
 def test_validation_refuses_composite_modulus(p):
     """Z/15[t]/(t^2+1) is F_9 x F_5 x F_5, not a field, and the splitting
-    search assumes a field of scalars, so a composite modulus is refused."""
+    search assumes a field of scalars, so a composite modulus is refused.
+    The modulus is checked before any coordinate is reduced by it, so p = 0
+    is refused the same way, not with a ZeroDivisionError."""
     with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
-        poly_algebra(p, [1, 0, 1])
+        FpAlgebra(p, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], [1, 0])
 
 
 def test_validation_refuses_zero_algebra():

@@ -291,9 +291,16 @@ def round2_instances(draw):
     coefficients, p in {2, 3, 5, 7}. Half the draws are p^n g((x - c)/p)
     with 0 <= c < p, where (theta - c)/p is integral, so p divides the index
     of Z[theta] once n >= 2; c = 0 gives a diagonal p-maximal order, other
-    c give entries below the diagonal."""
-    g = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8)) + [1]
+    c give entries below the diagonal. About one draw in four is instead an
+    Eisenstein x^n + p u(x) with n > p: totally ramified with e = n > p,
+    where the radical of O/pO has nilpotency index above p."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(p + 1, 8))
+        u = [draw(st.integers(1, p - 1))] + draw(
+            st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+        return [p * c for c in u] + [1], p
+    g = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8)) + [1]
     assume(sympy.Poly(g[::-1], sympy.Symbol("t")).is_irreducible)
     if draw(st.booleans()):
         g = shifted_scaling(g, p, draw(st.integers(0, p - 1)))

@@ -1,24 +1,30 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valext import (
     GammaNotInValueGroup,
     HypothesisViolation,
     INFINITY,
+    NumberField,
     Val,
     approx_element,
     build_ef_basis,
     check_fundamental,
     check_min_formula,
+    extensions_of,
     residue,
     value,
     weak_approx,
 )
 
 from conftest import CORPUS, CORPUS_IDS, extensions_for, field_for, order_contains, order_for
+from test_orders import round2_instances
 
 
 def test_weak_approx_zero_targets():
@@ -91,6 +97,17 @@ def test_approx_ramified_half():
     assert value(exts[0], x) == Val(Fraction(1, 2))
 
 
+def assert_reduced(w, x, gamma):
+    """x is reduced modulo p^N O, N = floor(gamma) + 1: with k = max(0,
+    -floor(gamma)), the order coordinates of p^k x are integers in
+    [0, p^(N+k))."""
+    floor = math.floor(gamma)
+    k = max(0, -floor)
+    bound = w.p ** (floor + 1 + k)
+    for c in w.order.coords(x * Fraction(w.p**k)):
+        assert c.denominator == 1 and 0 <= c < bound
+
+
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)
 def test_approx_postconditions(coeffs, p):
     exts = extensions_for(coeffs, p)
@@ -103,6 +120,28 @@ def test_approx_postconditions(coeffs, p):
             for i, other in enumerate(exts):
                 if i != ti:
                     assert value(other, x) > Val(gamma)
+            assert_reduced(w, x, gamma)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(round2_instances(), st.data())
+def test_approx_element_is_reduced_and_walk_agrees(instance, data):
+    """On Round-2 instances, wild ramification included, approx_element's
+    reduced element has value gamma at the target and more elsewhere, read
+    by the reverse-induction walk (value), which shares no code with the
+    anti-uniformizer count that approx_element itself uses. gamma ranges over
+    (1/e)Z in [-2, 2], negative and integral values included."""
+    f, p = instance
+    exts = extensions_of(NumberField(f), p)
+    ti = data.draw(st.integers(0, len(exts) - 1))
+    w = exts[ti]
+    gamma = Fraction(data.draw(st.sampled_from(range(-2 * w.e, 2 * w.e + 1))), w.e)
+    x = approx_element(exts, ti, gamma)
+    assert value(w, x) == Val(gamma)
+    for other in exts:
+        if other is not w:
+            assert value(other, x) > Val(gamma)
+    assert_reduced(w, x, gamma)
 
 
 def test_check_min_formula_single_term():
