@@ -12,7 +12,6 @@ from .errors import (
     NotReduced,
     ValExtError,
     ZeroElement,
-    ZeroInversion,
 )
 from .events import recording
 from .extensions import (
@@ -79,7 +78,6 @@ __all__ = [
     "Val",
     "ValExtError",
     "ZeroElement",
-    "ZeroInversion",
     "approx_element",
     "build_ef_basis",
     "check_fundamental",

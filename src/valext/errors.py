@@ -10,10 +10,6 @@ class ValExtError(Exception):
     """Base class for mathematical errors."""
 
 
-class ZeroInversion(ValExtError):
-    """Inverse of zero requested."""
-
-
 class NotIrreducible(ValExtError):
     """The defining polynomial turned out to be reducible over Q."""
 

@@ -70,8 +70,10 @@ class ExtensionValuation:
 
     Values of nonzero elements lie in (1/e)Z; the residue field is the
     field component of the reduced quotient, reached through
-    residue_projection applied to O/pO coordinates. The anti-uniformizer
-    that value_by_count steps with is built on its first use.
+    residue_projection applied to O/pO coordinates. idempotent is w's
+    idempotent of O/pO in order coordinates: 1 at w's prime and 0 at every
+    other prime over p. The anti-uniformizer that value_by_count steps with
+    is built on its first use.
     """
 
     def __init__(
@@ -85,6 +87,7 @@ class ExtensionValuation:
         residue_algebra: FpAlgebra,
         residue_projection: MatFp,
         prime_basis: list[VecQ],
+        idempotent: VecFp,
     ):
         self.index = index
         self.e = e
@@ -95,6 +98,7 @@ class ExtensionValuation:
         self.residue_algebra = residue_algebra
         self.residue_projection = residue_projection
         self.prime_basis = prime_basis
+        self.idempotent = idempotent
         self._beta_matrix: list[list[int]] | None = None
 
     def anti_uniformizer_matrix(self) -> list[list[int]]:
@@ -166,6 +170,7 @@ def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
                 residue_algebra=comp.algebra,
                 residue_projection=resproj,
                 prime_basis=prime,
+                idempotent=idem,
             )
         )
     if total_local != alg.dim:

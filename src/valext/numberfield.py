@@ -5,12 +5,12 @@ theta^(n-1). A product is a convolution reduced mod f by
 theta^m = theta^(m-n) (theta^n - f), with no division since f is monic;
 the same product gives the integer structure constants of orders. The
 norm is the determinant of the integer matrix of multiplication by a
-denominator-free multiple, and the inverse comes from the minimal
-polynomial. An element computes its minimal polynomial at most once, and
-a nonzero rational multiple inherits it rescaled, so the probes x^e p^-k
-of a value share one elimination.
-Irreducibility of f is assumed, never verified eagerly: any zero divisor
-met during inversion or minimal-polynomial work surfaces as NotIrreducible.
+denominator-free multiple. An element computes its norm and its minimal
+polynomial at most once each, and a nonzero rational multiple inherits
+both rescaled, so the probes x^e p^-k of a value share one elimination.
+No inverse is formed: the library never divides one element by another.
+Irreducibility of f is assumed, never verified eagerly: a zero divisor met
+during value or position work surfaces as NotIrreducible.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotIrreducible, ZeroInversion
 from .linalg import int_det, min_relation
 from .polynomials import PolyQ, poly_deg, poly_q
 
@@ -95,12 +94,13 @@ class NumberField:
 class NFElem:
     """Element of a NumberField as power-basis coordinates."""
 
-    __slots__ = ("field", "coords", "_min_poly")
+    __slots__ = ("field", "coords", "_min_poly", "_norm")
 
     def __init__(self, field: NumberField, coords: list[Fraction]):
         self.field = field
         self.coords = coords
         self._min_poly: PolyQ | None = None
+        self._norm: Fraction | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -139,6 +139,8 @@ class NFElem:
                 # are monic of degree d, and no lower relation exists for q*x.
                 d = len(mp) - 1
                 out._min_poly = [c * q ** (d - i) for i, c in enumerate(mp)]
+            if self._norm is not None:
+                out._norm = self._norm * q**self.field.n
             return out
         other = self._coerce(other)
         return NFElem(self.field, self.field._mul(self.coords, other.coords))
@@ -149,14 +151,9 @@ class NFElem:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return self * self._coerce(other).inv()
-
     def __pow__(self, e: int):
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError("negative powers are not supported")
         result = self.field.one()
         base = self
         while e:
@@ -174,32 +171,19 @@ class NFElem:
     def __hash__(self):
         return hash(tuple(self.coords))
 
-    def inv(self) -> "NFElem":
-        """Inverse from the minimal polynomial c_0 + c_1 x + ... + x^d:
-        x^-1 = -(c_1 + c_2 x + ... + x^(d-1)) / c_0 by Horner. c_0 = 0
-        exactly when self is a zero divisor, which for nonzero self means
-        f is reducible."""
-        if self.is_zero:
-            raise ZeroInversion("cannot invert 0")
-        mp = self.min_poly()
-        if mp[0] == 0:
-            raise NotIrreducible("nonzero zero divisor found: defining polynomial is reducible")
-        acc = self.field.one()
-        for c in reversed(mp[1:-1]):
-            acc = acc * self + c
-        return acc * (-1 / mp[0])
-
     def norm(self) -> Fraction:
         """N(x) = det(M) / d^n, with d the lcm of the coordinate denominators
         and M the integer matrix whose column j is d x theta^j; 0 for a zero
-        divisor."""
-        d = math.lcm(*(c.denominator for c in self.coords))
-        col = [c.numerator * (d // c.denominator) for c in self.coords]
-        cols = [col]
-        for _ in range(self.field.n - 1):
-            col = self.field._reduce([0] + col)
-            cols.append(col)
-        return Fraction(int_det(cols), d**self.field.n)  # det M^T = det M
+        divisor. It is computed once per element."""
+        if self._norm is None:
+            d = math.lcm(*(c.denominator for c in self.coords))
+            col = [c.numerator * (d // c.denominator) for c in self.coords]
+            cols = [col]
+            for _ in range(self.field.n - 1):
+                col = self.field._reduce([0] + col)
+                cols.append(col)
+            self._norm = Fraction(int_det(cols), d**self.field.n)  # det M^T = det M
+        return self._norm
 
     def min_poly(self) -> PolyQ:
         """Monic minimal polynomial: the least relation among the powers

@@ -12,11 +12,12 @@ the residues that check_min_formula needs still come from the walk.
 
 The approximation lemma prescribes values only, so its element matters only
 modulo terms of larger value, and the fundamental-inequality proof uses no
-more than that. approx_element therefore returns its element reduced modulo
-p^N O, N = floor(gamma) + 1 (for gamma >= 0, its coordinates over the
-p-maximal order lie in [0, p^N)): without the reduction its rationals grow
-with every inversion, and verify carries them through every norm and value
-it computes.
+more than that. approx_element therefore builds its element in O/p^M O, in
+integers over the order's structure constants, by the idempotent form of
+the approximation theorem (Neukirch, ANT II.3.4): a power of a uniformizer
+times the extension's idempotent, lifted from O/pO by Newton iteration.
+No inverse and no rational is formed, and for gamma >= 0 the coordinates
+over the p-maximal order lie in [0, p^N), N = floor(gamma) + 1.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .errors import GammaNotInValueGroup, HypothesisViolation
 from .extensions import ExtensionValuation, residue, value_by_count
-from .linalg import VecFp, fp_rank, fp_solve, fp_vec, q_rank
+from .linalg import VecFp, fp_rank, fp_solve, fp_vec, mult_matrix, q_rank
 from .numberfield import NFElem
 from .padic import PAdicValuation
 from .polynomials import format_poly
@@ -60,17 +61,13 @@ def approx_element(
 ) -> NFElem:
     """Element x with w_target(x) = gamma and w_i(x) > gamma elsewhere.
 
-    Starts from a power of a minimal-value prime-basis element, then
-    corrects the other extensions with weak-approximation elements a, b and
-    the scaling constant c = p^(2 e gamma): the result is c y^(1-2e) with
-    y = x + b c (a x)^(1-2e).
-
-    The lemma fixes x only up to terms of larger value, so x is returned
-    reduced modulo p^N O, N = floor(gamma) + 1: an error of value >= N > gamma
-    changes no value that the lemma prescribes. With k = max(0, -floor(gamma)),
-    p^k x lies in O (its values are >= gamma + k >= 0); each of its order
-    coordinates, in Z_(p), is replaced by its residue in [0, p^(N+k)), and
-    the result is divided by p^k again.
+    With N = floor(gamma) + 1, k = max(0, -floor(gamma)) and M = N + k,
+    x = p^-k (eps g^(e(gamma+k)) mod p^M O), for eps the target's idempotent
+    lifted to O/p^M O and g a uniformizer of its prime. eps is 1 at the
+    target's prime, so w_target(x) = gamma; it is 0 mod p^M at every other
+    prime, so w_i(x) >= M - k = N > gamma there. Reducing modulo p^M O
+    changes no value below M; the order coordinates of p^k x are integers
+    in [0, p^M).
     """
     gamma = Fraction(gamma)
     w1 = exts[target]
@@ -78,55 +75,55 @@ def approx_element(
         raise GammaNotInValueGroup(
             f"gamma = {gamma} is not in (1/{w1.e})Z"
         )
-    others = [w for i, w in enumerate(exts) if i != target]
-
-    x0 = _element_of_value(w1, gamma)
-    values_x0 = {w.index: value_by_count(w, x0) for w in others}
-
-    def unit_target(w: ExtensionValuation) -> VecFp:
-        return list(w.residue_algebra.unit)
-
-    def zero_target(w: ExtensionValuation) -> VecFp:
-        return w.residue_algebra.zero()
-
-    a_targets = []
-    b_targets = []
-    for w in exts:
-        if w is w1:
-            a_targets.append(unit_target(w))
-            b_targets.append(zero_target(w))
-        elif values_x0[w.index] >= gamma:
-            a_targets.append(zero_target(w))
-            b_targets.append(unit_target(w))
-        else:
-            a_targets.append(unit_target(w))
-            b_targets.append(unit_target(w))
-    a = weak_approx(exts, a_targets)
-    b = weak_approx(exts, b_targets)
-
-    e_ord = gamma.denominator
-    c = Fraction(w1.p) ** int(2 * e_ord * gamma)
-    y = x0 + b * c * (a * x0) ** (1 - 2 * e_ord)
-    x = y ** (1 - 2 * e_ord) * c
-
     floor = math.floor(gamma)
     k = max(0, -floor)
     mod = w1.p ** (floor + 1 + k)
-    coords = w1.order.coords(x * Fraction(w1.p**k))
-    reduced = w1.order.element([q.numerator * pow(q.denominator, -1, mod) % mod for q in coords])
-    return reduced * Fraction(1, w1.p**k)
+    table = w1.order.table
+    x = _idempotent_mod(w1, mod)
+    g = _uniformizer_mod(w1, mod)
+    m = int(w1.e * (gamma + k))
+    while m:
+        if m & 1:
+            x = _mul_mod(table, x, g, mod)
+        m >>= 1
+        if m:
+            g = _mul_mod(table, g, g, mod)
+    return w1.order.element(x) * Fraction(1, w1.p**k)
 
 
-def _element_of_value(w1: ExtensionValuation, gamma: Fraction) -> NFElem:
-    """Some x with w1(x) = gamma: a 1/e-valued prime-basis element raised to
-    the e*gamma power. The minimal basis value is exactly 1/e because every
-    lattice element dominates the basis minimum and a uniformizer lies in P."""
-    fld = w1.field
-    target_val = Val(Fraction(1, w1.e))
-    for vec in w1.prime_basis:
-        g = fld.element(vec)
-        if value_by_count(w1, g) == target_val:
-            return g ** int(w1.e * gamma)
+def _mul_mod(table: list[list[list[int]]], x: list[int], y: list[int], mod: int) -> list[int]:
+    """x*y modulo mod O, for integer order coordinates x and y."""
+    return [sum(r * c for r, c in zip(row, y)) % mod for row in mult_matrix(table, x, mod)]
+
+
+def _idempotent_mod(w: ExtensionValuation, mod: int) -> list[int]:
+    """w's idempotent of O/pO lifted to O/mod O, for mod a power of p.
+
+    eps <- 3 eps^2 - 2 eps^3 squares the modulus to which eps^2 = eps holds
+    (Cohen, GTM 138, §3.5), so precision p^(2^j) reaches mod in
+    log2(log_p(mod)) steps.
+    """
+    table = w.order.table
+    eps, prec = w.idempotent, w.p
+    while prec < mod:
+        prec = min(prec * prec, mod)
+        sq = _mul_mod(table, eps, eps, prec)
+        cube = _mul_mod(table, sq, eps, prec)
+        eps = [(3 * s - 2 * c) % prec for s, c in zip(sq, cube)]
+    if _mul_mod(table, eps, eps, mod) != eps:
+        raise AssertionError("lifted idempotent is not idempotent modulo p^M")
+    return eps
+
+
+def _uniformizer_mod(w: ExtensionValuation, mod: int) -> list[int]:
+    """Order coordinates, reduced modulo mod, of a prime-basis element of
+    value 1/e. The minimal basis value is exactly 1/e because every lattice
+    element dominates the basis minimum and a uniformizer lies in P."""
+    target_val = Val(Fraction(1, w.e))
+    for vec in w.prime_basis:
+        g = w.field.element(vec)
+        if value_by_count(w, g) == target_val:
+            return [c.numerator * pow(c.denominator, -1, mod) % mod for c in w.order.coords(g)]
     raise AssertionError("prime basis has no element of minimal positive value")
 
 

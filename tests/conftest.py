@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import sympy
 
-from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order
+from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order, value, weak_approx
 from valext.linalg import fp_rank
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
@@ -54,6 +54,44 @@ def random_order_element(rng, order, p: int):
     """Element of the order with coordinates in Z (hence in Z_(p))."""
     coords = [rng.randint(-p * 3, p * 3) for _ in range(order.field.n)]
     return order.element(coords)
+
+
+def inverse(x):
+    """x^-1 from the minimal polynomial c_0 + c_1 t + ... + t^d of a nonzero
+    x: x^-1 = -(c_1 + c_2 x + ... + x^(d-1)) / c_0, by Horner."""
+    mp = x.min_poly()
+    assert mp[0] != 0, "nonzero zero divisor: the defining polynomial is reducible"
+    acc = x.field.one()
+    for c in reversed(mp[1:-1]):
+        acc = acc * x + c
+    return acc * (-1 / mp[0])
+
+
+def power(x, k: int):
+    """x^k for any integer k, through inverse for k < 0."""
+    return inverse(x) ** -k if k < 0 else x**k
+
+
+def paper_approx_element(exts, target: int, gamma: Fraction):
+    """The approximation lemma's element as the paper constructs it, over Q
+    and unreduced: with x0 = g^(e gamma) for a prime-basis element g of
+    value 1/e, weak-approximation elements a (a unit wherever x0 may fall
+    short of gamma) and b (zero at the target, a unit where x0 already
+    reaches gamma), c = p^(2 d gamma) and d the denominator of gamma, it is
+    c y^(1-2d) for y = x0 + b c (a x0)^(1-2d). Values come from the walk."""
+    w1 = exts[target]
+    fld = w1.field
+    g = next(g for g in map(fld.element, w1.prime_basis) if value(w1, g) == Val(Fraction(1, w1.e)))
+    x0 = power(g, int(w1.e * gamma))
+    unit = [list(w.residue_algebra.unit) for w in exts]
+    zero = [w.residue_algebra.zero() for w in exts]
+    at_gamma = [w is not w1 and value(w, x0) >= Val(gamma) for w in exts]
+    a = weak_approx(exts, [zero[i] if hit else unit[i] for i, hit in enumerate(at_gamma)])
+    b = weak_approx(exts, [zero[i] if w is w1 else unit[i] for i, w in enumerate(exts)])
+    d = gamma.denominator
+    c = Fraction(w1.p) ** int(2 * d * gamma)
+    y = x0 + b * c * power(a * x0, 1 - 2 * d)
+    return power(y, 1 - 2 * d) * c
 
 
 # -- membership, unit and index oracles the tests compare against -----------

@@ -22,8 +22,17 @@ from valext import (
     value,
     weak_approx,
 )
+from valext.theorems import _idempotent_mod
 
-from conftest import CORPUS, CORPUS_IDS, extensions_for, field_for, order_contains, order_for
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    extensions_for,
+    field_for,
+    order_contains,
+    order_for,
+    paper_approx_element,
+)
 from test_orders import round2_instances
 
 
@@ -127,21 +136,53 @@ def test_approx_postconditions(coeffs, p):
 @given(round2_instances(), st.data())
 def test_approx_element_is_reduced_and_walk_agrees(instance, data):
     """On Round-2 instances, wild ramification included, approx_element's
-    reduced element has value gamma at the target and more elsewhere, read
-    by the reverse-induction walk (value), which shares no code with the
-    anti-uniformizer count that approx_element itself uses. gamma ranges over
-    (1/e)Z in [-2, 2], negative and integral values included."""
+    reduced element and the paper's own construction c y^(1-2d)
+    (conftest.paper_approx_element, over Q with inverses) both have value
+    gamma at the target and more elsewhere, read by the reverse-induction
+    walk (value), which shares no code with the anti-uniformizer count.
+    gamma ranges over (1/e)Z in [-2, 2], negative and integral values
+    included."""
     f, p = instance
     exts = extensions_of(NumberField(f), p)
     ti = data.draw(st.integers(0, len(exts) - 1))
     w = exts[ti]
     gamma = Fraction(data.draw(st.sampled_from(range(-2 * w.e, 2 * w.e + 1))), w.e)
     x = approx_element(exts, ti, gamma)
-    assert value(w, x) == Val(gamma)
-    for other in exts:
-        if other is not w:
-            assert value(other, x) > Val(gamma)
     assert_reduced(w, x, gamma)
+    for y in (x, paper_approx_element(exts, ti, gamma)):
+        assert value(w, y) == Val(gamma)
+        for other in exts:
+            if other is not w:
+                assert value(other, y) > Val(gamma)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(round2_instances(), st.integers(1, 5))
+def test_lifted_idempotents_modulo_p_power(instance, big_m):
+    """The idempotents that approx_element lifts to O/p^M O lift the stored
+    ones of O/pO and are a complete orthogonal set there: eps_i^2 = eps_i,
+    eps_i eps_j = 0 for i != j, and sum eps_i = 1. Products are taken in the
+    field and read back through order coordinates, not the structure table."""
+    f, p = instance
+    exts = extensions_of(NumberField(f), p)
+    order = exts[0].order
+    mod = p**big_m
+
+    def reduced(x):
+        coords = order.coords(x)
+        assert all(c.denominator % p for c in coords)
+        return [c.numerator * pow(c.denominator, -1, mod) % mod for c in coords]
+
+    eps = []
+    for w in exts:
+        lifted = _idempotent_mod(w, mod)
+        assert [c % p for c in lifted] == w.idempotent
+        eps.append(order.element(lifted))
+    for i, a in enumerate(eps):
+        assert reduced(a * a) == reduced(a)
+        for b in eps[:i]:
+            assert not any(reduced(a * b))
+    assert reduced(sum(eps, order.field.zero())) == reduced(order.field.one())
 
 
 def test_check_min_formula_single_term():
