@@ -5,7 +5,6 @@ the approximation lemma, and the fundamental inequality.
 
 from .errors import (
     GammaNotInValueGroup,
-    HypothesisViolation,
     IllegalIdeal,
     NegativeValue,
     NotIrreducible,
@@ -43,14 +42,13 @@ from .orders import (
     p_radical,
     ring_of_multipliers,
 )
-from .padic import PAdicValuation, is_prime
+from .padic import is_prime
 from .theorems import (
     CheckReport,
     EfBasis,
     approx_element,
     build_ef_basis,
     check_fundamental,
-    check_min_formula,
     weak_approx,
 )
 from .values import INFINITY, Val
@@ -63,7 +61,6 @@ __all__ = [
     "ExtensionValuation",
     "FpAlgebra",
     "GammaNotInValueGroup",
-    "HypothesisViolation",
     "INFINITY",
     "IllegalIdeal",
     "NFElem",
@@ -72,7 +69,6 @@ __all__ = [
     "NotReduced",
     "NumberField",
     "Order",
-    "PAdicValuation",
     "Position",
     "PositionKind",
     "Val",
@@ -81,7 +77,6 @@ __all__ = [
     "approx_element",
     "build_ef_basis",
     "check_fundamental",
-    "check_min_formula",
     "decide_position",
     "discriminant",
     "equation_order",

@@ -32,7 +32,3 @@ class NotReduced(ValExtError):
 
 class GammaNotInValueGroup(ValExtError):
     """Target value does not lie in the value group of the extension."""
-
-
-class HypothesisViolation(ValExtError):
-    """Inputs fail the stated hypotheses of the formula being checked."""

@@ -10,8 +10,9 @@ value_by_count is a second, independent route to w(x) that uses the prime
 P directly: it counts how often x can be multiplied by beta/p, for an
 anti-uniformizer beta of P, and stay in the order (Cohen, GTM 138, Alg.
 4.8.17). It needs no minimal polynomial and no search, and it is what the
-theorems layer and the approx command use; the value and residue commands
-keep the walk, whose CASE steps they trace.
+theorems layer and the approx command use; approx_element builds its
+elements with the same step. The value and residue commands keep the walk,
+whose CASE steps they trace.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class ExtensionValuation:
     field component of the reduced quotient, reached through
     residue_projection applied to O/pO coordinates. idempotent is w's
     idempotent of O/pO in order coordinates: 1 at w's prime and 0 at every
-    other prime over p. The anti-uniformizer that value_by_count steps with
-    is built on its first use.
+    other prime over p. The anti-uniformizer beta that value_by_count counts
+    with, and that approx_element steps down the value group with, is built
+    on its first use.
     """
 
     def __init__(
@@ -121,6 +123,16 @@ class ExtensionValuation:
                 n = len(table)
                 self._beta_matrix = [[int(i == j) for j in range(n)] for i in range(n)]
         return self._beta_matrix
+
+    def times_beta_over_p(self, y: list[int], mod: int) -> list[int] | None:
+        """Order coordinates of y*beta/p modulo mod/p, for y in O given by
+        its coordinates modulo mod, a power of p; None when y*beta is not in
+        pO, that is when y*beta/p leaves O."""
+        p = self.p
+        z = [sum(r * c for r, c in zip(row, y)) % mod for row in self.anti_uniformizer_matrix()]
+        if any(c % p for c in z):
+            return None
+        return [c // p for c in z]
 
     def residue_of_integral(self, x: NFElem) -> VecFp:
         """Residue-field image of an element of the p-maximal order."""
@@ -297,12 +309,10 @@ def value_by_count(w: ExtensionValuation, x: NFElem) -> Val:
     mod = p ** (bound + 1)
     scaled = [c * p**a for c in coords]
     y = [c.numerator * pow(c.denominator, -1, mod) % mod for c in scaled]
-    m = w.anti_uniformizer_matrix()
     for steps in range(bound + 1):
-        y = [sum(r * c for r, c in zip(row, y)) % mod for row in m]
-        if any(c % p for c in y):
+        y = w.times_beta_over_p(y, mod)
+        if y is None:
             return Val(Fraction(steps - e * a, e))
-        y = [c // p for c in y]
         mod //= p
     raise AssertionError("anti-uniformizer count passed the norm bound")
 

@@ -1,13 +1,6 @@
-"""The base valued field (Q, v_p): an exact primality test and v_p itself,
-normalized so v_p(p) = 1, making the value group exactly Z.
-"""
+"""The exact primality test that admits p as the prime of (Q, v_p)."""
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .linalg import pval
-from .values import INFINITY, Val
 
 
 # The least strong pseudoprime to every base in _MR_BASES (Sorenson and
@@ -46,26 +39,3 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
-
-class PAdicValuation:
-    """v_p on Q with valuation ring Z_(p) and residue field F_p."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    def value(self, q) -> Val:
-        q = Fraction(q)
-        if q == 0:
-            return INFINITY
-        return Val(pval(q, self.p))
-
-    def __repr__(self):
-        return f"PAdicValuation({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PAdicValuation) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PAdicValuation", self.p))

@@ -2,22 +2,23 @@
 
 weak_approx prescribes all residues at once through the product isomorphism
 of the reduced quotient; approx_element realizes a prescribed value at one
-extension while staying strictly above it at the others; check_min_formula
-and check_fundamental verify the min-value formulas with exact rational
-comparison and certify sum(e_i f_i) <= [L:Q] by an explicit independent set.
+extension while staying strictly above it at the others; check_fundamental
+verifies the min-value formula of the fundamental inequality with exact
+rational comparison and certifies sum(e_i f_i) <= [L:Q] by an explicit
+independent set.
 
-Every value here is counted with the anti-uniformizer of its extension's
-prime (extensions.value_by_count), not found by the reverse-induction walk;
-the residues that check_min_formula needs still come from the walk.
+Every value here is counted with the anti-uniformizer beta of its
+extension's prime (extensions.value_by_count), not found by the
+reverse-induction walk.
 
 The approximation lemma prescribes values only, so its element matters only
 modulo terms of larger value, and the fundamental-inequality proof uses no
 more than that. approx_element therefore builds its element in O/p^M O, in
 integers over the order's structure constants, by the idempotent form of
-the approximation theorem (Neukirch, ANT II.3.4): a power of a uniformizer
-times the extension's idempotent, lifted from O/pO by Newton iteration.
-No inverse and no rational is formed, and for gamma >= 0 the coordinates
-over the p-maximal order lie in [0, p^N), N = floor(gamma) + 1.
+the approximation theorem (Neukirch, ANT II.3.4): a power of p and of
+beta/p times the extension's idempotent, lifted from O/pO by Newton
+iteration. No inverse and no rational is formed, and for gamma >= 0 the
+coordinates over the p-maximal order lie in [0, p^N), N = floor(gamma) + 1.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import GammaNotInValueGroup, HypothesisViolation
-from .extensions import ExtensionValuation, residue, value_by_count
-from .linalg import VecFp, fp_rank, fp_solve, fp_vec, mult_matrix, q_rank
+from .errors import GammaNotInValueGroup
+from .extensions import ExtensionValuation, value_by_count
+from .linalg import VecFp, fp_solve, fp_vec, mult_matrix, pval, q_rank
 from .numberfield import NFElem
-from .padic import PAdicValuation
 from .polynomials import format_poly
 from .values import INFINITY, Val
 
@@ -61,34 +61,34 @@ def approx_element(
 ) -> NFElem:
     """Element x with w_target(x) = gamma and w_i(x) > gamma elsewhere.
 
-    With N = floor(gamma) + 1, k = max(0, -floor(gamma)) and M = N + k,
-    x = p^-k (eps g^(e(gamma+k)) mod p^M O), for eps the target's idempotent
-    lifted to O/p^M O and g a uniformizer of its prime. eps is 1 at the
-    target's prime, so w_target(x) = gamma; it is 0 mod p^M at every other
-    prime, so w_i(x) >= M - k = N > gamma there. Reducing modulo p^M O
-    changes no value below M; the order coordinates of p^k x are integers
-    in [0, p^M).
+    With N = floor(gamma) + 1, k = max(0, -floor(gamma)), M = N + k,
+    m = e(gamma + k), a = ceil(m/e) and b = a e - m, so 0 <= b < e,
+    x = p^-k ((beta/p)^b p^a eps mod p^M O), for eps the target's idempotent
+    lifted to O/p^(M+b) O and beta the anti-uniformizer of its prime. At
+    that prime beta/p has value -1/e and eps is 1, so w_target(x) = gamma.
+    beta/p is integral at every other prime, where eps is 0 mod p^(M+b), so
+    w_i(x) >= M - k = N > gamma there. Reducing modulo p^M O changes no
+    value below M; the order coordinates of p^k x are integers in [0, p^M).
     """
     gamma = Fraction(gamma)
     w1 = exts[target]
-    if w1.e % gamma.denominator:
-        raise GammaNotInValueGroup(
-            f"gamma = {gamma} is not in (1/{w1.e})Z"
-        )
+    p, e = w1.p, w1.e
+    if e % gamma.denominator:
+        raise GammaNotInValueGroup(f"gamma = {gamma} is not in (1/{e})Z")
     floor = math.floor(gamma)
     k = max(0, -floor)
-    mod = w1.p ** (floor + 1 + k)
-    table = w1.order.table
-    x = _idempotent_mod(w1, mod)
-    g = _uniformizer_mod(w1, mod)
-    m = int(w1.e * (gamma + k))
-    while m:
-        if m & 1:
-            x = _mul_mod(table, x, g, mod)
-        m >>= 1
-        if m:
-            g = _mul_mod(table, g, g, mod)
-    return w1.order.element(x) * Fraction(1, w1.p**k)
+    m = int(e * (gamma + k))
+    a = -(-m // e)
+    b = a * e - m
+    # Each step by beta/p loses one power of p from the modulus.
+    mod = p ** (floor + 1 + k + b)
+    x = [c * p**a % mod for c in _idempotent_mod(w1, mod)]
+    for _ in range(b):
+        x = w1.times_beta_over_p(x, mod)
+        if x is None:
+            raise AssertionError("a step by beta/p left the order")
+        mod //= p
+    return w1.order.element(x) * Fraction(1, p**k)
 
 
 def _mul_mod(table: list[list[list[int]]], x: list[int], y: list[int], mod: int) -> list[int]:
@@ -115,68 +115,14 @@ def _idempotent_mod(w: ExtensionValuation, mod: int) -> list[int]:
     return eps
 
 
-def _uniformizer_mod(w: ExtensionValuation, mod: int) -> list[int]:
-    """Order coordinates, reduced modulo mod, of a prime-basis element of
-    value 1/e. The minimal basis value is exactly 1/e because every lattice
-    element dominates the basis minimum and a uniformizer lies in P."""
-    target_val = Val(Fraction(1, w.e))
-    for vec in w.prime_basis:
-        g = w.field.element(vec)
-        if value_by_count(w, g) == target_val:
-            return [c.numerator * pow(c.denominator, -1, mod) % mod for c in w.order.coords(g)]
-    raise AssertionError("prime basis has no element of minimal positive value")
-
-
-def check_min_formula(
-    w: ExtensionValuation,
-    a: list[NFElem],
-    b: list[NFElem],
-    c: list[list[Fraction]],
-) -> tuple[Val, Val, bool]:
-    """Single-valuation min formula: w(sum c_ij a_i b_j) against the
-    termwise minimum. Hypotheses are checked and violations raised."""
-    if len(c) != len(a) or any(len(row) != len(b) for row in c):
-        raise ValueError("coefficient matrix shape must be len(a) x len(b)")
-    residues = []
-    for ai in a:
-        if value_by_count(w, ai) != Val(0):
-            raise HypothesisViolation("a-elements must be units of the valuation ring")
-        residues.append(residue(w, ai))
-    if fp_rank(residues, w.p) != len(a):
-        raise HypothesisViolation("a-residues must be linearly independent")
-    bvals = []
-    for bj in b:
-        if bj.is_zero:
-            raise HypothesisViolation("b-elements must be nonzero")
-        bvals.append(value_by_count(w, bj))
-    for i in range(len(bvals)):
-        for j in range(i):
-            if (bvals[i].q - bvals[j].q).denominator == 1:
-                raise HypothesisViolation("b-values must be in distinct classes mod Z")
-
-    total = w.field.zero()
-    rhs = INFINITY
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            cij = Fraction(c[i][j])
-            if cij == 0:
-                continue
-            term = ai * bj * cij
-            total = total + term
-            rhs = min(rhs, value_by_count(w, term))
-    lhs = value_by_count(w, total)
-    return lhs, rhs, lhs == rhs
-
-
 @dataclass
 class EfBasis:
-    """Residue lifts a[i][j] and value representatives b[i][k] per extension,
-    satisfying the cross-extension hypotheses of the min-value theorem."""
+    """Residue lifts a[i][j] and value representatives b[i][k], of value
+    k/e_i, per extension, satisfying the cross-extension hypotheses of the
+    min-value theorem."""
 
-    exts: list[ExtensionValuation]
     a: list[list[NFElem]]
     b: list[list[NFElem]]
-    b_values: list[list[Val]]
 
 
 def build_ef_basis(exts: list[ExtensionValuation]) -> EfBasis:
@@ -184,7 +130,6 @@ def build_ef_basis(exts: list[ExtensionValuation]) -> EfBasis:
     weak approximation (a-side) and the approximation lemma (b-side)."""
     a_all = []
     b_all = []
-    b_values = []
     for i, w in enumerate(exts):
         a_i = []
         for j in range(w.f):
@@ -198,18 +143,14 @@ def build_ef_basis(exts: list[ExtensionValuation]) -> EfBasis:
             a_i.append(x)
         a_all.append(a_i)
         b_i = []
-        v_i = []
         for k in range(w.e):
             gamma = Fraction(k, w.e)
             x = approx_element(exts, i, gamma)
-            got = value_by_count(w, x)
-            if got != Val(gamma):
+            if value_by_count(w, x) != Val(gamma):
                 raise AssertionError("value representative has the wrong value")
             b_i.append(x)
-            v_i.append(got)
         b_all.append(b_i)
-        b_values.append(v_i)
-    return EfBasis(exts=exts, a=a_all, b=b_all, b_values=b_values)
+    return EfBasis(a=a_all, b=b_all)
 
 
 @dataclass
@@ -271,7 +212,6 @@ def check_fundamental(
     K-linear independence of the products a_ij b_ik; failures are recorded
     in the report rather than raised."""
     basis = build_ef_basis(exts)
-    vp = PAdicValuation(exts[0].p)
     fld = exts[0].field
     sum_ef = sum(w.e * w.f for w in exts)
 
@@ -305,7 +245,7 @@ def check_fundamental(
                     cj.append(cval)
                     if cval != 0:
                         total = total + basis.a[i][j] * basis.b[i][k] * cval
-                        rhs = min(rhs, vp.value(cval) + basis.b_values[i][k])
+                        rhs = min(rhs, Val(pval(cval, w.p) + Fraction(k, w.e)))
                 ci.append(cj)
             coeffs.append(ci)
         lhs = min(value_by_count(w, total) for w in exts)

@@ -18,13 +18,6 @@ class Val:
     def __init__(self, q: Fraction | int | None):
         self._q = None if q is None else Fraction(q)
 
-    @property
-    def q(self) -> Fraction:
-        """The finite value; raises on infinity."""
-        if self._q is None:
-            raise ValueError("infinite value has no rational part")
-        return self._q
-
     def __add__(self, other) -> "Val":
         other = _coerce(other)
         if self._q is None or other._q is None:

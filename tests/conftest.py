@@ -228,3 +228,8 @@ def parse_val(s: str):
     """Inverse of str(Val): a reduced rational "m/e", or "inf"."""
     s = s.strip()
     return INFINITY if s == "inf" else Val(Fraction(s))
+
+
+def rational(v) -> Fraction:
+    """The rational of a finite Val, read off its str; ValueError on inf."""
+    return Fraction(str(v))

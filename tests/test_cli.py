@@ -381,7 +381,7 @@ GOLDEN = {
     # + 1, so w_2(x) may be any value > gamma; the lemma fixes only w_1(x).
     "approx": (
         ["approx", "--prime", "5", "--poly", "x^2+1", "--extension", "1", "--gamma", "2"],
-        "x = 25*a + 50\nw_1(x) = 2\nw_2(x) = 3\n",
+        "x = 100*a + 75\nw_1(x) = 2\nw_2(x) = 4\n",
     ),
     "weak-approx": (
         ["weak-approx", "--prime", "5", "--poly", "x^2+1", "--targets", "3;1"],
@@ -482,7 +482,7 @@ GOLDEN = {
         "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
-        "x = 25*a + 50\nw_1(x) = 2\nw_2(x) = 3\n",
+        "x = 100*a + 75\nw_1(x) = 2\nw_2(x) = 4\n",
     ),
     "verify-trace": (
         ["verify", "--prime", "23", "--poly", "x^3-x-1", "--trials", "2", "--trace"],

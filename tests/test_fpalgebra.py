@@ -11,7 +11,6 @@ from valext import (
     IllegalIdeal,
     NotReduced,
     NumberField,
-    PAdicValuation,
     equation_order,
     extensions_of,
     lift_idempotents,
@@ -391,7 +390,6 @@ def test_dimension_bound_and_sums(coeffs, p):
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)
 def test_rational_images_in_components(coeffs, p):
     """Units of Z_(p) stay nonzero in every field component; p vanishes."""
-    vp = PAdicValuation(p)
     order = order_for(coeffs, p)
     alg = quotient_mod_p(order, p)
     nil = nilradical(alg)

@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valext import INFINITY, PAdicValuation, Val, is_prime
+from valext import INFINITY, Val, is_prime
+from valext.linalg import pval
 from valext.padic import PRIME_BOUND
 
 
@@ -49,32 +50,27 @@ def test_is_prime_matches_sympy(n):
 def test_is_prime_refuses_beyond_bound():
     with pytest.raises(ValueError):
         is_prime(PRIME_BOUND)
-    with pytest.raises(ValueError):
-        PAdicValuation(PRIME_BOUND + 2)
-
-
-def test_rejects_composite():
-    with pytest.raises(ValueError):
-        PAdicValuation(6)
 
 
 def test_value_examples():
-    v2 = PAdicValuation(2)
-    assert v2.value(0) == INFINITY
-    assert v2.value(1) == Val(0)
-    assert v2.value(Fraction(3, 10)) == Val(-1)
-    v5 = PAdicValuation(5)
-    assert v5.value(Fraction(50)) == Val(2)
-    assert v5.value(Fraction(1, 25)) == Val(-2)
+    with pytest.raises(ValueError):
+        pval(0, 2)
+    assert pval(1, 2) == 0
+    assert pval(Fraction(3, 10), 2) == -1
+    assert pval(Fraction(50), 5) == 2
+    assert pval(Fraction(1, 25), 5) == -2
 
 
 def test_value_axioms_randomized():
+    """pval, with pval(0) = inf, is a valuation on Q."""
+
+    def vp(q, p):
+        return INFINITY if q == 0 else Val(pval(q, p))
+
     rng = random.Random(0)
     for p in (2, 5, 13):
-        vp = PAdicValuation(p)
         for _ in range(100):
             x = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             y = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            assert vp.value(x * y) == vp.value(x) + vp.value(y)
-            assert vp.value(x + y) >= min(vp.value(x), vp.value(y))
-
+            assert vp(x * y, p) == vp(x, p) + vp(y, p)
+            assert vp(x + y, p) >= min(vp(x, p), vp(y, p))

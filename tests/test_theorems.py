@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 from valext import (
     GammaNotInValueGroup,
-    HypothesisViolation,
-    INFINITY,
     NumberField,
     Val,
     approx_element,
     build_ef_basis,
     check_fundamental,
-    check_min_formula,
     extensions_of,
     residue,
     value,
+    value_by_count,
     weak_approx,
 )
 from valext.theorems import _idempotent_mod
@@ -32,6 +30,7 @@ from conftest import (
     order_contains,
     order_for,
     paper_approx_element,
+    rational,
 )
 from test_orders import round2_instances
 
@@ -122,8 +121,9 @@ def test_approx_postconditions(coeffs, p):
     exts = extensions_for(coeffs, p)
     for ti, w in enumerate(exts):
         e1 = w.e
-        gammas = [Fraction(-2, e1), Fraction(-1, e1), Fraction(0), Fraction(1, e1), Fraction(2, e1), Fraction(1)]
-        for gamma in gammas:
+        # gamma = m/e for m in [-2e, 3e): every step count b = ceil(m/e) e - m
+        # in [0, e), and p-power exponents a = ceil(gamma + k) up to 3
+        for gamma in (Fraction(m, e1) for m in range(-2 * e1, 3 * e1)):
             x = approx_element(exts, ti, gamma)
             assert value(w, x) == Val(gamma)
             for i, other in enumerate(exts):
@@ -185,61 +185,6 @@ def test_lifted_idempotents_modulo_p_power(instance, big_m):
     assert reduced(sum(eps, order.field.zero())) == reduced(order.field.one())
 
 
-def test_check_min_formula_single_term():
-    exts = extensions_for((1, 0, 1), 5)
-    w = exts[0]
-    fld = field_for((1, 0, 1))
-    one = fld.one()
-    for c in [Fraction(5), Fraction(1), Fraction(3, 5)]:
-        lhs, rhs, ok = check_min_formula(w, [one], [one], [[c]])
-        assert ok
-        assert lhs == rhs
-        vp_c = Val(0) if c == 1 else lhs
-        assert lhs == value(w, fld.from_rational(c))
-
-
-def test_check_min_formula_ramified_example():
-    # a = {1}, b = {1, 1+theta}, c = (2, 1): both sides are 1/2
-    fld = field_for((1, 0, 1))
-    w = extensions_for((1, 0, 1), 2)[0]
-    lhs, rhs, ok = check_min_formula(
-        w, [fld.one()], [fld.one(), fld.element([1, 1])], [[Fraction(2), Fraction(1)]]
-    )
-    assert ok
-    assert lhs == Val(Fraction(1, 2))
-    assert rhs == Val(Fraction(1, 2))
-
-
-def test_check_min_formula_inert_example():
-    # a = {1, theta}, b = {1}, c = (7, 1)^T: both sides are 0
-    fld = field_for((1, 0, 1))
-    w = extensions_for((1, 0, 1), 7)[0]
-    lhs, rhs, ok = check_min_formula(
-        w, [fld.one(), fld.from_poly([0, 1])], [fld.one()], [[Fraction(7)], [Fraction(1)]]
-    )
-    assert ok
-    assert lhs == Val(0)
-    assert rhs == Val(0)
-
-
-def test_check_min_formula_all_zero_coefficients():
-    fld = field_for((1, 0, 1))
-    w = extensions_for((1, 0, 1), 5)[0]
-    lhs, rhs, ok = check_min_formula(w, [fld.one()], [fld.one()], [[Fraction(0)]])
-    assert ok and lhs == INFINITY and rhs == INFINITY
-
-
-def test_check_min_formula_hypothesis_violations():
-    fld = field_for((1, 0, 1))
-    w = extensions_for((1, 0, 1), 5)[0]
-    with pytest.raises(HypothesisViolation):
-        check_min_formula(w, [fld.from_rational(5)], [fld.one()], [[Fraction(1)]])
-    with pytest.raises(HypothesisViolation):
-        check_min_formula(w, [fld.one()], [fld.one(), fld.from_rational(5)], [[1, 1]])
-    with pytest.raises(HypothesisViolation):
-        check_min_formula(w, [fld.one(), fld.one()], [fld.one()], [[1], [1]])
-
-
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)
 def test_ef_basis_invariants(coeffs, p):
     exts = extensions_for(coeffs, p)
@@ -262,7 +207,7 @@ def test_ef_basis_invariants(coeffs, p):
         for k, b in enumerate(basis.b[i]):
             v = value(w, b)
             assert v == Val(Fraction(k, w.e))
-            seen.add(v.q - int(v.q))
+            seen.add(rational(v) % 1)
             for i2, other in enumerate(exts):
                 if i2 != i:
                     assert value(other, b) >= v
@@ -275,13 +220,14 @@ def test_ef_basis_split_example():
     basis = build_ef_basis(exts)
     assert [len(a) for a in basis.a] == [1, 1]
     assert [len(b) for b in basis.b] == [1, 1]
-    assert [[str(v) for v in vs] for vs in basis.b_values] == [["0"], ["0"]]
+    got = [[str(value_by_count(w, b)) for b in bs] for w, bs in zip(exts, basis.b)]
+    assert got == [["0"], ["0"]]
 
 
 def test_ef_basis_ramified_has_half_integer_representative():
     exts = extensions_for((1, 0, 1), 2)
     basis = build_ef_basis(exts)
-    assert [str(v) for v in basis.b_values[0]] == ["0", "1/2"]
+    assert [str(value_by_count(exts[0], b)) for b in basis.b[0]] == ["0", "1/2"]
 
 
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)

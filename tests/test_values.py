@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from valext import INFINITY, Val
 from conftest import parse_val
 
@@ -44,12 +42,6 @@ def test_str_parse_round_trip():
         assert parse_val(str(v)) == v
     assert str(INFINITY) == "inf"
     assert str(Val(Fraction(2, 4))) == "1/2"
-
-
-def test_q_accessor():
-    assert Val(Fraction(1, 2)).q == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        INFINITY.q
 
 
 def test_rational_arithmetic_is_exact():
