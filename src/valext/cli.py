@@ -249,6 +249,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
     if args.command == "weak-approx":
         targets = _parse_targets(args.targets, exts, parser)
         x = weak_approx(exts, targets)
+        # The walk, not residue_of_integral: it refuses a zero divisor of a reducible f.
         residues = [residue(w, x) for w in exts]
         estr = format_element(x)
         payload = {

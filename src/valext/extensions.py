@@ -4,15 +4,14 @@ extensions_of runs the pipeline p-maximal order -> O/pO -> reduced quotient
 -> field decomposition -> lifted idempotents and reads off one extension per
 field component. decide_position classifies an element against one
 extension's valuation ring by reverse induction on its minimal polynomial
-relation; value and residue are recovered from it exactly.
+relation (the walk); residue is read off its witness.
 
-value_by_count is a second, independent route to w(x) that uses the prime
-P directly: it counts how often x can be multiplied by beta/p, for an
-anti-uniformizer beta of P, and stay in the order (Cohen, GTM 138, Alg.
-4.8.17). It needs no minimal polynomial and no search, and it is what the
-theorems layer and the approx command use; approx_element builds its
-elements with the same step. The value and residue commands keep the walk,
-whose CASE steps they trace.
+Values use the prime P directly: for x in O, e*w(x) is how often x can be
+multiplied by beta/p, for an anti-uniformizer beta of P, and stay in O
+(Cohen, GTM 138, Alg. 4.8.17). value_by_count returns that count, and is
+what the theorems layer and the approx command use; approx_element builds
+its elements with the same step. value certifies the count with one walk,
+whose CASE steps the value command traces.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class ExtensionValuation:
     field component of the reduced quotient, reached through
     residue_projection applied to O/pO coordinates. idempotent is w's
     idempotent of O/pO in order coordinates: 1 at w's prime and 0 at every
-    other prime over p. The anti-uniformizer beta that value_by_count counts
+    other prime over p. The anti-uniformizer beta that values are counted
     with, and that approx_element steps down the value group with, is built
     on its first use.
     """
@@ -243,49 +242,32 @@ def decide_position(x: NFElem, w: ExtensionValuation) -> Position:
 def value(w: ExtensionValuation, x: NFElem) -> Val:
     """w(x) as an exact rational with denominator dividing e.
 
-    m = e*w(x) is the largest integer k with x^e p^(-k) still in the
-    valuation ring; it is found by binary search inside norm-derived bounds.
-    The minimal polynomial of x^e is computed once, and each probe
-    x^e p^(-k) inherits it rescaled instead of eliminating again.
+    The anti-uniformizer count gives m = e*w(x), and one walk certifies it:
+    decide_position(x^e p^(-m)) must say UNIT, that is w(x^e p^(-m)) = 0,
+    or AssertionError is raised. The minimal polynomial of x^e is computed
+    first, so x^e p^(-m), a rational multiple, inherits it rescaled; with
+    e = 1 it is x's own, shared by every extension that values x.
     """
     if x.is_zero:
         return INFINITY
-    e = w.e
-    norm = x.norm()
-    if norm == 0:
-        raise NotIrreducible("nonzero element has zero norm")
-    # x*d is integral for d the lcm of the coordinate denominators, and
-    # v_p(d) = vden, so -vden <= w(x) <= v_p(N(x*d)) = v_p(N(x)) + n*vden.
-    vden = max(pval(c.denominator, w.p) for c in x.coords)
-    lo = -e * vden
-    hi = e * (pval(norm, w.p) + x.field.n * vden)
-    # With e = 1 the relation is x's own, shared by every extension that
-    # values x; every probe below inherits it.
-    xe = x if e == 1 else x**e
+    m = _count(w, x)
+    xe = x if w.e == 1 else x**w.e
     xe.min_poly()
-    pfrac = Fraction(w.p)
-
-    def nonneg(k: int) -> bool:
-        probe = xe * pfrac**-k
-        return decide_position(probe, w).kind is not PositionKind.OUTSIDE
-
-    if not nonneg(lo):
-        raise AssertionError("lower search bound is not in the valuation ring")
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if nonneg(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    m = lo
-    final = decide_position(xe * pfrac**-m, w)
-    if final.kind is not PositionKind.UNIT:
-        raise AssertionError("binary search did not land on a unit")
-    return Val(Fraction(m, e))
+    if decide_position(xe * Fraction(w.p) ** -m, w).kind is not PositionKind.UNIT:
+        raise AssertionError("the walk does not certify the anti-uniformizer count")
+    return Val(Fraction(m, w.e))
 
 
 def value_by_count(w: ExtensionValuation, x: NFElem) -> Val:
-    """w(x) by counting steps with the anti-uniformizer beta of w's prime.
+    """w(x) by the anti-uniformizer count alone, with no walk."""
+    if x.is_zero:
+        return INFINITY
+    return Val(Fraction(_count(w, x), w.e))
+
+
+def _count(w: ExtensionValuation, x: NFElem) -> int:
+    """e*w(x) for nonzero x, by counting steps with the anti-uniformizer
+    beta of w's prime.
 
     v_P(beta/p) = -1 and beta/p is integral at every other prime over p, so
     for y in O, e*w(y) is the number of steps y <- y*beta/p that stay in O.
@@ -297,8 +279,6 @@ def value_by_count(w: ExtensionValuation, x: NFElem) -> Val:
     p^(bound+1), so the coordinates are kept reduced modulo it, and each
     step loses one power of p.
     """
-    if x.is_zero:
-        return INFINITY
     norm = x.norm()
     if norm == 0:
         raise NotIrreducible("nonzero element has zero norm")
@@ -312,7 +292,7 @@ def value_by_count(w: ExtensionValuation, x: NFElem) -> Val:
     for steps in range(bound + 1):
         y = w.times_beta_over_p(y, mod)
         if y is None:
-            return Val(Fraction(steps - e * a, e))
+            return steps - e * a
         mod //= p
     raise AssertionError("anti-uniformizer count passed the norm bound")
 

@@ -6,8 +6,9 @@ theta^m = theta^(m-n) (theta^n - f), with no division since f is monic;
 the same product gives the integer structure constants of orders. The
 norm is the determinant of the integer matrix of multiplication by a
 denominator-free multiple. An element computes its norm and its minimal
-polynomial at most once each, and a nonzero rational multiple inherits
-both rescaled, so the probes x^e p^-k of a value share one elimination.
+polynomial at most once each, and a nonzero rational multiple inherits the
+relation rescaled, so the walk that certifies a value at x^e p^-m reuses
+the elimination of x^e.
 No inverse is formed: the library never divides one element by another.
 Irreducibility of f is assumed, never verified eagerly: a zero divisor met
 during value or position work surfaces as NotIrreducible.
@@ -139,8 +140,6 @@ class NFElem:
                 # are monic of degree d, and no lower relation exists for q*x.
                 d = len(mp) - 1
                 out._min_poly = [c * q ** (d - i) for i, c in enumerate(mp)]
-            if self._norm is not None:
-                out._norm = self._norm * q**self.field.n
             return out
         other = self._coerce(other)
         return NFElem(self.field, self.field._mul(self.coords, other.coords))

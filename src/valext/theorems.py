@@ -8,8 +8,8 @@ rational comparison and certifies sum(e_i f_i) <= [L:Q] by an explicit
 independent set.
 
 Every value here is counted with the anti-uniformizer beta of its
-extension's prime (extensions.value_by_count), not found by the
-reverse-induction walk.
+extension's prime (extensions.value_by_count), without the walk that
+certifies the count in extensions.value.
 
 The approximation lemma prescribes values only, so its element matters only
 modulo terms of larger value, and the fundamental-inequality proof uses no

@@ -407,33 +407,17 @@ GOLDEN = {
         "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
-        "CASE1{j=3}\n"
         "CASE3{j=3}\n"
         "CASE1{j=2}\n"
-        "CASE3{j=3}\n"
-        "CASE1{j=2}\n"
-        "CASE1{j=3}\n"
-        "CASE2{j=3}\n"
         "CASE1{j=3}\n"
         "w_1(-a - 1/2) = 1\n"
         "w_2(-a - 1/2) = 0\n",
     ),
-    # Ramified extensions: value probes x^e p^-k with e = 5, and e = 1 and 2.
+    # Ramified extensions: the walk that certifies a value runs on x^e p^-m,
+    # with e = 5, and with e = 1 and 2.
     "value-trace-totally-ramified": (
         ["value", "--prime", "5", "--poly", "x^5-5", "--elem", "a^2+5", "--trace"],
         "LIFT{iteration=1}\n"
-        "CASE1{j=6}\n"
-        "CASE3{j=6}\n"
-        "CASE3{j=5}\n"
-        "CASE3{j=4}\n"
-        "CASE3{j=3}\n"
-        "CASE2{j=2}\n"
-        "CASE1{j=6}\n"
-        "CASE3{j=6}\n"
-        "CASE3{j=5}\n"
-        "CASE3{j=4}\n"
-        "CASE3{j=3}\n"
-        "CASE2{j=2}\n"
         "CASE1{j=6}\n"
         "w_1(a^2 + 5) = 2/5\n",
     ),
@@ -442,20 +426,9 @@ GOLDEN = {
         "SPLIT{z=[6, 21], relation=[0, 2, 1], idempotent=[18, 12]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
-        "CASE1{j=4}\n"
         "CASE3{j=4}\n"
         "CASE3{j=3}\n"
         "CASE1{j=2}\n"
-        "CASE3{j=4}\n"
-        "CASE3{j=3}\n"
-        "CASE2{j=2}\n"
-        "CASE3{j=4}\n"
-        "CASE3{j=3}\n"
-        "CASE1{j=2}\n"
-        "CASE1{j=4}\n"
-        "CASE3{j=4}\n"
-        "CASE2{j=3}\n"
-        "CASE1{j=4}\n"
         "CASE1{j=4}\n"
         "w_1(a^2 - 13*a + 30) = 1\n"
         "w_2(a^2 - 13*a + 30) = 1/2\n",
@@ -500,8 +473,7 @@ GOLDEN = {
         '{"element": "-a - 1/2", "values": [{"extension": 1, "value": "1"}, '
         '{"extension": 2, "value": "0"}], "trace": ['
         '"SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}", '
-        '"LIFT{iteration=1}", "LIFT{iteration=1}", "CASE1{j=3}", "CASE3{j=3}", '
-        '"CASE1{j=2}", "CASE3{j=3}", "CASE1{j=2}", "CASE1{j=3}", "CASE2{j=3}", '
+        '"LIFT{iteration=1}", "LIFT{iteration=1}", "CASE3{j=3}", "CASE1{j=2}", '
         '"CASE1{j=3}"]}\n',
     ),
     # p-maximal orders that Round 2 reaches in 15, 5, 6 and 4 enlargement

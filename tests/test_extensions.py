@@ -244,8 +244,9 @@ def test_value_denominators_divide_e():
 
 def test_value_eliminates_once_per_element(monkeypatch):
     """Valuing one element at all four extensions of x^4+1 at 17 (each with
-    e = 1) runs one minimal-relation elimination: every binary-search probe
-    and every later extension reuses the relation of x, rescaled."""
+    e = 1) runs one minimal-relation elimination: the walk that certifies
+    each extension's count runs on a rational multiple of x, which reuses
+    the relation of x, rescaled."""
     import valext.numberfield
 
     exts = extensions_for((1, 0, 0, 0, 1), 17)
@@ -305,6 +306,32 @@ def test_count_refusals(monkeypatch):
             value_by_count(w, red.element([-2, 1]))
 
 
+def walk_beside_the_count(w, x) -> bool:
+    """With m = e*w(x), the walk puts x^e p^-(m-1) in the maximal ideal and
+    x^e p^-(m+1) outside the ring: the two verdicts besides UNIT, which is
+    the only one that value reaches."""
+    m, xe = int(w.e * rational(value(w, x))), x**w.e
+    kinds = [decide_position(xe * Fraction(w.p) ** -k, w).kind for k in (m - 1, m + 1)]
+    return kinds == [PositionKind.IN_MAXIMAL_IDEAL, PositionKind.OUTSIDE]
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_value_refuses_a_miscount(monkeypatch, shift):
+    """One walk certifies the count: a count off by one step, so w(x) -/+ 1/e,
+    makes value raise AssertionError at every corpus extension."""
+    import valext.extensions
+
+    real = valext.extensions._count
+    monkeypatch.setattr(valext.extensions, "_count", lambda w, x: real(w, x) + shift)
+    rng = random.Random(16)
+    for coeffs, p in CORPUS:
+        fld = field_for(coeffs)
+        for w in extensions_for(coeffs, p):
+            for _ in range(3):
+                with pytest.raises(AssertionError, match="does not certify"):
+                    value(w, random_element(rng, fld, p))
+
+
 def mixed_denominators(p: int, n: int):
     """n rationals a/(u p^k), not all zero, with u prime to p and k >= 0,
     some numerators carrying p as well."""
@@ -340,6 +367,7 @@ def test_count_equals_walk_where_p_divides_the_index(case):
     for coords in elements:
         x = fld.element(coords)
         assert [value_by_count(w, x) for w in exts] == [value(w, x) for w in exts]
+        assert all(walk_beside_the_count(w, x) for w in exts)
 
 
 @pytest.mark.parametrize(
@@ -356,6 +384,7 @@ def test_count_equals_walk_on_pinned_fields(coeffs, p):
     for _ in range(4):
         x = random_element(rng, fld, p)
         assert [value_by_count(w, x) for w in exts] == [value(w, x) for w in exts]
+        assert all(walk_beside_the_count(w, x) for w in exts)
 
 
 def test_ramification_cross_check():

@@ -129,19 +129,6 @@ def test_scalar_multiple_inherits_min_poly(case, q):
         assert y.min_poly() == fresh
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(field_elements(), SCALARS)
-def test_scalar_multiple_inherits_norm(case, q):
-    """q*x and x*q take N(q*x) = q^n N(x) from x's memoized norm, which must
-    be the norm a fresh element with the same coordinates computes."""
-    fld, coords = case
-    x = fld.element(coords)
-    assert x.norm() == fld.element(coords).norm()
-    for y in (x * q, q * x):
-        assert y._norm is not None
-        assert y.norm() == fld.element(y.coords).norm()
-
-
 def test_min_poly_examples():
     assert GAUSS.from_poly([0, 1]).min_poly() == poly_q([1, 0, 1])
     q = GAUSS.from_rational(Fraction(3, 2))

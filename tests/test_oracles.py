@@ -1,9 +1,9 @@
 """Property tests of the extensions and their values against oracles that
 share no code with the pipeline: Ore's theorem on Newton polygons, sympy's
 prime decomposition and resultant, and the product formula
-sum e_i f_i w_i(x) = v_p(N(x)). Both routes to w_i(x) are held to them: the
-reverse-induction walk (value) and the anti-uniformizer count
-(value_by_count).
+sum e_i f_i w_i(x) = v_p(N(x)). There is one route to w_i(x), the
+anti-uniformizer count; value_by_count returns it alone, and value returns
+it certified by one reverse-induction walk. Both are held to the oracles.
 
 The strategy draws monic f of degree 2..5 with small integer coefficients,
 irreducible over Q by sympy, and p in {2, 3, 5, 7}, so that ramified and
@@ -143,9 +143,9 @@ def instances(draw):
 def test_extensions_and_values_against_oracles(case):
     """(e_i, f_i) as Ore's theorem gives them, or sympy's prime_decomp
     where f is not p-regular; the product formula with N(x) from sympy's
-    resultant; and w(p^k q x) = k + v_p(q) + w(x), whose probes inherit
-    the relation that w(x) computed. The anti-uniformizer count equals the
-    walk at every extension and meets the same two formulas on its own."""
+    resultant; and w(p^k q x) = k + v_p(q) + w(x). The count without the
+    walk's certificate gives the same values and meets the same two
+    formulas on its own."""
     f, p, coords, k, q = case
     exts = extensions_of(NumberField(f), p)
     expected = ore_ef(f, p)
