@@ -1,10 +1,10 @@
 """Extensions of v_p to L: enumeration, membership decision, value, residue.
 
 extensions_of runs the pipeline p-maximal order -> O/pO -> reduced quotient
--> field decomposition -> lifted idempotents and reads off one extension per
-field component. decide_position classifies an element against one
-extension's valuation ring by reverse induction on its minimal polynomial
-relation (the walk); residue is read off its witness.
+-> field decomposition -> idempotents lifted by Newton iteration and reads
+off one extension per field component. decide_position classifies an
+element against one extension's valuation ring by reverse induction on its
+minimal polynomial relation (the walk); residue is read off its witness.
 
 Values use the prime P directly: for x in O, e*w(x) is how often x can be
 multiplied by beta/p, for an anti-uniformizer beta of P, and stay in O
@@ -220,18 +220,15 @@ def decide_position(x: NFElem, w: ExtensionValuation) -> Position:
         if c_prev != 0 and pval(c_prev, p) == 0:
             emit(f"CASE1{{j={j}}}")
             ru = kappa_of(y)
-            rs = kappa_of(alpha_prev)
-            if not any(rs):
+            if not any(kappa_of(alpha_prev)):
                 raise NotIrreducible("case-1 denominator fell into the prime")
-            res = w.residue_algebra.mul(ru, w.residue_algebra.inverse(rs))
-            kind = PositionKind.UNIT if any(res) else PositionKind.IN_MAXIMAL_IDEAL
+            # kappa(x) = kappa(y)/kappa(alpha_(j-1)) is nonzero iff kappa(y) is
+            kind = PositionKind.UNIT if any(ru) else PositionKind.IN_MAXIMAL_IDEAL
             return Position(kind, witness=(y, alpha_prev))
-        ry = kappa_of(y)
-        if any(ry):
+        if any(kappa_of(y)):
             emit(f"CASE2{{j={j}}}")
-            ra = kappa_of(alpha_prev)
-            res_inv = w.residue_algebra.mul(ra, w.residue_algebra.inverse(ry))
-            if any(res_inv):
+            # kappa(1/x) = kappa(alpha_(j-1))/kappa(y), with kappa(y) nonzero
+            if any(kappa_of(alpha_prev)):
                 # x and 1/x are both units of the localization
                 return Position(PositionKind.UNIT, witness=(y, alpha_prev))
             return Position(PositionKind.OUTSIDE)

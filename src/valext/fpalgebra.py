@@ -8,6 +8,8 @@ Berlekamp subalgebra ker(x -> x^p - x) (Berlekamp 1970) and, for odd p, the
 Cantor-Zassenhaus power (z + c)^((p-1)/2) - 1 (Cantor and Zassenhaus 1981),
 so splitting takes time polynomial in the dimension and in log p.
 Components are returned in a canonical order, sorted by projection matrix.
+Idempotents are lifted through the nilradical, and on to O/p^K O, by one
+Newton iteration over an integer structure table (lift_idempotent).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .linalg import (
     columns,
     fp_identity,
     fp_kernel,
-    fp_matpow,
+    fp_matmul,
     fp_rank,
     fp_rref,
     fp_solve,
@@ -31,6 +33,25 @@ from .linalg import (
     mult_matrix,
 )
 from .padic import is_prime
+
+
+def table_mul(table: list[list[list[int]]], x: list[int], y: list[int], mod: int) -> list[int]:
+    """x*y reduced into [0, mod), for coordinate vectors over a basis with
+    integer structure constants table[i][j] (the coordinates of b_i b_j)."""
+    d = len(x)
+    out = [0] * d
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        for j, b in enumerate(y):
+            if b == 0:
+                continue
+            c = a * b % mod
+            row = table[i][j]
+            for k in range(d):
+                if row[k]:
+                    out[k] = (out[k] + c * row[k]) % mod
+    return out
 
 
 class FpAlgebra:
@@ -90,20 +111,7 @@ class FpAlgebra:
         return v
 
     def mul(self, x: VecFp, y: VecFp) -> VecFp:
-        p = self.p
-        out = [0] * self.dim
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0:
-                    continue
-                c = a * b % p
-                row = self.table[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] = (out[k] + c * row[k]) % p
-        return out
+        return table_mul(self.table, x, y, self.p)
 
     def pow(self, x: VecFp, e: int) -> VecFp:
         result = self.unit[:]
@@ -124,15 +132,6 @@ class FpAlgebra:
         if inv is None:
             raise ValueError("element is not invertible")
         return inv
-
-    def frobenius_power(self) -> int:
-        """Smallest m with p^m >= dim; x^(p^m) kills every nilpotent."""
-        m = 0
-        q = 1
-        while q < self.dim:
-            q *= self.p
-            m += 1
-        return m
 
     def __repr__(self):
         return f"FpAlgebra(p={self.p}, dim={self.dim})"
@@ -174,12 +173,16 @@ def quotient_mod_p(order, p: int) -> FpAlgebra:
 
 
 def nilradical(a: FpAlgebra) -> list[VecFp]:
-    """A basis of the nilpotents: the kernel of F^m, F the Frobenius matrix
-    and p^m >= dim. The nilpotents of a commutative ring form an ideal, so
-    this basis is not checked for closure here; quotient_by checks what it
-    is given."""
-    frob = columns([a.pow(a.basis_vector(i), a.p) for i in range(a.dim)])
-    return fp_kernel(fp_matpow(frob, a.frobenius_power(), a.p), a.p)
+    """A basis of the nilpotents: the kernel of F^m, F the Frobenius matrix,
+    m >= 1 and p^m >= dim. The nilpotents of a commutative ring form an
+    ideal, so this basis is not checked for closure here; quotient_by checks
+    what it is given."""
+    p = a.p
+    frob = columns([a.pow(a.basis_vector(i), p) for i in range(a.dim)])
+    power, q = frob, p
+    while q < a.dim:
+        power, q = fp_matmul(power, frob, p), q * p
+    return fp_kernel(power, p)
 
 
 def quotient_by(a: FpAlgebra, gens: list[VecFp]) -> tuple[FpAlgebra, MatFp]:
@@ -353,24 +356,40 @@ def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp) -> Component:
     return Component(idempotent=unit[:], projection=proj, algebra=alg)
 
 
+def lift_idempotent(table: list[list[list[int]]], x: list[int], mod: int) -> list[int]:
+    """The idempotent modulo mod O over x, by Newton's x <- 3x^2 - 2x^3
+    (Cohen, GTM 138, §3.5), for mod = p^K and x with x^2 - x in rad(pO).
+
+    table holds integer structure constants of O: an order's, or those of
+    O/pO when mod = p. Each step emits one LIFT line, and the lift returns
+    after the first step that leaves x^2 = x. A step squares the ideal that
+    x^2 - x lies in, and rad(pO)^(dim K) lies in p^K O, so 2^j >= dim K
+    steps suffice; since K < bit length of mod, a lift that needs more
+    raises AssertionError instead of looping.
+    """
+    cap = (len(x) * mod.bit_length()).bit_length()
+    sq = table_mul(table, x, x, mod)
+    for it in range(1, cap + 1):
+        x = [(3 * s - 2 * c) % mod for s, c in zip(sq, table_mul(table, sq, x, mod))]
+        emit(f"LIFT{{iteration={it}}}")
+        sq = table_mul(table, x, x, mod)
+        if sq == x:
+            return x
+    raise AssertionError("no idempotent within the step cap: x^2 - x is not in rad(pO)")
+
+
 def lift_idempotents(a: FpAlgebra, dec: Decomposition, proj: MatFp) -> list[VecFp]:
     """Lift the decomposition's idempotents through a -> a/nilradical.
 
-    Any preimage becomes idempotent after the m-fold Frobenius (p^m >= dim),
-    because x^2 - x is nilpotent and Frobenius is a ring endomorphism.
+    Each is lift_idempotent of a preimage x, for which x^2 - x maps to zero
+    in the reduced quotient and so is nilpotent.
     """
-    m = a.frobenius_power()
     lifted = []
     for comp in dec.components:
         x = fp_solve(proj, comp.idempotent, a.p)
         if x is None:
             raise AssertionError("projection is not surjective onto the component")
-        for it in range(m):
-            x = a.pow(x, a.p)
-            emit(f"LIFT{{iteration={it + 1}}}")
-        if a.mul(x, x) != x:
-            raise AssertionError("lift is not idempotent")
-        lifted.append(x)
+        lifted.append(lift_idempotent(a.table, x, a.p))
     total = a.zero()
     for i, e in enumerate(lifted):
         for j in range(i):

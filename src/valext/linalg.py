@@ -187,17 +187,6 @@ def fp_matmul(a: MatFp, b: MatFp, p: int) -> MatFp:
     ]
 
 
-def fp_matpow(m: MatFp, e: int, p: int) -> MatFp:
-    result = fp_identity(len(m))
-    base = [row[:] for row in m]
-    while e:
-        if e & 1:
-            result = fp_matmul(result, base, p)
-        base = fp_matmul(base, base, p)
-        e >>= 1
-    return result
-
-
 def fp_rref(m: MatFp, p: int) -> tuple[MatFp, list[int]]:
     return _rref(m, p)
 

@@ -16,9 +16,10 @@ modulo terms of larger value, and the fundamental-inequality proof uses no
 more than that. approx_element therefore builds its element in O/p^M O, in
 integers over the order's structure constants, by the idempotent form of
 the approximation theorem (Neukirch, ANT II.3.4): a power of p and of
-beta/p times the extension's idempotent, lifted from O/pO by Newton
-iteration. No inverse and no rational is formed, and for gamma >= 0 the
-coordinates over the p-maximal order lie in [0, p^N), N = floor(gamma) + 1.
+beta/p times the extension's idempotent, lifted from O/pO by
+fpalgebra.lift_idempotent, the Newton lift that extensions_of also uses.
+No inverse and no rational is formed, and for gamma >= 0 the coordinates
+over the p-maximal order lie in [0, p^N), N = floor(gamma) + 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from fractions import Fraction
 
 from .errors import GammaNotInValueGroup
 from .extensions import ExtensionValuation, value_by_count
-from .linalg import VecFp, fp_solve, fp_vec, mult_matrix, pval, q_rank
+from .fpalgebra import lift_idempotent
+from .linalg import VecFp, fp_solve, fp_vec, pval, q_rank
 from .numberfield import NFElem
 from .polynomials import format_poly
 from .values import INFINITY, Val
@@ -82,37 +84,13 @@ def approx_element(
     b = a * e - m
     # Each step by beta/p loses one power of p from the modulus.
     mod = p ** (floor + 1 + k + b)
-    x = [c * p**a % mod for c in _idempotent_mod(w1, mod)]
+    x = [c * p**a % mod for c in lift_idempotent(w1.order.table, w1.idempotent, mod)]
     for _ in range(b):
         x = w1.times_beta_over_p(x, mod)
         if x is None:
             raise AssertionError("a step by beta/p left the order")
         mod //= p
     return w1.order.element(x) * Fraction(1, p**k)
-
-
-def _mul_mod(table: list[list[list[int]]], x: list[int], y: list[int], mod: int) -> list[int]:
-    """x*y modulo mod O, for integer order coordinates x and y."""
-    return [sum(r * c for r, c in zip(row, y)) % mod for row in mult_matrix(table, x, mod)]
-
-
-def _idempotent_mod(w: ExtensionValuation, mod: int) -> list[int]:
-    """w's idempotent of O/pO lifted to O/mod O, for mod a power of p.
-
-    eps <- 3 eps^2 - 2 eps^3 squares the modulus to which eps^2 = eps holds
-    (Cohen, GTM 138, §3.5), so precision p^(2^j) reaches mod in
-    log2(log_p(mod)) steps.
-    """
-    table = w.order.table
-    eps, prec = w.idempotent, w.p
-    while prec < mod:
-        prec = min(prec * prec, mod)
-        sq = _mul_mod(table, eps, eps, prec)
-        cube = _mul_mod(table, sq, eps, prec)
-        eps = [(3 * s - 2 * c) % prec for s, c in zip(sq, cube)]
-    if _mul_mod(table, eps, eps, mod) != eps:
-        raise AssertionError("lifted idempotent is not idempotent modulo p^M")
-    return eps
 
 
 @dataclass

@@ -224,6 +224,34 @@ def idempotents(dec) -> list:
     return [c.idempotent for c in dec.components]
 
 
+def frobenius_lift(p: int, table, x) -> list:
+    """x^(p^m), the least p^m >= dim, in the F_p-algebra with structure
+    constants table, by its own product. Frobenius is a ring endomorphism
+    that fixes idempotents and kills nilpotents, so for x^2 - x nilpotent
+    this is the one idempotent over x: an oracle for Newton's lift in
+    fpalgebra.lift_idempotent."""
+    d = len(x)
+
+    def mul(u, v):
+        out = [0] * d
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    out[k] += u[i] * v[j] * table[i][j][k]
+        return [c % p for c in out]
+
+    q = 1
+    while q < d:
+        q *= p
+    # x^q as x times x^(q-1), by binary powering
+    result, base, e = x, x, q - 1
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base, e = mul(base, base), e >> 1
+    return result
+
+
 def parse_val(s: str):
     """Inverse of str(Val): a reduced rational "m/e", or "inf"."""
     s = s.strip()

@@ -399,6 +399,26 @@ GOLDEN = {
         "w_1: e=1 f=1 residue_field_dim=1\n"
         "w_2: e=1 f=1 residue_field_dim=1\n",
     ),
+    # LIFT{iteration=k} counts the Newton steps x <- 3x^2 - 2x^3 that lift
+    # one idempotent from the reduced quotient to O/pO, ending at the first
+    # step after which x^2 = x. rad(pO) has nilpotency index 6 here (e = 6 at
+    # w_3), so a lift may take up to three steps: the preimages of w_1's and
+    # w_2's idempotents take three, and w_3's, the last, takes one.
+    "extensions-trace-newton": (
+        ["extensions", "--prime", "2", "--poly", "x^12+x^6+4", "--trace"],
+        "SPLIT{z=[1, 0, 0, 0], relation=[0, 1, 1], idempotent=[0, 1, 0, 0]}\n"
+        "SPLIT{z=[0, 0, 1, 1], relation=[0, 1, 1], idempotent=[0, 1, 1, 1]}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=2}\n"
+        "LIFT{iteration=3}\n"
+        "LIFT{iteration=1}\n"
+        "LIFT{iteration=2}\n"
+        "LIFT{iteration=3}\n"
+        "LIFT{iteration=1}\n"
+        "w_1: e=2 f=2 residue_field_dim=2\n"
+        "w_2: e=2 f=1 residue_field_dim=1\n"
+        "w_3: e=6 f=1 residue_field_dim=1\n",
+    ),
     # The trace scope: every command traces the pipeline, and value and
     # residue also trace the CASE steps of their own element, not those of
     # the values and residues that approx, weak-approx and verify compute.

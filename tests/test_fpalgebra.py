@@ -15,6 +15,7 @@ from valext import (
     extensions_of,
     lift_idempotents,
     nilradical,
+    p_maximal_order,
     quotient_by,
     quotient_mod_p,
     recording,
@@ -22,9 +23,19 @@ from valext import (
 )
 from valext import extensions as extensions_module
 from valext import orders as orders_module
-from valext.linalg import columns, fp_matvec, fp_rank, mult_matrix
+from valext.fpalgebra import lift_idempotent
+from valext.linalg import columns, fp_matvec, fp_rank, fp_solve, mult_matrix
 
-from conftest import CORPUS, CORPUS_IDS, field_for, idempotents, is_unit, order_for
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    field_for,
+    frobenius_lift,
+    idempotents,
+    is_unit,
+    order_for,
+)
+from test_orders import round2_instances
 
 
 def poly_algebra(p, modulus):
@@ -356,6 +367,35 @@ def test_lift_of_unit_is_unit():
     for e in lifted:
         total = [(x + y) % 2 for x, y in zip(total, e)]
     assert total == a.unit
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(round2_instances())
+def test_lift_idempotent_matches_frobenius_oracle(instance):
+    """Newton's lift over the table of O/pO equals the Frobenius power
+    x^(p^m) of the same preimage x of each split idempotent, since only one
+    idempotent lies over x. The draws include wild ramification with e > p,
+    where rad(pO) has nilpotency index above p, and preimages that take two
+    Newton steps."""
+    f, p = instance
+    alg = quotient_mod_p(p_maximal_order(NumberField(f), p), p)
+    red, proj = quotient_by(alg, nilradical(alg))
+    for comp in split_reduced(red).components:
+        x = fp_solve(proj, comp.idempotent, p)
+        assert lift_idempotent(alg.table, x, p) == frobenius_lift(p, alg.table, x)
+
+
+@pytest.mark.parametrize("mod", [5, 25])
+def test_lift_idempotent_refuses_x_whose_square_minus_x_is_a_unit(mod):
+    """x = 3 in Z[i]/mod has x^2 - x = 6, a unit mod 5, so no idempotent
+    lies over it, and Newton's map fixes x = 1/2 mod 5: the step cap raises
+    instead of looping. (x = 2 would not do: 3x^2 - 2x^3 - 1 =
+    -(x - 1)^2 (2x + 1) takes it to 1 mod 5 in one step.)"""
+    table = order_for((1, 0, 1), 5).table
+    with recording() as lines, pytest.raises(AssertionError, match="step cap"):
+        lift_idempotent(table, [3, 0], mod)
+    assert lines == [f"LIFT{{iteration={k}}}" for k in range(1, len(lines) + 1)]
+    assert 0 < len(lines) <= 5
 
 
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)

@@ -20,7 +20,7 @@ from valext import (
     value_by_count,
     weak_approx,
 )
-from valext.theorems import _idempotent_mod
+from valext.fpalgebra import lift_idempotent
 
 from conftest import (
     CORPUS,
@@ -175,7 +175,7 @@ def test_lifted_idempotents_modulo_p_power(instance, big_m):
 
     eps = []
     for w in exts:
-        lifted = _idempotent_mod(w, mod)
+        lifted = lift_idempotent(order.table, w.idempotent, mod)
         assert [c % p for c in lifted] == w.idempotent
         eps.append(order.element(lifted))
     for i, a in enumerate(eps):
