@@ -7,6 +7,10 @@ relation of a non-invertible element z. The field test and z come from the
 Berlekamp subalgebra ker(x -> x^p - x) (Berlekamp 1970) and, for odd p, the
 Cantor-Zassenhaus power (z + c)^((p-1)/2) - 1 (Cantor and Zassenhaus 1981),
 so splitting takes time polynomial in the dimension and in log p.
+Frobenius x -> x^p is F_p-linear, and each algebra builds its matrix once
+(FpAlgebra.frobenius): the nilradical, the reducedness check and every
+Berlekamp kernel read it, and quotient_by hands its quotient the induced
+matrix, since x^p maps every ideal into itself.
 Components are returned in a canonical order, sorted by projection matrix.
 Idempotents are lifted through the nilradical, and on to O/p^K O, by one
 Newton iteration over an integer structure table (lift_idempotent).
@@ -25,6 +29,7 @@ from .linalg import (
     fp_identity,
     fp_kernel,
     fp_matmul,
+    fp_matvec,
     fp_rank,
     fp_rref,
     fp_solve,
@@ -70,6 +75,7 @@ class FpAlgebra:
         self.dim = len(table)
         self.table = table
         self.unit = unit
+        self._frobenius: MatFp | None = None
         if validate:
             self._validate()
 
@@ -114,14 +120,35 @@ class FpAlgebra:
         return table_mul(self.table, x, y, self.p)
 
     def pow(self, x: VecFp, e: int) -> VecFp:
-        result = self.unit[:]
-        base = x[:]
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
+        """x^e in bit_length(e) - 1 squarings and popcount(e) - 1 products."""
+        if e == 0:
+            return self.unit[:]
+        result = x[:]
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, x)
         return result
+
+    def frobenius(self) -> MatFp:
+        """Matrix of x -> x^p, built on first use and kept. Frobenius is a
+        ring map, so where the table gives b_k as a product b_i b_j of
+        earlier basis elements, column k is one product of columns i and j;
+        only the other columns take a pow, and a power basis takes one."""
+        if self._frobenius is None:
+            cols: list[VecFp] = []
+            for k in range(self.dim):
+                b = self.basis_vector(k)
+                ij = next(((i, j) for j in range(k) for i in range(j + 1)
+                           if self.table[i][j] == b), None)
+                if b == self.unit:
+                    cols.append(b)
+                elif ij:
+                    cols.append(self.mul(cols[ij[0]], cols[ij[1]]))
+                else:
+                    cols.append(self.pow(b, self.p))
+            self._frobenius = columns(cols)
+        return self._frobenius
 
     def mult_matrix(self, x: VecFp) -> MatFp:
         """Matrix of multiplication by x; column j is x * b_j."""
@@ -178,7 +205,7 @@ def nilradical(a: FpAlgebra) -> list[VecFp]:
     ideal, so this basis is not checked for closure here; quotient_by checks
     what it is given."""
     p = a.p
-    frob = columns([a.pow(a.basis_vector(i), p) for i in range(a.dim)])
+    frob = a.frobenius()
     power, q = frob, p
     while q < a.dim:
         power, q = fp_matmul(power, frob, p), q * p
@@ -192,9 +219,10 @@ def quotient_by(a: FpAlgebra, gens: list[VecFp]) -> tuple[FpAlgebra, MatFp]:
     non-integer entries, and a span not closed under multiplication, raise
     ValueError; a span holding the unit raises IllegalIdeal. The quotient's
     coordinates are the non-pivot positions of the span's echelon basis, so
-    the projection has an obvious section (fill pivots with zero). Round 2
-    needs no such check: p_radical hands nilradical's basis, an ideal by
-    construction, straight to ideal_over.
+    the projection has an obvious section (fill pivots with zero), and the
+    quotient's Frobenius matrix is the projection of a's at the free
+    columns. Round 2 needs no such check: p_radical hands nilradical's
+    basis, an ideal by construction, straight to ideal_over.
     """
     if any(len(v) != a.dim for v in gens):
         raise ValueError(f"ideal generators must have length {a.dim}")
@@ -221,7 +249,9 @@ def quotient_by(a: FpAlgebra, gens: list[VecFp]) -> tuple[FpAlgebra, MatFp]:
     table = [[qcoords(a.mul(r1, r2)) for r2 in reps] for r1 in reps]
     unit = qcoords(a.unit)
     proj = columns([qcoords(a.basis_vector(j)) for j in range(a.dim)])
-    return FpAlgebra(p, table, unit, validate=False), proj
+    quotient = FpAlgebra(p, table, unit, validate=False)
+    quotient._frobenius = columns([qcoords([row[c] for row in a.frobenius()]) for c in free])
+    return quotient, proj
 
 
 def _span_coords(a: FpAlgebra, basis: MatFp, pivots: list[int], v: VecFp) -> VecFp:
@@ -255,8 +285,8 @@ def _find_noninvertible(
     coordinates in F_p^k is returned (Cantor-Zassenhaus). Such a c exists
     because z is not scalar, and about half of all c qualify.
     """
-    p = a.p
-    ker = fp_kernel(_restrict(a, basis, pivots, lambda b: _sub(a.pow(b, p), b, p)), p)
+    p, frob = a.p, a.frobenius()
+    ker = fp_kernel(_restrict(a, basis, pivots, lambda b: _sub(fp_matvec(frob, b, p), b, p)), p)
     if len(ker) == 1:
         return None
     u = _span_coords(a, basis, pivots, unit)
@@ -300,7 +330,7 @@ def _split_factor(
 ):
     z = _find_noninvertible(a, unit, basis, pivots)
     if z is None:
-        out.append(_make_component(a, unit, basis))
+        out.append(_make_component(a, unit, basis, pivots))
         return
     # z^0 is the factor unit; z lives in a factor of dimension len(basis)
     powers = [unit]
@@ -329,10 +359,11 @@ def _split_factor(
         _split_factor(a, idem, sub_rows, sub_pivots, out)
 
 
-def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp) -> Component:
+def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]) -> Component:
     # Re-basis with the idempotent first, so component coordinates make the
     # unit [1, 0, ...] and one-dimensional residue fields read as canonical
-    # F_p labels.
+    # F_p labels. Coordinates in the chosen basis are the echelon ones times
+    # the inverse of the chosen basis's echelon coordinates, from one rref.
     d = len(basis)
     chosen = [unit[:]]
     for row in basis:
@@ -342,17 +373,15 @@ def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp) -> Component:
             chosen.append(row[:])
     if len(chosen) != d:
         raise AssertionError("failed to complete the component basis")
-    cols = columns(chosen)
+    cols = columns([_span_coords(a, basis, pivots, v) for v in chosen])
+    inv = [row[d:] for row in fp_rref([r + e for r, e in zip(cols, fp_identity(d))], a.p)[0]]
 
     def coords(v: VecFp) -> VecFp:
-        sol = fp_solve(cols, v, a.p)
-        if sol is None:
-            raise AssertionError("vector not in the factor span")
-        return sol
+        return fp_matvec(inv, _span_coords(a, basis, pivots, v), a.p)
 
     table = [[coords(a.mul(chosen[i], chosen[j])) for j in range(d)] for i in range(d)]
     alg = FpAlgebra(a.p, table, coords(unit), validate=False)
-    proj = columns([coords(col) for col in zip(*a.mult_matrix(unit))])
+    proj = columns([coords(list(col)) for col in zip(*a.mult_matrix(unit))])
     return Component(idempotent=unit[:], projection=proj, algebra=alg)
 
 
@@ -365,15 +394,23 @@ def lift_idempotent(table: list[list[list[int]]], x: list[int], mod: int) -> lis
     after the first step that leaves x^2 = x. A step squares the ideal that
     x^2 - x lies in, and rad(pO)^(dim K) lies in p^K O, so 2^j >= dim K
     steps suffice; since K < bit length of mod, a lift that needs more
-    raises AssertionError instead of looping.
+    raises AssertionError instead of looping. The same bound makes
+    (x^2 - x)^(2^cap) vanish modulo mod for every x it holds for, so a lift
+    that settles on an idempotent not over x, as x = 2 in Z[i] at 5 does,
+    raises AssertionError too.
     """
     cap = (len(x) * mod.bit_length()).bit_length()
     sq = table_mul(table, x, x, mod)
+    y = [(s - c) % mod for s, c in zip(sq, x)]
     for it in range(1, cap + 1):
         x = [(3 * s - 2 * c) % mod for s, c in zip(sq, table_mul(table, sq, x, mod))]
         emit(f"LIFT{{iteration={it}}}")
         sq = table_mul(table, x, x, mod)
         if sq == x:
+            for _ in range(cap):
+                y = table_mul(table, y, y, mod)
+            if any(y):
+                raise AssertionError("x^2 - x is not nilpotent: the idempotent is not over x")
             return x
     raise AssertionError("no idempotent within the step cap: x^2 - x is not in rad(pO)")
 

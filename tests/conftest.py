@@ -6,7 +6,7 @@ from functools import lru_cache
 import sympy
 
 from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order, value, weak_approx
-from valext.linalg import fp_rank
+from valext.linalg import columns, fp_rank, fp_rref, fp_solve
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -222,6 +222,29 @@ def is_unit(alg, x) -> bool:
 def idempotents(dec) -> list:
     """The component idempotents of a Decomposition, in component order."""
     return [c.idempotent for c in dec.components]
+
+
+def component_by_solve(alg, idempotent) -> tuple:
+    """(table, unit, projection) of the field component of a reduced algebra
+    at a primitive idempotent e, with one fp_solve per vector: an oracle for
+    split_reduced's components. The basis is the one split_reduced chooses:
+    e, then each row of the echelon basis of e*A that raises the rank."""
+    p = alg.p
+    rows, pivots = fp_rref([list(c) for c in zip(*alg.mult_matrix(idempotent))], p)
+    chosen = [idempotent]
+    for row in rows[: len(pivots)]:
+        if len(chosen) < len(pivots) and fp_rank(chosen + [row], p) > len(chosen):
+            chosen.append(row)
+    cols = columns(chosen)
+
+    def coords(v):
+        sol = fp_solve(cols, v, p)
+        assert sol is not None, "vector not in the component"
+        return sol
+
+    table = [[coords(alg.mul(x, y)) for y in chosen] for x in chosen]
+    proj = columns([coords(alg.mul(idempotent, alg.basis_vector(j))) for j in range(alg.dim)])
+    return table, coords(idempotent), proj
 
 
 def frobenius_lift(p: int, table, x) -> list:

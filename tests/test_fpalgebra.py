@@ -29,6 +29,7 @@ from valext.linalg import columns, fp_matvec, fp_rank, fp_solve, mult_matrix
 from conftest import (
     CORPUS,
     CORPUS_IDS,
+    component_by_solve,
     field_for,
     frobenius_lift,
     idempotents,
@@ -389,13 +390,24 @@ def test_lift_idempotent_matches_frobenius_oracle(instance):
 def test_lift_idempotent_refuses_x_whose_square_minus_x_is_a_unit(mod):
     """x = 3 in Z[i]/mod has x^2 - x = 6, a unit mod 5, so no idempotent
     lies over it, and Newton's map fixes x = 1/2 mod 5: the step cap raises
-    instead of looping. (x = 2 would not do: 3x^2 - 2x^3 - 1 =
-    -(x - 1)^2 (2x + 1) takes it to 1 mod 5 in one step.)"""
+    instead of looping. (x = 2 settles instead; see the next test.)"""
     table = order_for((1, 0, 1), 5).table
     with recording() as lines, pytest.raises(AssertionError, match="step cap"):
         lift_idempotent(table, [3, 0], mod)
     assert lines == [f"LIFT{{iteration={k}}}" for k in range(1, len(lines) + 1)]
     assert 0 < len(lines) <= 5
+
+
+@pytest.mark.parametrize("mod", [5, 25])
+def test_lift_idempotent_refuses_x_whose_square_minus_x_is_not_nilpotent(mod):
+    """x = 2 in Z[i]/mod has x^2 - x = 2, a unit mod 5, so no idempotent lies
+    over it; yet 3x^2 - 2x^3 - 1 = -(x - 1)^2 (2x + 1) takes it to the
+    idempotent 1 mod 5 in one step, and to 1 mod 25 in two. The lift checks
+    that x^2 - x is nilpotent and refuses it."""
+    table = order_for((1, 0, 1), 5).table
+    with pytest.raises(AssertionError, match="not nilpotent"):
+        lift_idempotent(table, [2, 0], mod)
+    assert lift_idempotent(table, [1, 0], mod) == [1, 0]
 
 
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)
@@ -461,3 +473,100 @@ def test_mult_matrix_columns_are_products(p, data):
     products = columns([alg.mul(x, alg.basis_vector(j)) for j in range(d)])
     assert mult_matrix(alg.table, x, p) == products
     assert alg.mult_matrix(x) == products
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(FpAlgebra, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(FpAlgebra, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 7, 8, 13, 49, 10**9 + 7])
+def test_pow_makes_no_wasted_product(monkeypatch, e):
+    """Left-to-right powering takes bit_length(e) - 1 squarings and
+    popcount(e) - 1 products by x, and x^0 is the unit. The values are
+    checked against repeated products, and in F_49 against x^49 = x."""
+    x = [3, 2]
+    products = _count_calls(monkeypatch, "mul")
+    result = F7_T2P1.pow(x, e)
+    assert len(products) == (0 if e == 0 else e.bit_length() + bin(e).count("1") - 2)
+    if e == 49:
+        assert result == x
+    elif e < 49:
+        expected = F7_T2P1.unit
+        for _ in range(e):
+            expected = F7_T2P1.mul(expected, x)
+        assert result == expected
+
+
+def _pow_columns(alg):
+    return columns([alg.pow(alg.basis_vector(i), alg.p) for i in range(alg.dim)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 7, 10**9 + 7]), st.data())
+def test_frobenius_matrix_of_power_basis(p, data):
+    """On F_p[t]/(g) for a random monic g, the cached Frobenius matrix has
+    the columns b_i^p, and its quotient by the nilradical holds the induced
+    matrix, the one the quotient would build itself."""
+    d = data.draw(st.integers(1, 6))
+    g = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+    alg = poly_algebra(p, g)
+    assert alg.frobenius() == _pow_columns(alg)
+    assert alg.frobenius() is alg.frobenius()
+    red, _ = quotient_by(alg, nilradical(alg))
+    assert red.frobenius() == FpAlgebra(p, red.table, red.unit, validate=False).frobenius()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(round2_instances())
+def test_frobenius_matrix_and_components_of_round2_orders(instance):
+    """The same on O/pO of the p-maximal order, whose basis is no power
+    basis once p divides the index, and its reduced quotient; every
+    component's table, unit and projection equal those of one fp_solve per
+    vector."""
+    f, p = instance
+    alg = quotient_mod_p(p_maximal_order(NumberField(f), p), p)
+    assert alg.frobenius() == _pow_columns(alg)
+    red, _ = quotient_by(alg, nilradical(alg))
+    assert red.frobenius() == FpAlgebra(p, red.table, red.unit, validate=False).frobenius()
+    assert red.frobenius() == _pow_columns(red)
+    for comp in split_reduced(red).components:
+        oracle = component_by_solve(red, comp.idempotent)
+        assert (comp.algebra.table, comp.algebra.unit, comp.projection) == oracle
+
+
+@pytest.mark.parametrize("coeffs,p", [((1, 0, 1), 5), ((1, 1, 0, 0, 0, 1), 1000000007),
+                                      ((1, 1) + (0,) * 22 + (1,), 1000000007)])
+def test_power_basis_frobenius_takes_one_pow(monkeypatch, coeffs, p):
+    """The equation order's basis 1, a, ..., a^(n-1) gives every column after
+    a's as one product of earlier columns, so the matrix costs one pow. p
+    does not divide the index, so extensions_of splits this same O/pO, and
+    its only other powers are the Cantor-Zassenhaus ones."""
+    pows = _count_calls(monkeypatch, "pow")
+    alg = quotient_mod_p(equation_order(field_for(coeffs)), p)
+    frob = alg.frobenius()
+    assert [e for _, e in pows] == [p]
+    pows.clear()
+    extensions_of(field_for(coeffs), p)
+    assert [e for _, e in pows if e != (p - 1) // 2] == [p]
+    monkeypatch.undo()
+    assert frob == _pow_columns(alg)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(squarefree_modulus())
+def test_components_match_solve_oracle(case):
+    """On F_p[t]/(g) for squarefree g, each component's table, unit and
+    projection equal those of one fp_solve per vector."""
+    p, g, _ = case
+    alg = poly_algebra(p, g)
+    for comp in split_reduced(alg).components:
+        oracle = component_by_solve(alg, comp.idempotent)
+        assert (comp.algebra.table, comp.algebra.unit, comp.projection) == oracle
