@@ -2,13 +2,14 @@
 
 Houses the quotient A = O/pO of an order, its nilradical, reduced quotients,
 and the constructive decomposition of a reduced algebra into a product of
-fields by repeatedly splitting off an idempotent g(z) built from the minimal
-relation of a non-invertible element z. The field test and z come from the
-Berlekamp subalgebra ker(x -> x^p - x) (Berlekamp 1970) and, for odd p, the
-Cantor-Zassenhaus power (z + c)^((p-1)/2) - 1 (Cantor and Zassenhaus 1981),
-so splitting takes time polynomial in the dimension and in log p.
+fields. The split takes one kernel, the Berlekamp subalgebra
+ker(x -> x^p - x) = F_p^k (Berlekamp 1970), and splits each factor that is
+not a field by a closed-form idempotent: a Berlekamp element itself for
+p = 2, and for odd p one built from the Cantor-Zassenhaus power
+(z + c)^((p-1)/2) (Cantor and Zassenhaus 1981), so splitting takes time
+polynomial in the dimension and in log p.
 Frobenius x -> x^p is F_p-linear, and each algebra builds its matrix once
-(FpAlgebra.frobenius): the nilradical, the reducedness check and every
+(FpAlgebra.frobenius): the nilradical, the reducedness check and the
 Berlekamp kernel read it, and quotient_by hands its quotient the induced
 matrix, since x^p maps every ideal into itself.
 Components are returned in a canonical order, sorted by projection matrix.
@@ -18,6 +19,7 @@ Newton iteration over an integer structure table (lift_idempotent).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import IllegalIdeal, NotReduced
@@ -34,7 +36,6 @@ from .linalg import (
     fp_rref,
     fp_solve,
     fp_vec,
-    min_relation,
     mult_matrix,
 )
 from .padic import is_prime
@@ -254,134 +255,96 @@ def quotient_by(a: FpAlgebra, gens: list[VecFp]) -> tuple[FpAlgebra, MatFp]:
     return quotient, proj
 
 
-def _span_coords(a: FpAlgebra, basis: MatFp, pivots: list[int], v: VecFp) -> VecFp:
-    coords = [v[pc] for pc in pivots]
-    recon = [0] * a.dim
-    for c, row in zip(coords, basis):
-        if c:
-            for i in range(a.dim):
-                recon[i] = (recon[i] + c * row[i]) % a.p
-    if recon != v:
-        raise AssertionError("vector not in the factor span")
-    return coords
-
-
-def _restrict(a: FpAlgebra, basis: MatFp, pivots: list[int], fn) -> MatFp:
-    """Matrix, in the factor's echelon basis, of a linear map fn of the
-    factor into itself."""
-    return columns([_span_coords(a, basis, pivots, fn(b)) for b in basis])
-
-
-def _find_noninvertible(
-    a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]
-) -> VecFp | None:
-    """A nonzero non-invertible element of a factor, or None if it is a field.
-
-    The kernel of x -> x^p - x on a reduced factor is its Berlekamp
-    subalgebra F_p^k, k the number of field factors, so kernel dimension 1
-    certifies a field. Otherwise take a non-scalar kernel element z: for
-    p = 2 it is a nontrivial idempotent, and for odd p the first
-    w = (z + c)^((p-1)/2) - 1, c = 0, 1, ..., with both zero and nonzero
-    coordinates in F_p^k is returned (Cantor-Zassenhaus). Such a c exists
-    because z is not scalar, and about half of all c qualify.
-    """
-    p, frob = a.p, a.frobenius()
-    ker = fp_kernel(_restrict(a, basis, pivots, lambda b: _sub(fp_matvec(frob, b, p), b, p)), p)
-    if len(ker) == 1:
-        return None
-    u = _span_coords(a, basis, pivots, unit)
-    k = next(i for i, x in enumerate(u) if x)
-    scale = pow(u[k], -1, p)
-    coeffs = next(v for v in ker if v != [v[k] * scale * x % p for x in u])
-    z = [sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(a.dim)]
-    if p == 2:
-        return z
-    for c in range(p):
-        w = _sub(a.pow([(x + c * y) % p for x, y in zip(z, unit)], (p - 1) // 2), unit, p)
-        if any(w) and fp_rank(_restrict(a, basis, pivots, lambda b: a.mul(w, b)), p) < len(basis):
-            return w
-    raise AssertionError("no splitting element among the shifts of z")
-
-
-def _sub(x: VecFp, y: VecFp, p: int) -> VecFp:
-    return [(s - t) % p for s, t in zip(x, y)]
-
-
 def split_reduced(a: FpAlgebra) -> Decomposition:
     """Decompose a reduced algebra into a product of fields.
 
-    Finds a nonzero non-invertible z, strips the lowest power from its
-    minimal relation to get g with g(0) = 1, splits off the idempotent
-    g(z), and recurses on both factors; a factor with no non-invertible
-    nonzero element is a field and terminates its branch. Components come
-    back sorted by projection matrix, so their order depends only on the
-    algebra, not on which z the search found.
+    The Berlekamp subalgebra B = ker(F - I), F the Frobenius matrix, is
+    F_p^k, k the number of field factors, and for an idempotent e, e*B is
+    that of the factor e*A. So e*A is a field exactly when every e*b, b in
+    the kernel basis of B, is a multiple of e; otherwise the first z = e*b
+    that is not splits it. For p = 2, z is itself an idempotent. For odd p,
+    t = (z + c*e)^((p-1)/2) has coordinates 0 and +-1 in F_p^k, so
+    (t^2 + t)/2 is an idempotent, and the first shift c that makes it
+    neither 0 nor e is taken (Cantor-Zassenhaus). The shifts run through one
+    sequence shared by all factors, since a factor that keeps its parent's z
+    would fail again every shift that failed there. A non-scalar z has two
+    coordinates that some shift puts on opposite sides, and p consecutive
+    shifts cover F_p, so a split is always found; a p-th failure leaves an
+    improper idempotent, which raises AssertionError. Components come back
+    sorted by projection matrix, so their order depends only on the algebra,
+    not on which z and c the search took.
     """
     if nilradical(a):
         raise NotReduced("algebra has nonzero nilpotents")
+    p = a.p
+    berlekamp = fp_kernel([[(x - (i == j)) % p for j, x in enumerate(row)]
+                           for i, row in enumerate(a.frobenius())], p)
+    shifts = itertools.count()
     components: list[Component] = []
-    _split_factor(a, a.unit[:], fp_identity(a.dim), list(range(a.dim)), components)
+    pending = [a.unit[:]]
+    while pending:
+        e = pending.pop()
+        k = next(i for i, x in enumerate(e) if x)
+        scale = pow(e[k], -1, p)
+        z = next((z for b in berlekamp
+                  if (z := a.mul(e, b)) != [z[k] * scale * x % p for x in e]), None)
+        if z is None:
+            components.append(_make_component(a, e))
+            continue
+        idem = z
+        if p > 2:
+            for c in itertools.islice(shifts, p):
+                t = a.pow([(x + c * u) % p for x, u in zip(z, e)], (p - 1) // 2)
+                idem = [(s + x) * ((p + 1) // 2) % p for s, x in zip(a.mul(t, t), t)]
+                if any(idem) and idem != e:
+                    break
+        if a.mul(idem, idem) != idem or not any(idem) or idem == e:
+            raise AssertionError("constructed element is not a proper idempotent")
+        emit(f"SPLIT{{z={z}, idempotent={idem}}}")
+        pending += [[(u - x) % p for u, x in zip(e, idem)], idem]
     components.sort(key=lambda c: c.projection)
     return Decomposition(components)
 
 
-def _split_factor(
-    a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int], out: list[Component]
-):
-    z = _find_noninvertible(a, unit, basis, pivots)
-    if z is None:
-        out.append(_make_component(a, unit, basis, pivots))
-        return
-    # z^0 is the factor unit; z lives in a factor of dimension len(basis)
-    powers = [unit]
-    for _ in range(len(basis)):
-        powers.append(a.mul(powers[-1], z))
-    rel = min_relation(powers, a.p)
-    j = next(i for i, c in enumerate(rel) if c)
-    if j == 0:
-        raise AssertionError("non-invertible element has a unit constant term")
-    inv = pow(rel[j], -1, a.p)
-    g = [c * inv % a.p for c in rel[j:]]
-    # Horner with the factor unit as 1
-    e = a.zero()
-    for c in reversed(g):
-        e = a.mul(e, z)
-        if c:
-            e = [(x + c * u) % a.p for x, u in zip(e, unit)]
-    if a.mul(e, e) != e or not any(e) or e == unit:
-        raise AssertionError("constructed element is not a proper idempotent")
-    emit(f"SPLIT{{z={z}, relation={rel}, idempotent={e}}}")
-    comp = [(u - x) % a.p for u, x in zip(unit, e)]
-    for idem in (e, comp):
-        sub = [a.mul(b, idem) for b in basis]
-        sub_rows, sub_pivots = fp_rref(sub, a.p)
-        sub_rows = sub_rows[: len(sub_pivots)]
-        _split_factor(a, idem, sub_rows, sub_pivots, out)
-
-
-def _make_component(a: FpAlgebra, unit: VecFp, basis: MatFp, pivots: list[int]) -> Component:
+def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
+    # The factor unit*A has the echelon basis of the products unit*b_j.
     # Re-basis with the idempotent first, so component coordinates make the
     # unit [1, 0, ...] and one-dimensional residue fields read as canonical
     # F_p labels. Coordinates in the chosen basis are the echelon ones times
     # the inverse of the chosen basis's echelon coordinates, from one rref.
-    d = len(basis)
+    p = a.p
+    products = columns(a.mult_matrix(unit))
+    rows, pivots = fp_rref(products, p)
+    d = len(pivots)
     chosen = [unit[:]]
-    for row in basis:
+    for row in rows[:d]:
         if len(chosen) == d:
             break
-        if fp_rank(chosen + [row], a.p) > len(chosen):
+        if fp_rank(chosen + [row], p) > len(chosen):
             chosen.append(row[:])
     if len(chosen) != d:
         raise AssertionError("failed to complete the component basis")
-    cols = columns([_span_coords(a, basis, pivots, v) for v in chosen])
-    inv = [row[d:] for row in fp_rref([r + e for r, e in zip(cols, fp_identity(d))], a.p)[0]]
+
+    def span_coords(v: VecFp) -> VecFp:
+        # the echelon coordinates are v at the pivots
+        coords = [v[pc] for pc in pivots]
+        if [sum(c * row[i] for c, row in zip(coords, rows)) % p for i in range(a.dim)] != v:
+            raise AssertionError("vector not in the factor span")
+        return coords
+
+    cols = columns([span_coords(v) for v in chosen])
+    inv = [row[d:] for row in fp_rref([r + e for r, e in zip(cols, fp_identity(d))], p)[0]]
 
     def coords(v: VecFp) -> VecFp:
-        return fp_matvec(inv, _span_coords(a, basis, pivots, v), a.p)
+        return fp_matvec(inv, span_coords(v), p)
 
-    table = [[coords(a.mul(chosen[i], chosen[j])) for j in range(d)] for i in range(d)]
-    alg = FpAlgebra(a.p, table, coords(unit), validate=False)
-    proj = columns([coords(list(col)) for col in zip(*a.mult_matrix(unit))])
+    # the table is symmetric, so each product is formed once
+    table: list[list[VecFp]] = [[[]] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            table[i][j] = table[j][i] = coords(a.mul(chosen[i], chosen[j]))
+    alg = FpAlgebra(p, table, coords(unit), validate=False)
+    proj = columns([coords(v) for v in products])
     return Component(idempotent=unit[:], projection=proj, algebra=alg)
 
 

@@ -130,12 +130,12 @@ def _kernel(m: list[list], p: int | None = None) -> list[list]:
     return basis
 
 
-def min_relation(powers: list[list], p: int | None = None) -> list:
-    """Monic least relation c_0..c_k, sum c_i x^i = 0, among the coordinate
-    vectors of x^0, ..., x^m: the kernel vector of the first free column k
-    of one elimination, which has 1 at k and zero beyond. The columns before
-    k are independent, so no relation of lower degree exists."""
-    kernel = _kernel(columns(powers), p)
+def min_relation(powers: list[list]) -> list:
+    """Monic least relation c_0..c_k, sum c_i x^i = 0, among the rational
+    coordinate vectors of x^0, ..., x^m: the kernel vector of the first free
+    column k of one elimination, which has 1 at k and zero beyond. The
+    columns before k are independent, so no relation of lower degree exists."""
+    kernel = _kernel(columns(powers))
     if not kernel:
         raise AssertionError("no relation among the given powers")
     rel = kernel[0]

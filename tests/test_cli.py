@@ -393,7 +393,7 @@ GOLDEN = {
     ),
     "extensions-trace": (
         ["extensions", "--prime", "5", "--poly", "x^2+1", "--trace"],
-        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "SPLIT{z=[0, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "w_1: e=1 f=1 residue_field_dim=1\n"
@@ -406,8 +406,8 @@ GOLDEN = {
     # w_2's idempotents take three, and w_3's, the last, takes one.
     "extensions-trace-newton": (
         ["extensions", "--prime", "2", "--poly", "x^12+x^6+4", "--trace"],
-        "SPLIT{z=[1, 0, 0, 0], relation=[0, 1, 1], idempotent=[0, 1, 0, 0]}\n"
-        "SPLIT{z=[0, 0, 1, 1], relation=[0, 1, 1], idempotent=[0, 1, 1, 1]}\n"
+        "SPLIT{z=[1, 0, 0, 0], idempotent=[1, 0, 0, 0]}\n"
+        "SPLIT{z=[0, 0, 1, 1], idempotent=[0, 0, 1, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=2}\n"
         "LIFT{iteration=3}\n"
@@ -424,7 +424,7 @@ GOLDEN = {
     # the values and residues that approx, weak-approx and verify compute.
     "value-trace": (
         ["value", "--prime", "5", "--poly", "x^2+1", "--elem=-a-1/2", "--trace"],
-        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "SPLIT{z=[0, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "CASE3{j=3}\n"
@@ -443,7 +443,7 @@ GOLDEN = {
     ),
     "value-trace-partially-ramified": (
         ["value", "--prime", "23", "--poly", "x^3-x-1", "--elem", "a^2-13*a+30", "--trace"],
-        "SPLIT{z=[6, 21], relation=[0, 2, 1], idempotent=[18, 12]}\n"
+        "SPLIT{z=[1, 0], idempotent=[18, 12]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "CASE3{j=4}\n"
@@ -456,7 +456,7 @@ GOLDEN = {
     "residue-trace": (
         ["residue", "--prime", "5", "--poly", "x^2+1", "--elem", "a", "--extension", "1",
          "--trace"],
-        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "SPLIT{z=[0, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "CASE1{j=3}\n"
@@ -464,7 +464,7 @@ GOLDEN = {
     ),
     "weak-approx-trace": (
         ["weak-approx", "--prime", "5", "--poly", "x^2+1", "--targets", "3;1", "--trace"],
-        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "SPLIT{z=[0, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "x = 3*a + 2\nres_1(x) = [3]\nres_2(x) = [1]\n",
@@ -472,14 +472,14 @@ GOLDEN = {
     "approx-trace": (
         ["approx", "--prime", "5", "--poly", "x^2+1", "--extension", "1", "--gamma", "2",
          "--trace"],
-        "SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}\n"
+        "SPLIT{z=[0, 1], idempotent=[3, 1]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "x = 100*a + 75\nw_1(x) = 2\nw_2(x) = 4\n",
     ),
     "verify-trace": (
         ["verify", "--prime", "23", "--poly", "x^3-x-1", "--trials", "2", "--trace"],
-        "SPLIT{z=[6, 21], relation=[0, 2, 1], idempotent=[18, 12]}\n"
+        "SPLIT{z=[1, 0], idempotent=[18, 12]}\n"
         "LIFT{iteration=1}\n"
         "LIFT{iteration=1}\n"
         "instance: Q[x]/(x^3 - x - 1) at p=23\n"
@@ -492,7 +492,7 @@ GOLDEN = {
          "--output", "json"],
         '{"element": "-a - 1/2", "values": [{"extension": 1, "value": "1"}, '
         '{"extension": 2, "value": "0"}], "trace": ['
-        '"SPLIT{z=[4, 2], relation=[0, 2, 1], idempotent=[3, 1]}", '
+        '"SPLIT{z=[0, 1], idempotent=[3, 1]}", '
         '"LIFT{iteration=1}", "LIFT{iteration=1}", "CASE3{j=3}", "CASE1{j=2}", '
         '"CASE1{j=3}"]}\n',
     ),

@@ -22,9 +22,10 @@ from valext import (
     split_reduced,
 )
 from valext import extensions as extensions_module
+from valext import fpalgebra as fpalgebra_module
 from valext import orders as orders_module
 from valext.fpalgebra import lift_idempotent
-from valext.linalg import columns, fp_matvec, fp_rank, fp_solve, mult_matrix
+from valext.linalg import columns, fp_kernel, fp_matvec, fp_rank, fp_solve, mult_matrix
 
 from conftest import (
     CORPUS,
@@ -294,6 +295,42 @@ def test_split_matches_factorisation_oracle(case):
     assert total == alg.unit
     projections = [c.projection for c in dec.components]
     assert projections == sorted(projections)
+
+
+@st.composite
+def split_moduli(draw):
+    """(p, g, k): g over F_p, low to high, a squarefree product of three or
+    four monic factors of degree 1..3, and k >= 3 irreducible factors."""
+    p = draw(st.sampled_from([2, 3, 5, 10**9 + 7]))
+    t = sympy.Symbol("t")
+    g = sympy.Poly(1, t, modulus=p)
+    for _ in range(draw(st.integers(3, 4))):
+        d = draw(st.integers(1, 3))
+        h = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+        g *= sympy.Poly(h[::-1], t, modulus=p)
+    _, factors = g.factor_list()
+    assume(all(m == 1 for _, m in factors))
+    return p, [int(c) % p for c in g.all_coeffs()[::-1]], len(factors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(split_moduli())
+def test_split_takes_two_kernels(case):
+    """split_reduced takes the kernel of a Frobenius power for the
+    nilradical and that of F - I for the Berlekamp subalgebra, and no
+    kernel per factor, however many components there are."""
+    p, g, k = case
+    kernels = []
+
+    def counted(m, q):
+        kernels.append(m)
+        return fp_kernel(m, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpalgebra_module, "fp_kernel", counted)
+        dec = split_reduced(poly_algebra(p, g))
+    assert len(dec.components) == k >= 3
+    assert len(kernels) == 2
 
 
 def test_decomposition_invariants():

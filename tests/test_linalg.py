@@ -6,7 +6,6 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.matrices import DomainMatrix
 
 from valext.linalg import (
     _kernel,
@@ -18,7 +17,6 @@ from valext.linalg import (
     int_det,
     lattice_canonical,
     lattice_coords,
-    min_relation,
     pval,
     require_triangular,
 )
@@ -134,59 +132,6 @@ def test_elimination_core(p, system):
     else:
         assert rank == augmented_rank
         assert [dot(row, x) for row in a] == [y % p for y in b]
-
-
-# -- minimal relations over F_p ----------------------------------------------
-
-
-@st.composite
-def residue_rings(draw):
-    """(p, g, z): g of degree 1..6 over F_p, low to high, with a nonzero
-    leading coefficient, and coordinates of some z in F_p[t]/(g)."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 10**9 + 7]))
-    d = draw(st.integers(1, 6))
-    g = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
-    g.append(draw(st.integers(1, p - 1)))
-    z = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
-    return p, g, z
-
-
-def mul_mod(a, b, g, p):
-    """a * b reduced modulo g over F_p, as coordinates on 1, t, ..., t^(d-1)."""
-    d = len(g) - 1
-    prod = [0] * max(len(a) + len(b) - 1, d)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    lead_inv = pow(g[-1], -1, p)
-    for k in range(len(prod) - 1, d - 1, -1):
-        c = prod[k] * lead_inv % p
-        for i in range(d + 1):
-            prod[k - d + i] = (prod[k - d + i] - c * g[i]) % p
-    return prod[:d]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(residue_rings())
-def test_min_relation_over_fp(case):
-    """The relation of t in F_p[t]/(g) is g made monic. For any z it is a
-    monic relation whose degree is the rank of the powers of z (sympy)."""
-    p, g, z = case
-    d = len(g) - 1
-    t = mul_mod([1], [0, 1], g, p)
-    for x, expected in ((t, [c * pow(g[-1], -1, p) % p for c in g]), (z, None)):
-        powers = [[1] + [0] * (d - 1)]
-        for _ in range(d):
-            powers.append(mul_mod(powers[-1], x, g, p))
-        rel = min_relation(powers, p)
-        if expected is not None:
-            assert rel == expected
-        assert rel[-1] == 1
-        for i in range(d):
-            assert sum(c * v[i] for c, v in zip(rel, powers)) % p == 0
-        field = sympy.GF(p)
-        rank = DomainMatrix([[field(c) for c in v] for v in powers], (d + 1, d), field).rank()
-        assert len(rel) - 1 == rank
 
 
 # -- lattices over Z_(p) ------------------------------------------------------
