@@ -51,7 +51,7 @@ from .theorems import (
     check_fundamental,
     weak_approx,
 )
-from .values import INFINITY, Val
+from .values import INFINITY
 
 __all__ = [
     "CheckReport",
@@ -71,7 +71,6 @@ __all__ = [
     "Order",
     "Position",
     "PositionKind",
-    "Val",
     "ValExtError",
     "ZeroElement",
     "approx_element",

@@ -27,9 +27,10 @@ class PolyParseError(ValueError):
     pass
 
 
-def parse_poly(text: str, var: str) -> list[Fraction]:
-    """poly := term (('+'|'-') term)*; term := [coef '*'?]? VAR ('^' uint)? | coef;
-    coef := int | int '/' uint. Whitespace-insensitive; a leading sign is allowed."""
+def parse_poly(text: str, var: str) -> dict[int, Fraction]:
+    """Exponent -> coefficient. poly := term (('+'|'-') term)*;
+    term := [coef '*'?]? VAR ('^' uint)? | coef; coef := int | int '/' uint.
+    Whitespace-insensitive; a leading sign is allowed."""
     s = "".join(text.split())
     if not s:
         raise PolyParseError("empty polynomial")
@@ -80,20 +81,26 @@ def parse_poly(text: str, var: str) -> list[Fraction]:
                 raise PolyParseError(f"expected a term at the end of {text!r}")
             raise PolyParseError(f"unexpected character {s[i]!r} in {text!r}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
-    deg = max(coeffs) if coeffs else 0
-    return [coeffs.get(k, Fraction(0)) for k in range(deg + 1)]
+    return coeffs
 
 
 def parse_defining_poly(text: str) -> NumberField:
-    coeffs = parse_poly(text, "x")
+    terms = parse_poly(text, "x")
     try:
-        return NumberField(coeffs)
+        return NumberField([terms.get(k, 0) for k in range(max(terms) + 1)])
     except ValueError as exc:
         raise PolyParseError(str(exc)) from None
 
 
 def parse_element(text: str, field: NumberField) -> NFElem:
-    return field.from_poly(parse_poly(text, "a"))
+    """The terms below degree n are coordinates; each higher power of the
+    generator is formed by repeated squaring, so a^N costs O(log N)
+    products rather than N reductions."""
+    terms = parse_poly(text, "a")
+    elem = field.element([terms.pop(k, 0) for k in range(field.n)])
+    for k, c in terms.items():
+        elem = elem + field.from_poly([0, 1]) ** k * c
+    return elem
 
 
 def format_element(x: NFElem) -> str:
@@ -305,6 +312,11 @@ def _join_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # The user's own integers, and the exact answers, can exceed the 4300
+    # digits that Python (3.10.7+, 3.11) converts between int and str by
+    # default; the limit would end the run with a traceback.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

@@ -44,7 +44,7 @@ from .linalg import (
 from .numberfield import NFElem, NumberField
 from .orders import Order, ideal_over, p_maximal_order
 from .polynomials import poly_deg
-from .values import INFINITY, Val
+from .values import INFINITY
 
 
 class PositionKind(enum.Enum):
@@ -236,8 +236,8 @@ def decide_position(x: NFElem, w: ExtensionValuation) -> Position:
     raise NotIrreducible("reverse induction failed to classify the element")
 
 
-def value(w: ExtensionValuation, x: NFElem) -> Val:
-    """w(x) as an exact rational with denominator dividing e.
+def value(w: ExtensionValuation, x: NFElem) -> Fraction:
+    """w(x) as an exact rational with denominator dividing e; INFINITY for 0.
 
     The anti-uniformizer count gives m = e*w(x), and one walk certifies it:
     decide_position(x^e p^(-m)) must say UNIT, that is w(x^e p^(-m)) = 0,
@@ -252,14 +252,14 @@ def value(w: ExtensionValuation, x: NFElem) -> Val:
     xe.min_poly()
     if decide_position(xe * Fraction(w.p) ** -m, w).kind is not PositionKind.UNIT:
         raise AssertionError("the walk does not certify the anti-uniformizer count")
-    return Val(Fraction(m, w.e))
+    return Fraction(m, w.e)
 
 
-def value_by_count(w: ExtensionValuation, x: NFElem) -> Val:
+def value_by_count(w: ExtensionValuation, x: NFElem) -> Fraction:
     """w(x) by the anti-uniformizer count alone, with no walk."""
     if x.is_zero:
         return INFINITY
-    return Val(Fraction(_count(w, x), w.e))
+    return Fraction(_count(w, x), w.e)
 
 
 def _count(w: ExtensionValuation, x: NFElem) -> int:

@@ -1,85 +1,28 @@
-"""Extended values: elements of Q together with +infinity.
+"""The value of 0: +infinity, the one value that is not a Fraction.
 
-Valuations take values in the divisible closure of the base value group Z,
-so every finite value is an exact rational; infinity is a distinct variant,
-never a sentinel number.
+Every value group here is (1/e)Z inside Q, so a finite value is a
+fractions.Fraction. INFINITY is equal only to itself, above every rational
+(Fraction and int return NotImplemented when compared with it, so Python
+takes its reflected operator), hashable, and prints "inf". It has no
+arithmetic, and it is not a float.
 """
 
-from __future__ import annotations
+import functools
+import numbers
 
-from fractions import Fraction
 
-
-class Val:
-    """A value in Q or +inf, totally ordered, with valuation arithmetic."""
-
-    __slots__ = ("_q",)
-
-    def __init__(self, q: Fraction | int | None):
-        self._q = None if q is None else Fraction(q)
-
-    def __add__(self, other) -> "Val":
-        other = _coerce(other)
-        if self._q is None or other._q is None:
-            return INFINITY
-        return Val(self._q + other._q)
-
-    __radd__ = __add__
-
-    def __mul__(self, k: int) -> "Val":
-        """Scale by an integer; k*inf = inf (k > 0 in all uses here)."""
-        if not isinstance(k, int):
-            return NotImplemented
-        if self._q is None:
-            return INFINITY
-        return Val(self._q * k)
-
-    __rmul__ = __mul__
+@functools.total_ordering
+class _Infinity:
+    __hash__ = object.__hash__
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Val):
-            return self._q == other._q
-        if isinstance(other, (int, Fraction)):
-            return self._q == Fraction(other)
-        return NotImplemented
+        return other is self
 
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if self._q is None:
-            return False
-        if other._q is None:
-            return True
-        return self._q < other._q
+        return False if other is self or isinstance(other, numbers.Rational) else NotImplemented
 
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        return self == other or self < other
-
-    def __gt__(self, other) -> bool:
-        return _coerce(other) < self
-
-    def __ge__(self, other) -> bool:
-        return _coerce(other) <= self
-
-    def __hash__(self):
-        return hash(self._q)
-
-    def __repr__(self):
-        return f"Val({str(self)!r})"
-
-    def __str__(self):
-        """Reduced "m/e" (plain "m" for integers), "inf" for infinity."""
-        if self._q is None:
-            return "inf"
-        return str(self._q)
+    def __repr__(self) -> str:
+        return "inf"
 
 
-INFINITY = Val(None)
-
-
-def _coerce(x) -> Val:
-    if isinstance(x, Val):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Val(x)
-    raise TypeError(f"cannot compare Val with {type(x).__name__}")
+INFINITY = _Infinity()

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import sympy
 
-from valext import INFINITY, NumberField, Val, extensions_of, p_maximal_order, value, weak_approx
+from valext import NumberField, extensions_of, p_maximal_order, value, weak_approx
 from valext.linalg import columns, fp_rank, fp_rref, fp_solve
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
@@ -81,11 +81,11 @@ def paper_approx_element(exts, target: int, gamma: Fraction):
     c y^(1-2d) for y = x0 + b c (a x0)^(1-2d). Values come from the walk."""
     w1 = exts[target]
     fld = w1.field
-    g = next(g for g in map(fld.element, w1.prime_basis) if value(w1, g) == Val(Fraction(1, w1.e)))
+    g = next(g for g in map(fld.element, w1.prime_basis) if value(w1, g) == Fraction(1, w1.e))
     x0 = power(g, int(w1.e * gamma))
     unit = [list(w.residue_algebra.unit) for w in exts]
     zero = [w.residue_algebra.zero() for w in exts]
-    at_gamma = [w is not w1 and value(w, x0) >= Val(gamma) for w in exts]
+    at_gamma = [w is not w1 and value(w, x0) >= gamma for w in exts]
     a = weak_approx(exts, [zero[i] if hit else unit[i] for i, hit in enumerate(at_gamma)])
     b = weak_approx(exts, [zero[i] if w is w1 else unit[i] for i, w in enumerate(exts)])
     d = gamma.denominator
@@ -273,14 +273,3 @@ def frobenius_lift(p: int, table, x) -> list:
             result = mul(result, base)
         base, e = mul(base, base), e >> 1
     return result
-
-
-def parse_val(s: str):
-    """Inverse of str(Val): a reduced rational "m/e", or "inf"."""
-    s = s.strip()
-    return INFINITY if s == "inf" else Val(Fraction(s))
-
-
-def rational(v) -> Fraction:
-    """The rational of a finite Val, read off its str; ValueError on inf."""
-    return Fraction(str(v))

@@ -12,7 +12,6 @@ from math import lcm
 from valext import (
     INFINITY,
     PositionKind,
-    Val,
     approx_element,
     check_fundamental,
     decide_position,
@@ -36,7 +35,6 @@ from conftest import (
     pval,
     random_element,
     random_order_element,
-    rational,
 )
 
 EXPECTED_SPLITTINGS = {
@@ -133,7 +131,7 @@ def test_criterion_6_valuation_axioms():
         rng = random.Random(600 + p)
         per_ext = 200 // len(exts) + 1
         for w in exts:
-            if value(w, fld.from_rational(p)) != Val(1):
+            if value(w, fld.from_rational(p)) != 1:
                 failures += 1
             for _ in range(per_ext):
                 x = random_element(rng, fld, p)
@@ -146,10 +144,10 @@ def test_criterion_6_valuation_axioms():
                 if not vs >= min(vx, vy):
                     failures += 1
                 q = Fraction(rng.randint(-(p**2), p**2), rng.randint(1, p**2))
-                if q != 0 and value(w, fld.from_rational(q)) != Val(pval(q, p)):
+                if q != 0 and value(w, fld.from_rational(q)) != pval(q, p):
                     failures += 1
                 for v in (vx, vy):
-                    if w.e % rational(v).denominator != 0:
+                    if w.e % v.denominator != 0:
                         failures += 1
     assert failures == 0
     print("ACCEPTANCE 6 (valuation axioms on seeded random pairs): PASS")
@@ -187,10 +185,10 @@ def test_criterion_8_approximation_lemma():
                 Fraction(1),
             ]:
                 x = approx_element(exts, ti, gamma)
-                if value(w, x) != Val(gamma):
+                if value(w, x) != gamma:
                     failures += 1
                 for i, other in enumerate(exts):
-                    if i != ti and not value(other, x) > Val(gamma):
+                    if i != ti and not value(other, x) > gamma:
                         failures += 1
     assert failures == 0
     print("ACCEPTANCE 8 (approximation lemma, all gammas exact): PASS")
@@ -211,6 +209,6 @@ def test_criterion_10_ramification_cross_check():
     for coeffs, p in CORPUS:
         fld = field_for(coeffs)
         for w in extensions_for(coeffs, p):
-            denoms = [rational(value(w, fld.element(v))).denominator for v in w.prime_basis]
+            denoms = [value(w, fld.element(v)).denominator for v in w.prime_basis]
             assert lcm(*denoms) == w.e, f"{coeffs} at {p}, w_{w.index}"
     print("ACCEPTANCE 10 (lattice-value e agrees with dimension e): PASS")

@@ -12,21 +12,21 @@ from valext.cli import (
     parse_poly,
 )
 from valext.numberfield import NumberField
-from conftest import parse_val
 
 
 # -- parser -------------------------------------------------------------------
 
 
 def test_parse_poly_basic():
-    assert parse_poly("x^2+1", "x") == [Fraction(1), Fraction(0), Fraction(1)]
-    assert parse_poly("x^3 - x - 1", "x") == [Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)]
-    assert parse_poly("2*x^2 + 3", "x") == [Fraction(3), Fraction(0), Fraction(2)]
-    assert parse_poly("2x^2+3", "x") == [Fraction(3), Fraction(0), Fraction(2)]
-    assert parse_poly("1/2*a^2 + a - 3", "a") == [Fraction(-3), Fraction(1), Fraction(1, 2)]
-    assert parse_poly("-x + 5", "x") == [Fraction(5), Fraction(-1)]
-    assert parse_poly("7", "x") == [Fraction(7)]
-    assert parse_poly("x + x", "x") == [Fraction(0), Fraction(2)]
+    assert parse_poly("x^2+1", "x") == {2: 1, 0: 1}
+    assert parse_poly("x^3 - x - 1", "x") == {3: 1, 1: -1, 0: -1}
+    assert parse_poly("2*x^2 + 3", "x") == {2: 2, 0: 3}
+    assert parse_poly("2x^2+3", "x") == {2: 2, 0: 3}
+    assert parse_poly("1/2*a^2 + a - 3", "a") == {2: Fraction(1, 2), 1: 1, 0: -3}
+    assert parse_poly("-x + 5", "x") == {1: -1, 0: 5}
+    assert parse_poly("7", "x") == {0: 7}
+    assert parse_poly("x + x", "x") == {1: 2}
+    assert parse_poly("a^1000000000000000000 - 2", "a") == {10**18: 1, 0: -2}
 
 
 def test_parse_poly_whitespace_insensitive():
@@ -363,8 +363,62 @@ def test_val_string_round_trip_through_json(capsys):
     )
     data = json.loads(out)
     for entry in data["values"]:
-        parse_val(entry["value"])  # must parse back
+        Fraction(entry["value"])  # must parse back
     assert data["values"][0]["value"] == "1/2"
+
+
+def test_value_of_zero_is_inf(capsys):
+    """0 has the value INFINITY at every extension, printed as inf."""
+    argv = ("value", "--prime", "5", "--poly", "x^2+1", "--elem", "0")
+    assert run_cli(capsys, *argv) == (0, "w_1(0) = inf\nw_2(0) = inf\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--output", "json")
+    assert code == 0
+    assert json.loads(out)["values"] == [
+        {"extension": 1, "value": "inf"}, {"extension": 2, "value": "inf"}
+    ]
+
+
+def test_approx_prints_integers_beyond_the_int_str_digit_limit(capsys):
+    """At gamma = 6200 over p = 5 the coordinates are near 5^6201, more than
+    the 4300 digits Python converts to str by default; the answer is still
+    exact JSON."""
+    code, out, err = run_cli(
+        capsys, "approx", "--prime", "5", "--poly", "x^2+1",
+        "--extension", "1", "--gamma", "6200", "--output", "json",
+    )
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert max(map(len, data["element"].split())) > 4300
+    assert data["values"] == [{"extension": 1, "value": "6200"}, {"extension": 2, "value": "6202"}]
+
+
+def test_value_reads_integers_beyond_the_int_str_digit_limit(capsys):
+    """A 5000-digit coefficient parses and prints back unchanged; N(x) is
+    c^2 + 1 with c = 77...7, and v_5(c^2 + 1) = 1 = w_1(x) + w_2(x)."""
+    sevens = "7" * 5000
+    code, out, err = run_cli(
+        capsys, "value", "--prime", "5", "--poly", "x^2+1", "--elem", f"{sevens}*a+1"
+    )
+    assert (code, err) == (0, "")
+    assert out == f"w_1({sevens}*a + 1) = 1\nw_2({sevens}*a + 1) = 0\n"
+
+
+def test_huge_powers_of_the_generator_parse_by_squaring(capsys):
+    """a^N takes O(log N) products: a dense list of N + 1 coefficients
+    would not fit in memory at N = 10^18. In x^2+1 the generator has order
+    4, and in x^4+1 order 8."""
+    n = 10**18  # divisible by 8
+    gauss, eighth = NumberField([1, 0, 1]), NumberField([1, 0, 0, 0, 1])
+    assert parse_element(f"a^{n}", gauss) == gauss.one()
+    assert parse_element(f"a^{n + 3} + 2*a^{n + 2}", gauss) == gauss.element([-2, -1])
+    assert parse_element(f"a^{n}", eighth) == eighth.one()
+    assert parse_element(f"a^{n + 6} - 1/2*a^{n + 13}", eighth) == eighth.element([0, Fraction(1, 2), -1, 0])
+    code, out, _ = run_cli(
+        capsys, "value", "--prime", "5", "--poly", "x^4+1", "--elem", f"a^{n + 1}+2",
+        "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["element"] == "a + 2"
 
 
 # Exact stdout of a few runs, pinned byte for byte. The verify instance line

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valext import INFINITY, Val, is_prime
+from valext import INFINITY, is_prime
 from valext.linalg import pval
 from valext.padic import PRIME_BOUND
 
@@ -65,12 +65,15 @@ def test_value_axioms_randomized():
     """pval, with pval(0) = inf, is a valuation on Q."""
 
     def vp(q, p):
-        return INFINITY if q == 0 else Val(pval(q, p))
+        return INFINITY if q == 0 else pval(q, p)
 
     rng = random.Random(0)
     for p in (2, 5, 13):
         for _ in range(100):
             x = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             y = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            assert vp(x * y, p) == vp(x, p) + vp(y, p)
+            if x * y == 0:
+                assert vp(x * y, p) is INFINITY
+            else:
+                assert vp(x * y, p) == vp(x, p) + vp(y, p)
             assert vp(x + y, p) >= min(vp(x, p), vp(y, p))
