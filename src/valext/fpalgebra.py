@@ -201,15 +201,15 @@ def quotient_mod_p(order, p: int) -> FpAlgebra:
 
 
 def nilradical(a: FpAlgebra) -> list[VecFp]:
-    """A basis of the nilpotents: the kernel of F^m, F the Frobenius matrix,
-    m >= 1 and p^m >= dim. The nilpotents of a commutative ring form an
-    ideal, so this basis is not checked for closure here; quotient_by checks
-    what it is given."""
+    """A basis of the nilpotents: the kernel of F^k, F the Frobenius matrix,
+    for k >= m, where m >= 1 and p^m >= dim. That kernel is the same
+    subspace for every such k, so F is squared until k reaches m. The
+    nilpotents of a commutative ring form an ideal, so this basis is not
+    checked for closure here; quotient_by checks what it is given."""
     p = a.p
-    frob = a.frobenius()
-    power, q = frob, p
+    power, q = a.frobenius(), p
     while q < a.dim:
-        power, q = fp_matmul(power, frob, p), q * p
+        power, q = fp_matmul(power, power, p), q * q
     return fp_kernel(power, p)
 
 

@@ -9,6 +9,7 @@ is the field degree), so plain Gaussian elimination is the right tool.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 VecQ = list[Fraction]
 MatQ = list[list[Fraction]]
@@ -175,16 +176,12 @@ def fp_identity(n: int) -> MatFp:
 
 
 def fp_matvec(m: MatFp, v: VecFp, p: int) -> VecFp:
-    return [sum(row[j] * v[j] for j in range(len(v))) % p for row in m]
+    return [sum(map(mul, row, v)) % p for row in m]
 
 
 def fp_matmul(a: MatFp, b: MatFp, p: int) -> MatFp:
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) % p for j in range(cols)]
-        for i in range(len(a))
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
 
 
 def fp_rref(m: MatFp, p: int) -> tuple[MatFp, list[int]]:
@@ -239,22 +236,25 @@ def lattice_canonical(basis: list[VecQ], p: int) -> list[VecQ]:
 
     The entries of each column below its pivot are reduced modulo the later
     pivots by floor division, in increasing row order, which is stable
-    because a later column vanishes above its own pivot. The result is
-    unique for the lattice, and the map is idempotent.
+    because a later column vanishes above its own pivot. The reduction runs
+    on integer numerators over the one common denominator, a power of p,
+    and a basis of integers comes back in ints. The result is unique for
+    the lattice, and the map is idempotent.
     """
     require_triangular(basis)
     if not all(_is_p_power(x.denominator, p) for col in basis for x in col) or not all(
         _is_p_power(col[k].numerator, p) for k, col in enumerate(basis)
     ):
         raise ValueError(f"basis needs Z[1/{p}] entries and powers of {p} as pivots")
-    cols = [col[:] for col in basis]
+    den = max(x.denominator for col in basis for x in col)
+    cols = [[x.numerator * (den // x.denominator) for x in col] for col in basis]
     for bi, col in enumerate(cols):
         for j in range(bi + 1, len(cols)):
             f = col[j] // cols[j][j]
             if f:
                 for r in range(j, len(col)):
                     col[r] -= f * cols[j][r]
-    return cols
+    return [[Fraction(x, den) for x in col] for col in cols] if den > 1 else cols
 
 
 def require_triangular(basis: list[VecQ]) -> None:
@@ -264,34 +264,38 @@ def require_triangular(basis: list[VecQ]) -> None:
             raise ValueError("basis is not lower triangular with nonzero diagonal")
 
 
-def _exact_div(a, b):
-    """a / b over Q; for two ints, their integer quotient, and ValueError
-    when b does not divide a."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError(f"{b} does not divide {a}")
-        return q
-    return a / b
+def _exact_div(row: list, d) -> list:
+    """row / d over Q; for an int d and a row of ints, their integer
+    quotients, and ValueError when d does not divide one of them."""
+    if type(d) is not int or any(type(x) is not int for x in row):
+        return [x / d for x in row]
+    if any(x % d for x in row):
+        raise ValueError(f"{d} does not divide every entry of {row}")
+    return [x // d for x in row]
+
+
+def lattice_solve(basis: list[VecQ], m: list[list]) -> list[list]:
+    """The matrix C with m = B C, where column k of B is basis[k], for a basis
+    of the shape lattice_canonical returns: forward substitution on whole
+    rows, C[i] = (m[i] - sum_{k<i} B[i][k] C[k]) / B[i][i]. The basis must
+    already have passed require_triangular: it is not checked again here,
+    since every caller solves many columns against one basis.
+
+    With Fraction entries C is rational. With int entries throughout it is
+    an integer matrix, and an entry outside Z raises ValueError, so the same
+    solve decides whether every column of m lies in the Z-span of the basis.
+    Zero B[i][k] are skipped: most entries of a canonical basis are zero.
+    """
+    sol: list[list] = []
+    for row, coeffs in zip(m, columns(basis)):
+        for c, prev in zip(coeffs, sol):
+            if c:
+                row = [x - c * y for x, y in zip(row, prev)]
+        d = coeffs[len(sol)]
+        sol.append(row if d == 1 else _exact_div(row, d))
+    return sol
 
 
 def lattice_coords(basis: list[VecQ], v: VecQ) -> VecQ:
-    """Coordinates c of v = sum_k c_k basis[k] by forward substitution, for a
-    basis of the shape lattice_canonical returns. The basis must already have
-    passed require_triangular: it is not checked again here, since every
-    caller solves many vectors against one basis.
-
-    With Fraction entries the coordinates are rationals. With int entries
-    throughout they are ints, and a coordinate outside Z raises ValueError,
-    so the same solve decides membership in the Z-span of the basis.
-    Zero terms are skipped: most entries of a canonical basis are zero, and
-    every Fraction product costs a gcd.
-    """
-    coords: VecQ = []
-    for i, row in enumerate(basis):
-        x = v[i]
-        for c, col in zip(coords, basis):
-            if c and col[i]:
-                x -= c * col[i]
-        coords.append(_exact_div(x, row[i]) if x else x)
-    return coords
+    """Coordinates c of v = sum_k c_k basis[k]: lattice_solve on one column."""
+    return [c for c, in lattice_solve(basis, [[x] for x in v])]

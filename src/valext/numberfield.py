@@ -151,15 +151,16 @@ class NFElem:
         return self._coerce(other) - self
 
     def __pow__(self, e: int):
+        """x^e from the top bit: bit_length(e) - 1 squarings, popcount(e) - 1 products."""
         if e < 0:
             raise ValueError("negative powers are not supported")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return self.field.one()
+        result = NFElem(self.field, self.coords[:])
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

@@ -10,9 +10,12 @@ makes Z[theta] p-maximal.
 Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
 so it is fixed by an F_p-subspace of O/pO, whose echelon form is its
 canonical basis in integer O-coordinates; power bases are formed only for
-new orders and primes. Every order carries its integer structure
-constants, computed once, and Round 2 multiplies through them: no product
-of number-field elements is formed here.
+new orders and primes, in integers over the order's one denominator.
+Every order carries its integer structure constants, computed once: for
+Z[theta] they are the reduced powers theta^(i+j), with no solve. Round 2
+multiplies through them, and solves each generator's whole product matrix
+in the ideal as one integer block: no product of number-field elements is
+formed here.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .linalg import (
     fp_rref,
     lattice_canonical,
     lattice_coords,
+    lattice_solve,
     mult_matrix,
     pval,
     q_identity,
@@ -38,33 +42,37 @@ from .numberfield import NFElem, NumberField
 from .padic import is_prime
 
 
-def _structure_constants(field: NumberField, basis: list[VecQ]) -> list[list[list[int]]]:
-    """table[i][j] = the integer coordinates of b_i b_j in the basis, or
-    ValueError where one is not an integer.
-
-    Over a common denominator d, b_j = num[j] / d with num[j] integral, so
-    b_i b_j = w / d^2 with w = num[i] num[j] mod f, integral because f is
-    monic with integer coefficients; the coordinates c of the product solve
-    sum_k c_k d num[k] = w, exactly in integers.
+def _structure_constants(field: NumberField, num: list[list[int]], d: int) -> list[list[list[int]]]:
+    """table[i][j] = the integer coordinates of b_i b_j in the basis
+    b_j = num[j] / d, or ValueError where one is not an integer. For
+    Z[theta] they are theta^(i+j) mod f, read off theta^0 .. theta^(2n-2).
+    Otherwise b_i b_j = w / d^2 with w = num[i] num[j] mod f integral, as f
+    is monic, and sum_k c_k d num[k] = w is one integer block solve per i.
     """
     n = field.n
-    d = math.lcm(*(x.denominator for v in basis for x in v))
-    num = [[x.numerator * (d // x.denominator) for x in v] for v in basis]
+    pows = [[int(i == k) for i in range(n)] for k in range(n)]
+    if d == 1 and num == pows:
+        for _ in range(n - 1):
+            pows.append(field._reduce([0] + pows[-1]))
+        return [[pows[i + j] for j in range(n)] for i in range(n)]
     solve_basis = [[d * x for x in v] for v in num]
     table: list[list[list[int]]] = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            try:
-                table[i][j] = table[j][i] = lattice_coords(solve_basis, field._mul(num[i], num[j]))
-            except ValueError:
-                raise ValueError("basis is not closed under multiplication") from None
+        prods = columns([field._mul(num[i], num[j]) for j in range(i, n)])
+        try:
+            coords = columns(lattice_solve(solve_basis, prods))
+        except ValueError:
+            raise ValueError("basis is not closed under multiplication") from None
+        for j, c in enumerate(coords, i):
+            table[i][j] = table[j][i] = c
     return table
 
 
 class Order:
     """Full-rank unital subring of L given by a canonical lattice basis.
 
-    basis[j] is the power-basis coordinate vector of the j-th basis element.
+    basis[j] is the power-basis coordinate vector of the j-th basis element,
+    kept also as integer numerators num[j] over one common denominator den.
     It must be lower triangular with nonzero diagonal, as lattice_canonical
     returns it; any other basis raises ValueError. The structure constants
     table[i][j][k], with b_i b_j = sum_k table[i][j][k] b_k, are computed
@@ -76,22 +84,36 @@ class Order:
 
     def __init__(self, field: NumberField, basis: list[VecQ]):
         self.field = field
-        self.basis = [[Fraction(x) for x in v] for v in basis]
+        self.basis = [[x if type(x) is Fraction else Fraction(x) for x in v] for v in basis]
         if len(self.basis) != field.n:
             raise ValueError("order basis must have full rank")
         require_triangular(self.basis)
-        self.table = _structure_constants(field, self.basis)
+        self.den = math.lcm(*(x.denominator for v in self.basis for x in v))
+        self.num = [[x.numerator * (self.den // x.denominator) for x in v] for v in self.basis]
+        self.table = _structure_constants(field, self.num, self.den)
 
     def element(self, coords) -> NFElem:
-        out = [Fraction(0)] * self.field.n
-        for c, b in zip(coords, self.basis):
+        return self.field.element([Fraction(x, self.den) for x in self._combo(coords)])
+
+    def _combo(self, coords) -> list:
+        """den times the element with these coordinates: sum_k coords[k] num[k]."""
+        v = [0] * self.field.n
+        for c, b in zip(coords, self.num):
             if c:
-                out = [o + c * x if x else o for o, x in zip(out, b)]
-        return self.field.element(out)
+                v = [x + c * y for x, y in zip(v, b)]
+        return v
 
     def lattice_basis(self, gens: list[list[int]], p: int) -> list[VecQ]:
         """Canonical power basis of the lattice with O-coordinate basis gens."""
-        return lattice_canonical([self.element(g).coords for g in gens], p)
+        return [[Fraction(x, self.den) for x in v] for v in self._lattice_nums(gens, p)]
+
+    def _lattice_nums(self, gens: list[list[int]], p: int) -> list[list[int]]:
+        """den times that basis, reduced in integers. den must be a power of
+        p, so that the lattice has Z[1/p] entries and p-power pivots exactly
+        when den times it has p-power pivots."""
+        if p ** pval(self.den, p) != self.den:
+            raise ValueError(f"basis needs Z[1/{p}] entries and powers of {p} as pivots")
+        return lattice_canonical([self._combo(g) for g in gens], p)
 
     def coords(self, x: NFElem) -> VecQ:
         """Exact coordinates of x in the order basis (over Q)."""
@@ -109,11 +131,7 @@ class Order:
         return [[[x % p for x in c] for c in row] for row in self.table]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Order)
-            and self.field == other.field
-            and self.basis == other.basis
-        )
+        return isinstance(other, Order) and self.field == other.field and self.basis == other.basis
 
     def __hash__(self):
         return hash((self.field, tuple(tuple(v) for v in self.basis)))
@@ -160,27 +178,32 @@ def ring_of_multipliers(order: Order, ideal: list[list[int]], p: int) -> Order:
 
     Computed via pO' = {w in O : w I <= p I}: each generator g of I gives an
     F_p-linear map O/pO -> I/pI, and the intersection of their kernels is
-    pO'/pO, zero exactly when O' = O. Each b_j g is a contraction with the
-    table, solved in I in integers: a remainder means I is no ideal.
+    pO'/pO, zero exactly when O' = O. The matrix of b_j -> b_j g is one
+    contraction with the table, solved in I in integers as one block: a
+    remainder means I is no ideal. The stacked maps are folded into echelon
+    form after generators 1, 2, 4, 8, ...; once they have full rank, the
+    kernel is zero and the later generators are only checked.
     """
     if len(ideal) != order.field.n or any(type(x) is not int for g in ideal for x in g):
         raise ValueError("ideal generators must be n integer O-coordinate vectors")
     require_triangular(ideal)
-    rows_stacked: list[list[int]] = []
-    for g in ideal:
-        cols = []
-        for prod in zip(*mult_matrix(order.table, g)):
-            try:
-                cols.append([x % p for x in lattice_coords(ideal, prod)])
-            except ValueError:
-                raise NotIrreducible("ideal is not multiplicatively closed") from None
-        rows_stacked += columns(cols)
-    kern = fp_kernel(rows_stacked, p)
+    rows, full = [], False
+    for k, g in enumerate(ideal, 1):
+        try:
+            coords = lattice_solve(ideal, mult_matrix(order.table, g))
+        except ValueError:
+            raise NotIrreducible("ideal is not multiplicatively closed") from None
+        if not full:
+            rows += coords
+            if k & (k - 1) == 0:
+                echelon, pivots = fp_rref(rows, p)
+                rows, full = echelon[: len(pivots)], len(pivots) == len(ideal)
+    kern = fp_kernel(rows, p)
     if not kern:  # pO' = pO: O is its own ring of multipliers
         return order
     # O' = p^-1 ideal_over(kern), and canonical bases scale with powers of p
-    bigger = order.lattice_basis(ideal_over(order, kern, p), p)
-    return Order(order.field, [[x / p for x in b] for b in bigger])
+    bigger = order._lattice_nums(ideal_over(order, kern, p), p)
+    return Order(order.field, [[Fraction(x, order.den * p) for x in v] for v in bigger])
 
 
 def p_maximal_order(field: NumberField, p: int) -> Order:

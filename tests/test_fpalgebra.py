@@ -25,7 +25,7 @@ from valext import extensions as extensions_module
 from valext import fpalgebra as fpalgebra_module
 from valext import orders as orders_module
 from valext.fpalgebra import lift_idempotent
-from valext.linalg import columns, fp_kernel, fp_matvec, fp_rank, fp_solve, mult_matrix
+from valext.linalg import columns, fp_kernel, fp_matmul, fp_matvec, fp_rank, fp_solve, mult_matrix
 
 from conftest import (
     CORPUS,
@@ -607,3 +607,33 @@ def test_components_match_solve_oracle(case):
     for comp in split_reduced(alg).components:
         oracle = component_by_solve(alg, comp.idempotent)
         assert (comp.algebra.table, comp.algebra.unit, comp.projection) == oracle
+
+
+@st.composite
+def nonreduced_moduli(draw):
+    """(p, g): g over F_p, low to high, a product of one to three monic
+    factors of degree 1..3, each to a power 1..3, so that F_p[t]/(g) often
+    has nilpotents."""
+    p = draw(st.sampled_from([2, 3, 5, 10**9 + 7]))
+    t = sympy.Symbol("t")
+    g = sympy.Poly(1, t, modulus=p)
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        h = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+        g *= sympy.Poly(h[::-1], t, modulus=p) ** draw(st.integers(1, 3))
+    return p, [int(c) % p for c in g.all_coeffs()[::-1]]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(nonreduced_moduli())
+def test_nilradical_by_squaring_matches_frobenius_power(case):
+    """nilradical squares F until the exponent k reaches m, the least m >= 1
+    with p^m >= dim; the kernel of F^k is the same subspace for every k >= m,
+    so it returns the same basis as the kernel of F^m."""
+    p, g = case
+    alg = poly_algebra(p, g)
+    frob = alg.frobenius()
+    power, q = frob, p
+    while q < alg.dim:
+        power, q = fp_matmul(power, frob, p), q * p
+    assert nilradical(alg) == fp_kernel(power, p)

@@ -11,6 +11,7 @@ from valext.linalg import (
     _kernel,
     _rref,
     fp_kernel,
+    fp_matmul,
     fp_matvec,
     fp_rank,
     fp_solve,
@@ -347,3 +348,32 @@ def test_int_det_matches_sympy(m):
     assert type(det) is int
     assert det == sympy.Matrix(len(m), len(m), [x for row in m for x in row]).det()
     assert m == before
+
+
+def naive_matmul(a, b, p):
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(cols)]
+            for i in range(len(a))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 10**9 + 7]), st.integers(0, 6), st.integers(1, 6),
+       st.integers(0, 6), st.data())
+def test_fp_matmul_and_matvec_match_the_triple_loop(p, rows, inner, cols, data):
+    """fp_matmul and fp_matvec equal the naive triple loop, on empty shapes
+    and on 1 x n and n x 1 ones too."""
+    entries = st.integers(0, p - 1)
+    a = data.draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=inner, max_size=inner))
+    v = data.draw(st.lists(entries, min_size=inner, max_size=inner))
+    assert fp_matmul(a, b, p) == naive_matmul(a, b, p)
+    assert fp_matvec(a, v, p) == [row[0] for row in naive_matmul(a, [[x] for x in v], p)]
+
+
+def test_fp_matmul_and_matvec_on_edge_shapes():
+    assert fp_matmul([], [[1, 2]], 5) == [] and fp_matvec([], [1, 2], 5) == []
+    assert fp_matmul([[1, 2, 3]], [[1], [2], [3]], 5) == [[4]]
+    assert fp_matmul([[1], [2]], [[3, 4]], 5) == [[3, 4], [1, 3]]
+    assert fp_matvec([[1, 2, 3]], [4, 5, 6], 7) == [32 % 7]

@@ -298,3 +298,32 @@ def test_power_negative_exponent():
     assert i**0 == 1 and i**3 == -i
     with pytest.raises(ValueError, match="negative powers"):
         i**-1
+
+
+def test_pow_products_are_square_and_multiply(monkeypatch):
+    """x^e takes bit_length(e) - 1 squarings and popcount(e) - 1 products by
+    x, and no others: x^1 and x^0 take none."""
+    fld = NumberField([1, 0, 0, 0, 1])
+    x = fld.from_poly([0, 1])
+    calls = []
+    mul = NumberField._mul
+    monkeypatch.setattr(NumberField, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    for e, products in [(0, 0), (1, 0), (2, 1), (3, 2), (32, 5), (33, 6), (63, 10), (64, 6)]:
+        calls.clear()
+        x**e
+        assert len(calls) == products, e
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([[1, 0, 0, 0, 1], [-1, -1, 0, 1], [3, 0, 0, 0, 0, 0, 1]]),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=6, max_size=6))
+def test_pow_equals_repeated_products(f, coords):
+    """x**e is the product of e factors x for every e <= 64, and x**1 is a
+    fresh element equal to x."""
+    fld = NumberField(f)
+    x = fld.element(coords[: fld.n])
+    acc = fld.one()
+    for e in range(65):
+        assert (x**e).coords == acc.coords, e
+        acc = acc * x
+    assert x**1 == x and x**1 is not x

@@ -484,3 +484,33 @@ def test_lattices_from_echelon_form_match_general_elimination(instance):
                 break
             order = bigger
     assert order == top
+
+
+@st.composite
+def monic_polys(draw):
+    """Monic integer f of degree 1..16, low first: sparse (at most three
+    nonzero lower terms) or dense."""
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        low = [0] * n
+        for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            low[k] = draw(st.integers(-50, 50))
+    else:
+        low = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    return low + [1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(monic_polys())
+def test_equation_order_table_is_the_reduced_powers(f):
+    """Z[theta]'s structure constants come in closed form, theta^(i+j) mod f,
+    and equal the product of the basis vectors e_i e_j in the field, in
+    ints."""
+    fld = NumberField(f)
+    n = fld.n
+    table = equation_order(fld).table
+    e = [[int(i == k) for i in range(n)] for k in range(n)]
+    for i in range(n):
+        for j in range(n):
+            assert table[i][j] == fld._mul(e[i], e[j])
+            assert all(type(c) is int for c in table[i][j])
