@@ -5,7 +5,9 @@ Z_(p) in L. Only p-maximality is ever computed: integers coprime to p are
 units throughout, so the discriminant never needs factoring. Order bases
 are the lower-triangular ones of lattice_canonical, so coordinates come by
 forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
-makes Z[theta] p-maximal.
+makes Z[theta] p-maximal, and where f(x + c) is Eisenstein; where f = x^n
+mod p, it starts from the order the Newton polygon of f gives (see
+p_maximal_order).
 
 Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
 so it is fixed by an F_p-subspace of O/pO, whose echelon form is its
@@ -206,16 +208,55 @@ def ring_of_multipliers(order: Order, ideal: list[list[int]], p: int) -> Order:
     return Order(order.field, [[Fraction(x, order.den * p) for x in v] for v in bigger])
 
 
+def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
+    """The order Round 2 starts from, as p_maximal_order describes it, and
+    whether it is already p-maximal."""
+    n, a = field.n, field._low + [1]
+    m = n
+    while m % p == 0:
+        m //= p
+    c = -a[n - n // m] * pow(m, -1, p) % p
+    g = [0] * (n + 1)
+    for coef in reversed(a):  # Horner: g <- g (x + c) + coef, ending at f(x + c)
+        g = [coef + c * g[0]] + [g[i - 1] + c * g[i] for i in range(1, n + 1)]
+    if any(x % p for x in g[:n]):
+        return equation_order(field), False
+    if g[0] % p**2:
+        return equation_order(field), True
+    # c != 0 leaves a_0 = (-c)^n != 0 mod p, so lambda = 0: Z[theta]
+    lam = min(Fraction(pval(x, p), n - i) for i, x in enumerate(a[:n]) if x)
+    return Order(field, [[Fraction(int(i == k), p ** math.floor(k * lam)) for i in range(n)]
+                         for k in range(n)]), False
+
+
 def p_maximal_order(field: NumberField, p: int) -> Order:
-    """Round 2: enlarge through multiplier rings of the p-radical until stable."""
+    """Round 2: enlarge through multiplier rings of the p-radical until stable.
+
+    Z[theta] is returned at once where v_p(disc f) <= 1. Otherwise f mod p
+    decides the start. With n = p^k m, p not dividing m, f = (x - c)^n =
+    (x^(p^k) - c)^m mod p needs c = -a_(n-p^k) / m mod p, and g(x) =
+    f(x + c) tests it: p must divide every g_i, i < n. If it does and p^2
+    does not divide g_0, g is Eisenstein, so Z[theta] = Z[theta - c] is
+    p-maximal with no Round-2 step. If instead c = 0, lambda = min over
+    a_i != 0 of v_p(a_i)/(n - i) (the least valuation of a root, by the
+    Newton polygon of f) gives v_p(a_i) >= (n - i) lambda, so the reduced
+    powers theta^m = sum_k r_mk theta^k, m >= n, have v_p(r_mk) >= (m - k)
+    lambda. A product of theta^i / p^floor(i lambda) and theta^j /
+    p^floor(j lambda) then has valuation >= -k lambda, hence >=
+    -floor(k lambda), at theta^k: these span an order, and Round 2 starts
+    from it. Otherwise it starts from Z[theta]. Every start lies in the
+    unique p-maximal order, so the answer is the same from each.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     disc = discriminant(field)
     if disc == 0:
         raise NotIrreducible("zero discriminant: defining polynomial is not squarefree")
     v = pval(disc, p)
-    order = equation_order(field)
     if v <= 1:  # [O : Z[theta]]^2 divides disc(f), so Z[theta] is p-maximal
+        return equation_order(field)
+    order, maximal = _round2_start(field, p)
+    if maximal:
         return order
     for _ in range(v // 2 + 2):
         rad = p_radical(order, p)

@@ -550,8 +550,11 @@ GOLDEN = {
         '"LIFT{iteration=1}", "LIFT{iteration=1}", "CASE3{j=3}", "CASE1{j=2}", '
         '"CASE1{j=3}"]}\n',
     ),
-    # p-maximal orders that Round 2 reaches in 15, 5, 6 and 4 enlargement
-    # steps, each step through the integer table of the order before it.
+    # p-maximal orders, each Round-2 step through the integer table of the
+    # order before it. The first three have f = x^n mod p, so Round 2 starts
+    # from the Newton-polygon order theta^k / p^floor(k lambda): x^8+4096
+    # takes 2 enlargement steps from it, and for x^6-2187 and x^4-1536 it is
+    # already p-maximal. x^12+x^6+4 = x^6 (x^3+1)^2 mod 2 takes 4 from Z[x].
     "order-round2-x8+4096": (
         ["order", "--prime", "2", "--poly", "x^8+4096", "--output", "json"],
         '{"prime": 2, "poly": "x^8+4096", "basis": ['

@@ -514,3 +514,101 @@ def test_equation_order_table_is_the_reduced_powers(f):
         for j in range(n):
             assert table[i][j] == fld._mul(e[i], e[j])
             assert all(type(c) is int for c in table[i][j])
+
+
+def plain_round2(fld, p):
+    """Round 2 from Z[theta] with no shortcut: (p-maximal order, steps), or
+    NotIrreducible once the discriminant's bound on the steps is passed."""
+    order, steps = equation_order(fld), 0
+    for _ in range(pval(discriminant(fld), p) // 2 + 2):
+        bigger = ring_of_multipliers(order, p_radical(order, p), p)
+        steps += 1
+        if bigger == order:
+            return order, steps
+        order = bigger
+    raise NotIrreducible("Round-2 iteration exceeded the discriminant bound")
+
+
+def outcome(fn, *args):
+    """fn's answer as its order basis, or its refusal as type and message."""
+    try:
+        return fn(*args).basis
+    except (NotIrreducible, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def taylor_shift(g, c):
+    """Coefficients of g(x + c), low first."""
+    return [sum(g[i] * math.comb(i, k) * c ** (i - k) for i in range(k, len(g))) for k in range(len(g))]
+
+
+@st.composite
+def power_of_linear_mod_p(draw, p, kind, shifted):
+    """(g, c): g = x^n + p h(x) = x^n mod p, low first, of degree n in
+    2..9 (so p | n for some n at p = 2, 3, 5, 7), and c = 0 unless shifted;
+    f(x) = g(x - c) = (x - c)^n mod p is the polynomial tested. g_0 has
+    v_p(g_0) = 1 (kind "eisenstein"), v_p(g_0) >= 2 ("deep"), or is 0
+    ("root": f has the root c, so it is reducible). The other coefficients
+    carry p^1 .. p^3, so the Newton polygon varies. Kind "unit" has p not
+    dividing g_0: then f mod p is (x - c)^n + g_0, a power of a linear
+    factor only where n is a power of p, and inseparable where p | n."""
+    n = draw(st.integers(2, 9))
+    g = [p ** draw(st.integers(1, 3)) * draw(st.integers(-3, 3)) for _ in range(n)] + [1]
+    if kind == "eisenstein":
+        g[0] = p * draw(st.sampled_from([u for u in (1, -1, 2, -2) if u % p]))
+    elif kind == "deep":
+        g[0] = p ** draw(st.integers(2, 2 * n)) * draw(st.sampled_from([1, -1, 2, -2]))
+    elif kind == "root":
+        g[0] = 0
+    else:
+        g[0] = draw(st.sampled_from([u for u in (1, -1, 2, -2) if u % p]))
+    return g, draw(st.integers(1, p - 1)) if shifted else 0
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["c=0", "c!=0"])
+@pytest.mark.parametrize("kind", ["eisenstein", "deep", "root", "unit"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10**9 + 7])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_p_maximal_order_matches_plain_round2(p, kind, shifted, data):
+    """Where f = (x - c)^n mod p, p_maximal_order skips Round 2 (g
+    Eisenstein) or starts it from the Newton polygon's order (c = 0). Its
+    answer, or its refusal, is that of plain Round 2 from Z[theta]; on an
+    Eisenstein g that Round 2 takes one step, a fixpoint at Z[theta], which
+    the library skips. Z[theta] = Z[theta - c], so v_p([O : Z[theta]]) is
+    the same for g and f."""
+    g, c = data.draw(power_of_linear_mod_p(p, kind, shifted))
+    f = taylor_shift(g, -c)
+    fld = NumberField(f)
+    assume(discriminant(fld) != 0)
+    calls = []
+    with mock.patch.object(orders, "ring_of_multipliers",
+                           lambda *args: calls.append(1) or ring_of_multipliers(*args)):
+        got = outcome(p_maximal_order, fld, p)
+    assert got == outcome(lambda *args: plain_round2(*args)[0], fld, p)
+    if kind == "eisenstein":
+        assert plain_round2(fld, p) == (equation_order(fld), 1)
+        assert got == equation_order(fld).basis and calls == []
+    if type(got) is list:
+        gfld = NumberField(g)
+        assert (index_valuation(q_identity(fld.n), got, p) ==
+                index_valuation(q_identity(gfld.n), p_maximal_order(gfld, p).basis, p))
+
+
+@pytest.mark.parametrize("f,p,steps", [
+    ([1, 0, 1], 2, 0),  # (x + 1)^2 + 1 is Eisenstein
+    ([-2] + [0] * 11 + [1], 2, 0),
+    ([1] + [0] * 63 + [1], 2, 0),  # (x + 1)^64 + 1 is Eisenstein
+    ([4096] + [0] * 7 + [1], 2, 3),  # Newton start theta^k / 2^floor(3k/2)
+    ([-2187] + [0] * 5 + [1], 3, 1),  # Newton start Z[theta/3], already 3-maximal
+    ([-1536, 0, 0, 0, 1], 2, 1),
+], ids=["x2+1", "x12-2", "x64+1", "x8+4096", "x6-2187", "x4-1536"])
+def test_round2_steps_after_the_start(monkeypatch, f, p, steps):
+    """Round 2 takes ring_of_multipliers steps only past what f mod p decides:
+    none where f(x + c) is Eisenstein, and from the Newton start otherwise."""
+    calls = []
+    monkeypatch.setattr(orders, "ring_of_multipliers",
+                        lambda *args: calls.append(1) or ring_of_multipliers(*args))
+    fld = NumberField(f)
+    assert p_maximal_order(fld, p) == plain_round2(fld, p)[0]
+    assert len(calls) == steps
