@@ -5,10 +5,8 @@ the approximation lemma, and the fundamental inequality.
 
 from .errors import (
     GammaNotInValueGroup,
-    IllegalIdeal,
     NegativeValue,
     NotIrreducible,
-    NotReduced,
     ValExtError,
     ZeroElement,
 )
@@ -27,9 +25,7 @@ from .fpalgebra import (
     Component,
     Decomposition,
     FpAlgebra,
-    lift_idempotents,
     nilradical,
-    quotient_by,
     quotient_mod_p,
     split_reduced,
 )
@@ -62,11 +58,9 @@ __all__ = [
     "FpAlgebra",
     "GammaNotInValueGroup",
     "INFINITY",
-    "IllegalIdeal",
     "NFElem",
     "NegativeValue",
     "NotIrreducible",
-    "NotReduced",
     "NumberField",
     "Order",
     "Position",
@@ -81,11 +75,9 @@ __all__ = [
     "equation_order",
     "extensions_of",
     "is_prime",
-    "lift_idempotents",
     "nilradical",
     "p_maximal_order",
     "p_radical",
-    "quotient_by",
     "quotient_mod_p",
     "recording",
     "residue",

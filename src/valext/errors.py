@@ -22,13 +22,5 @@ class ZeroElement(ValExtError):
     """Operation undefined for the zero element."""
 
 
-class IllegalIdeal(ValExtError):
-    """Ideal contains the unit (quotient would be the zero ring)."""
-
-
-class NotReduced(ValExtError):
-    """Algebra has nonzero nilpotents where a reduced one is required."""
-
-
 class GammaNotInValueGroup(ValExtError):
     """Target value does not lie in the value group of the extension."""

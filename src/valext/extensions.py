@@ -1,10 +1,11 @@
 """Extensions of v_p to L: enumeration, membership decision, value, residue.
 
-extensions_of runs the pipeline p-maximal order -> O/pO -> reduced quotient
--> field decomposition -> idempotents lifted by Newton iteration and reads
-off one extension per field component. decide_position classifies an
-element against one extension's valuation ring by reverse induction on its
-minimal polynomial relation (the walk); residue is read off its witness.
+extensions_of runs the pipeline p-maximal order -> O/pO -> split_reduced,
+which reduces O/pO, splits the reduction into fields and lifts the
+idempotents by Newton iteration, and reads off one extension per field
+component. decide_position classifies an element against one extension's
+valuation ring by reverse induction on its minimal polynomial relation
+(the walk); residue is read off its witness.
 
 Values use the prime P directly: for x in O, e*w(x) is how often x can be
 multiplied by beta/p, for an anti-uniformizer beta of P, and stay in O
@@ -22,19 +23,11 @@ from fractions import Fraction
 
 from .errors import NegativeValue, NotIrreducible, ZeroElement
 from .events import emit
-from .fpalgebra import (
-    FpAlgebra,
-    lift_idempotents,
-    nilradical,
-    quotient_by,
-    quotient_mod_p,
-    split_reduced,
-)
+from .fpalgebra import FpAlgebra, quotient_mod_p, split_reduced
 from .linalg import (
     MatFp,
     VecFp,
     VecQ,
-    fp_matmul,
     fp_matvec,
     fp_kernel,
     fp_rank,
@@ -151,41 +144,31 @@ class ExtensionValuation:
 
 
 def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
-    """All extensions of v_p to L, one per maximal ideal of the closure."""
+    """All extensions of v_p to L, one per maximal ideal of the closure:
+    one per component of split_reduced(O/pO), with f the component's
+    dimension and e*f that of its local factor."""
     order = p_maximal_order(field, p)
     alg = quotient_mod_p(order, p)
-    nil = nilradical(alg)
-    reduced, proj = quotient_by(alg, nil)
-    dec = split_reduced(reduced)
-    lifted = lift_idempotents(alg, dec, proj)
-
     exts = []
-    total_local = 0
-    for i, (comp, idem) in enumerate(zip(dec.components, lifted)):
-        f_i = comp.dim
-        local_dim = fp_rank(alg.mult_matrix(idem), p)
-        if local_dim % f_i:
+    for i, comp in enumerate(split_reduced(alg).components):
+        local_dim = fp_rank(alg.mult_matrix(comp.idempotent), p)
+        if local_dim % comp.dim:
             raise AssertionError("local factor dimension not divisible by residue degree")
-        e_i = local_dim // f_i
-        total_local += local_dim
-        resproj = fp_matmul(comp.projection, proj, p)
-        prime = order.lattice_basis(ideal_over(order, fp_kernel(resproj, p), p), p)
+        prime = order.lattice_basis(ideal_over(order, fp_kernel(comp.projection, p), p), p)
         exts.append(
             ExtensionValuation(
                 index=i + 1,
-                e=e_i,
-                f=f_i,
+                e=local_dim // comp.dim,
+                f=comp.dim,
                 field=field,
                 p=p,
                 order=order,
                 residue_algebra=comp.algebra,
-                residue_projection=resproj,
+                residue_projection=comp.projection,
                 prime_basis=prime,
-                idempotent=idem,
+                idempotent=comp.idempotent,
             )
         )
-    if total_local != alg.dim:
-        raise AssertionError("local factor dimensions do not fill O/pO")
     return exts
 
 

@@ -1,18 +1,19 @@
 """Finite-dimensional commutative unital algebras over F_p.
 
-Houses the quotient A = O/pO of an order, its nilradical, reduced quotients,
-and the constructive decomposition of a reduced algebra into a product of
-fields. The split takes one kernel, the Berlekamp subalgebra
+Houses the quotient A = O/pO of an order, its nilradical, and the
+decomposition of A into local factors, one per field of its reduction
+A/rad(A): split_reduced reduces A, splits the reduction and lifts the
+split back to A. The split takes one kernel, the Berlekamp subalgebra
 ker(x -> x^p - x) = F_p^k (Berlekamp 1970), and splits each factor that is
 not a field by a closed-form idempotent: a Berlekamp element itself for
 p = 2, and for odd p one built from the Cantor-Zassenhaus power
 (z + c)^((p-1)/2) (Cantor and Zassenhaus 1981), so splitting takes time
 polynomial in the dimension and in log p.
 Frobenius x -> x^p is F_p-linear, and each algebra builds its matrix once
-(FpAlgebra.frobenius): the nilradical, the reducedness check and the
-Berlekamp kernel read it, and quotient_by hands its quotient the induced
-matrix, since x^p maps every ideal into itself.
-Components are returned in a canonical order, sorted by projection matrix.
+(FpAlgebra.frobenius): the nilradical and the Berlekamp kernel read it,
+and the reduction is handed the induced matrix, since x^p maps every ideal
+into itself.
+Components come in a canonical order, sorted by their reduced projections.
 Idempotents are lifted through the nilradical, and on to O/p^K O, by one
 Newton iteration over an integer structure table (lift_idempotent).
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import IllegalIdeal, NotReduced
 from .events import emit
 from .linalg import (
     MatFp,
@@ -167,10 +167,11 @@ class FpAlgebra:
 
 @dataclass
 class Component:
-    """One field factor of a decomposed reduced algebra.
+    """One field factor of an algebra's reduction, lifted to the algebra.
 
-    All vectors live in the ambient algebra's coordinates except inside
-    `algebra`, which uses the component's own basis.
+    idempotent is the factor's idempotent in the input algebra, and
+    projection maps the input algebra's coordinates onto the field, whose
+    own basis `algebra` uses.
     """
 
     idempotent: VecFp
@@ -184,7 +185,7 @@ class Component:
 
 @dataclass
 class Decomposition:
-    """Orthogonal idempotent decomposition of a reduced algebra into fields."""
+    """An algebra's orthogonal idempotents, one per field of its reduction."""
 
     components: list[Component]
 
@@ -204,8 +205,8 @@ def nilradical(a: FpAlgebra) -> list[VecFp]:
     """A basis of the nilpotents: the kernel of F^k, F the Frobenius matrix,
     for k >= m, where m >= 1 and p^m >= dim. That kernel is the same
     subspace for every such k, so F is squared until k reaches m. The
-    nilpotents of a commutative ring form an ideal, so this basis is not
-    checked for closure here; quotient_by checks what it is given."""
+    nilpotents of a commutative ring form an ideal, so neither Round 2 nor
+    split_reduced checks this basis for closure or for the unit."""
     p = a.p
     power, q = a.frobenius(), p
     while q < a.dim:
@@ -213,97 +214,93 @@ def nilradical(a: FpAlgebra) -> list[VecFp]:
     return fp_kernel(power, p)
 
 
-def quotient_by(a: FpAlgebra, gens: list[VecFp]) -> tuple[FpAlgebra, MatFp]:
-    """Quotient by the ideal the generators span, and the projection onto it.
-
-    The one place an ideal enters. Generators of the wrong length or with
-    non-integer entries, and a span not closed under multiplication, raise
-    ValueError; a span holding the unit raises IllegalIdeal. The quotient's
-    coordinates are the non-pivot positions of the span's echelon basis, so
-    the projection has an obvious section (fill pivots with zero), and the
-    quotient's Frobenius matrix is the projection of a's at the free
-    columns. Round 2 needs no such check: p_radical hands nilradical's
-    basis, an ideal by construction, straight to ideal_over.
-    """
-    if any(len(v) != a.dim for v in gens):
-        raise ValueError(f"ideal generators must have length {a.dim}")
+def _reduce(a: FpAlgebra) -> tuple[FpAlgebra, MatFp]:
+    """a modulo its nilradical, and the projection onto it; a reduced a is
+    its own reduction. The quotient's coordinates are the non-pivot
+    positions of the nilradical's echelon basis, so the projection has an
+    obvious section (fill pivots with zero), and the quotient's Frobenius
+    matrix is the projection of a's at the free columns."""
     p = a.p
-    rows, pivots = fp_rref([fp_vec(v, p) for v in gens], p)
-
-    def reduce(v: VecFp) -> VecFp:
-        for row, pc in zip(rows, pivots):
-            if f := v[pc]:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
-
-    if any(any(reduce(a.mul(v, a.basis_vector(i)))) for v in rows for i in range(a.dim)):
-        raise ValueError("not closed under multiplication by the algebra")
-    if not any(reduce(a.unit)):
-        raise IllegalIdeal("ideal contains the unit")
+    rows, pivots = fp_rref(nilradical(a), p)
+    if not rows:
+        return a, fp_identity(a.dim)
     free = [c for c in range(a.dim) if c not in pivots]
 
     def qcoords(v: VecFp) -> VecFp:
-        red = reduce(v)
-        return [red[c] for c in free]
+        for row, pc in zip(rows, pivots):
+            if f := v[pc]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return [v[c] for c in free]
 
     reps = [a.basis_vector(c) for c in free]
     table = [[qcoords(a.mul(r1, r2)) for r2 in reps] for r1 in reps]
-    unit = qcoords(a.unit)
     proj = columns([qcoords(a.basis_vector(j)) for j in range(a.dim)])
-    quotient = FpAlgebra(p, table, unit, validate=False)
+    quotient = FpAlgebra(p, table, qcoords(a.unit), validate=False)
     quotient._frobenius = columns([qcoords([row[c] for row in a.frobenius()]) for c in free])
     return quotient, proj
 
 
 def split_reduced(a: FpAlgebra) -> Decomposition:
-    """Decompose a reduced algebra into a product of fields.
+    """Split a's reduction a/rad(a) into fields, and lift the split to a.
 
-    The Berlekamp subalgebra B = ker(F - I), F the Frobenius matrix, is
-    F_p^k, k the number of field factors, and for an idempotent e, e*B is
-    that of the factor e*A. So e*A is a field exactly when every e*b, b in
-    the kernel basis of B, is a multiple of e; otherwise the first z = e*b
-    that is not splits it. For p = 2, z is itself an idempotent. For odd p,
-    t = (z + c*e)^((p-1)/2) has coordinates 0 and +-1 in F_p^k, so
-    (t^2 + t)/2 is an idempotent, and the first shift c that makes it
-    neither 0 nor e is taken (Cantor-Zassenhaus). The shifts run through one
-    sequence shared by all factors, since a factor that keeps its parent's z
-    would fail again every shift that failed there. A non-scalar z has two
-    coordinates that some shift puts on opposite sides, and p consecutive
-    shifts cover F_p, so a split is always found; a p-th failure leaves an
-    improper idempotent, which raises AssertionError. Components come back
-    sorted by projection matrix, so their order depends only on the algebra,
-    not on which z and c the search took.
+    The Berlekamp subalgebra B = ker(F - I), F the Frobenius matrix of the
+    reduction, is F_p^k, k the number of field factors, and for an
+    idempotent e, e*B is that of the factor e*A. So e*A is a field exactly
+    when every e*b, b in the kernel basis of B, is a multiple of e;
+    otherwise the first z = e*b that is not splits it. For p = 2, z is
+    itself an idempotent. For odd p, t = (z + c*e)^((p-1)/2) has
+    coordinates 0 and +-1 in F_p^k, so (t^2 + t)/2 is an idempotent, and
+    the first shift c that makes it neither 0 nor e is taken
+    (Cantor-Zassenhaus). The shifts run through one sequence shared by all
+    factors, since a factor that keeps its parent's z would fail again
+    every shift that failed there. A non-scalar z has two coordinates that
+    some shift puts on opposite sides, and p consecutive shifts cover F_p,
+    so a split is always found; a p-th failure leaves an improper
+    idempotent, which raises AssertionError. Components are sorted by their
+    projection matrices from the reduction, so their order depends only on
+    the algebra, not on which z and c the search took. Only then is each
+    idempotent lifted to a, as lift_idempotent of its fp_solve preimage,
+    and each projection composed with the reduction; lifts that are not
+    orthogonal or do not sum to 1 raise AssertionError.
     """
-    if nilradical(a):
-        raise NotReduced("algebra has nonzero nilpotents")
+    red, reduction = _reduce(a)
     p = a.p
     berlekamp = fp_kernel([[(x - (i == j)) % p for j, x in enumerate(row)]
-                           for i, row in enumerate(a.frobenius())], p)
+                           for i, row in enumerate(red.frobenius())], p)
     shifts = itertools.count()
     components: list[Component] = []
-    pending = [a.unit[:]]
+    pending = [red.unit[:]]
     while pending:
         e = pending.pop()
         k = next(i for i, x in enumerate(e) if x)
         scale = pow(e[k], -1, p)
         z = next((z for b in berlekamp
-                  if (z := a.mul(e, b)) != [z[k] * scale * x % p for x in e]), None)
+                  if (z := red.mul(e, b)) != [z[k] * scale * x % p for x in e]), None)
         if z is None:
-            components.append(_make_component(a, e))
+            components.append(_make_component(red, e))
             continue
         idem = z
         if p > 2:
             for c in itertools.islice(shifts, p):
-                t = a.pow([(x + c * u) % p for x, u in zip(z, e)], (p - 1) // 2)
-                idem = [(s + x) * ((p + 1) // 2) % p for s, x in zip(a.mul(t, t), t)]
+                t = red.pow([(x + c * u) % p for x, u in zip(z, e)], (p - 1) // 2)
+                idem = [(s + x) * ((p + 1) // 2) % p for s, x in zip(red.mul(t, t), t)]
                 if any(idem) and idem != e:
                     break
-        if a.mul(idem, idem) != idem or not any(idem) or idem == e:
+        if red.mul(idem, idem) != idem or not any(idem) or idem == e:
             raise AssertionError("constructed element is not a proper idempotent")
         emit(f"SPLIT{{z={z}, idempotent={idem}}}")
         pending += [[(u - x) % p for u, x in zip(e, idem)], idem]
     components.sort(key=lambda c: c.projection)
-    return Decomposition(components)
+    lifted = [Component(lift_idempotent(a.table, fp_solve(reduction, c.idempotent, p), p),
+                        fp_matmul(c.projection, reduction, p), c.algebra) for c in components]
+    total = a.zero()
+    for i, c in enumerate(lifted):
+        if any(any(a.mul(c.idempotent, d.idempotent)) for d in lifted[:i]):
+            raise AssertionError("lifted idempotents are not orthogonal")
+        total = [(s + x) % p for s, x in zip(total, c.idempotent)]
+    if total != a.unit:
+        raise AssertionError("lifted idempotents do not sum to 1")
+    return Decomposition(lifted)
 
 
 def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
@@ -376,26 +373,3 @@ def lift_idempotent(table: list[list[list[int]]], x: list[int], mod: int) -> lis
                 raise AssertionError("x^2 - x is not nilpotent: the idempotent is not over x")
             return x
     raise AssertionError("no idempotent within the step cap: x^2 - x is not in rad(pO)")
-
-
-def lift_idempotents(a: FpAlgebra, dec: Decomposition, proj: MatFp) -> list[VecFp]:
-    """Lift the decomposition's idempotents through a -> a/nilradical.
-
-    Each is lift_idempotent of a preimage x, for which x^2 - x maps to zero
-    in the reduced quotient and so is nilpotent.
-    """
-    lifted = []
-    for comp in dec.components:
-        x = fp_solve(proj, comp.idempotent, a.p)
-        if x is None:
-            raise AssertionError("projection is not surjective onto the component")
-        lifted.append(lift_idempotent(a.table, x, a.p))
-    total = a.zero()
-    for i, e in enumerate(lifted):
-        for j in range(i):
-            if any(a.mul(e, lifted[j])):
-                raise AssertionError("lifted idempotents are not orthogonal")
-        total = [(s + x) % a.p for s, x in zip(total, e)]
-    if total != a.unit:
-        raise AssertionError("lifted idempotents do not sum to 1")
-    return lifted

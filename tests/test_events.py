@@ -33,4 +33,5 @@ def test_sink_is_reset_after_a_block_that_raises():
     assert failed == ["a"]
     with recording() as lines:
         split_reduced(F5_T2P1)
-    assert len(lines) == 1 and lines[0].startswith("SPLIT{")
+    assert len(lines) == 3 and lines[0].startswith("SPLIT{")
+    assert lines[1:] == ["LIFT{iteration=1}"] * 2

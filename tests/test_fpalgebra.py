@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from valext import (
     FpAlgebra,
-    IllegalIdeal,
-    NotReduced,
     NumberField,
     equation_order,
     extensions_of,
-    lift_idempotents,
     nilradical,
     p_maximal_order,
-    quotient_by,
     quotient_mod_p,
     recording,
     split_reduced,
@@ -24,7 +20,7 @@ from valext import (
 from valext import extensions as extensions_module
 from valext import fpalgebra as fpalgebra_module
 from valext import orders as orders_module
-from valext.fpalgebra import lift_idempotent
+from valext.fpalgebra import _reduce, lift_idempotent
 from valext.linalg import columns, fp_kernel, fp_matmul, fp_matvec, fp_rank, fp_solve, mult_matrix
 
 from conftest import (
@@ -93,15 +89,11 @@ def test_validation_refuses_zero_algebra():
 
 
 def test_rational_coordinates_are_refused_not_truncated():
-    """F_p coordinates must be integers. Truncation would make the ideal
-    of 1/2 in F_5[t]/(t^2+1) zero and a unit 6/5 pass as 1, so both are
-    refused; an integral Fraction is the integer it equals, here the
-    generator 0 of the zero ideal."""
-    with pytest.raises(ValueError, match="F_p coordinates must be integers"):
-        quotient_by(F5_T2P1, [[Fraction(1, 2), 0]])
+    """F_p coordinates must be integers. Truncation would make a unit 6/5
+    pass as 1, so it is refused; an integral Fraction is the integer it
+    equals."""
     with pytest.raises(ValueError, match="F_p coordinates must be integers"):
         FpAlgebra(5, [[[1]]], [Fraction(6, 5)])
-    assert quotient_by(F5_T2P1, [[Fraction(5), Fraction(10, 2)]])[0].dim == 2
     assert FpAlgebra(5, [[[1]]], [Fraction(6)]).unit == [1]
 
 
@@ -175,34 +167,22 @@ def test_nilradical_of_field_is_zero():
 
 
 def test_quotient_by_zero_ideal_is_isomorphic():
-    q, proj = quotient_by(F5_T2P1, [])
-    assert q.dim == 2
-    assert fp_matvec(proj, [3, 4], 5) == [3, 4]
+    """A reduced algebra is its own reduction: its components' projections
+    stack to an invertible matrix, here that of F_5[t]/(t^2+1) onto
+    F_5 x F_5."""
+    red, proj = _reduce(F5_T2P1)
+    assert red is F5_T2P1 and proj == [[1, 0], [0, 1]]
+    stacked = [row for comp in split_reduced(F5_T2P1).components for row in comp.projection]
+    assert fp_rank(stacked, 5) == 2
 
 
 def test_quotient_by_radical_of_double_root():
-    q, proj = quotient_by(F2_T2P1, nilradical(F2_T2P1))
-    assert q.dim == 1
-    assert q.unit == [1]
-    # t maps to the same class as 1
-    assert fp_matvec(proj, [0, 1], 2) == fp_matvec(proj, [1, 0], 2)
-
-
-def test_quotient_by_rejects_generators_of_wrong_length():
-    for gens in ([[1, 2, 3]], [[1]], [[1, 0], [0]]):
-        with pytest.raises(ValueError, match="must have length 2"):
-            quotient_by(F5_T2P1, gens)
-
-
-def test_quotient_by_rejects_a_span_that_is_no_ideal():
-    """t spans a line of F_5[t]/(t^2+1), but t * t = -1 leaves it."""
-    with pytest.raises(ValueError, match="not closed under multiplication"):
-        quotient_by(F5_T2P1, [[0, 1]])
-
-
-def test_quotient_by_whole_algebra_rejected():
-    with pytest.raises(IllegalIdeal):
-        quotient_by(F5_T2P1, [[1, 0], [0, 1]])
+    """F_2[t]/((t+1)^2) modulo its radical is F_2: one component, whose
+    idempotent is the unit, and t maps to the same class as 1."""
+    [comp] = split_reduced(F2_T2P1).components
+    assert comp.dim == 1 and comp.algebra.unit == [1]
+    assert comp.idempotent == F2_T2P1.unit
+    assert fp_matvec(comp.projection, [0, 1], 2) == fp_matvec(comp.projection, [1, 0], 2) == [1]
 
 
 def test_is_unit():
@@ -248,18 +228,16 @@ def test_split_reduced_one_dimensional():
     assert dec.components[0].dim == 1
 
 
-def test_split_reduced_rejects_nilpotents():
-    with pytest.raises(NotReduced):
-        split_reduced(F2_T2P1)
-
-
 def test_split_trace_events():
+    """One SPLIT line per split, then one LIFT line per Newton step; an
+    idempotent of a reduced algebra is already one, so it takes one step."""
     with recording() as trace:
         split_reduced(F5_T2P1)
-    assert len(trace) == 1 and trace[0].startswith("SPLIT{")
+    assert len(trace) == 3 and trace[0].startswith("SPLIT{")
+    assert trace[1:] == ["LIFT{iteration=1}"] * 2
     with recording() as trace2:
         split_reduced(F7_T2P1)
-    assert trace2 == []
+    assert trace2 == ["LIFT{iteration=1}"]
 
 
 @st.composite
@@ -355,54 +333,47 @@ def test_decomposition_invariants():
 
 
 def test_component_projections_are_algebra_maps():
-    dec = split_reduced(F5_T2P1)
-    for comp in dec.components:
-        proj = comp.projection
-        for x in itertools.product(range(5), repeat=2):
-            for y in itertools.product(range(5), repeat=2):
-                px = fp_matvec(proj, list(x), 5)
-                py = fp_matvec(proj, list(y), 5)
-                pxy = fp_matvec(proj, F5_T2P1.mul(list(x), list(y)), 5)
-                assert comp.algebra.mul(px, py) == pxy
-        assert fp_matvec(proj, F5_T2P1.unit, 5) == comp.algebra.unit
+    """On F_5[t]/(t^2+1), reduced, and on F_3[t]/(t^3+t^2), which is not,
+    each projection is a ring map onto its field, in the input algebra's
+    coordinates."""
+    for alg in (F5_T2P1, poly_algebra(3, [0, 0, 1, 1])):
+        p = alg.p
+        for comp in split_reduced(alg).components:
+            proj = comp.projection
+            for x in itertools.product(range(p), repeat=alg.dim):
+                for y in itertools.product(range(p), repeat=alg.dim):
+                    px = fp_matvec(proj, list(x), p)
+                    py = fp_matvec(proj, list(y), p)
+                    pxy = fp_matvec(proj, alg.mul(list(x), list(y)), p)
+                    assert comp.algebra.mul(px, py) == pxy
+            assert fp_matvec(proj, alg.unit, p) == comp.algebra.unit
 
 
 def test_lift_idempotents_example():
     # a = F_2[y]/(y^3+y^2): ebar = class of y+1 lifts to y^2+1
     a = poly_algebra(2, [0, 0, 1, 1])
-    nil = nilradical(a)
-    red, proj = quotient_by(a, nil)
-    dec = split_reduced(red)
-    lifted = lift_idempotents(a, dec, proj)
+    lifted = idempotents(split_reduced(a))
     # (y+1)^4 = y^2+1 and (y^2+1)^2 = y^2+1
     assert a.mul([1, 0, 1], [1, 0, 1]) == [1, 0, 1]
     assert set(map(tuple, lifted)) == {(1, 0, 1), (0, 0, 1)}
 
 
 def test_lift_idempotents_semisimple_identity():
-    nil = nilradical(F5_T2P1)
-    red, proj = quotient_by(F5_T2P1, nil)
-    dec = split_reduced(red)
-    lifted = lift_idempotents(F5_T2P1, dec, proj)
-    assert sorted(map(tuple, lifted)) == sorted(map(tuple, idempotents(dec)))
+    """In a reduced algebra every split idempotent is already one, so the
+    lift leaves the brute-force idempotents of F_5[t]/(t^2+1)."""
+    lifted = idempotents(split_reduced(F5_T2P1))
+    assert sorted(map(tuple, lifted)) == [(3, 1), (3, 4)]
 
 
 def test_lift_of_unit_idempotent_is_unit():
     # single field component: the only idempotent to lift is 1, and it lifts to 1
-    red, proj = quotient_by(F7_T2P1, nilradical(F7_T2P1))
-    dec = split_reduced(red)
-    lifted = lift_idempotents(F7_T2P1, dec, proj)
-    assert lifted == [F7_T2P1.unit]
+    assert idempotents(split_reduced(F7_T2P1)) == [F7_T2P1.unit]
 
 
 def test_lift_of_unit_is_unit():
     a = poly_algebra(2, [0, 0, 1, 1])
-    nil = nilradical(a)
-    red, proj = quotient_by(a, nil)
-    dec = split_reduced(red)
-    lifted = lift_idempotents(a, dec, proj)
     total = a.zero()
-    for e in lifted:
+    for e in idempotents(split_reduced(a)):
         total = [(x + y) % 2 for x, y in zip(total, e)]
     assert total == a.unit
 
@@ -412,15 +383,21 @@ def test_lift_of_unit_is_unit():
 def test_lift_idempotent_matches_frobenius_oracle(instance):
     """Newton's lift over the table of O/pO equals the Frobenius power
     x^(p^m) of the same preimage x of each split idempotent, since only one
-    idempotent lies over x. The draws include wild ramification with e > p,
+    idempotent lies over x: the component's own. The preimages are the
+    fp_solve ones split_reduced lifts, and those plus the sum of the
+    nilradical's basis. The draws include wild ramification with e > p,
     where rad(pO) has nilpotency index above p, and preimages that take two
     Newton steps."""
     f, p = instance
     alg = quotient_mod_p(p_maximal_order(NumberField(f), p), p)
-    red, proj = quotient_by(alg, nilradical(alg))
-    for comp in split_reduced(red).components:
-        x = fp_solve(proj, comp.idempotent, p)
-        assert lift_idempotent(alg.table, x, p) == frobenius_lift(p, alg.table, x)
+    nil = nilradical(alg)
+    red, proj = _reduce(alg)
+    for comp in split_reduced(alg).components:
+        x = fp_solve(proj, fp_matvec(proj, comp.idempotent, p), p)
+        shifted = [sum(col) % p for col in zip(x, *nil)]
+        for y in (x, shifted):
+            assert lift_idempotent(alg.table, y, p) == frobenius_lift(p, alg.table, y)
+            assert lift_idempotent(alg.table, y, p) == comp.idempotent
 
 
 @pytest.mark.parametrize("mod", [5, 25])
@@ -449,28 +426,34 @@ def test_lift_idempotent_refuses_x_whose_square_minus_x_is_not_nilpotent(mod):
 
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)
 def test_reduced_quotient_has_no_nilpotents(coeffs, p):
+    """The component projections of O/pO stack to a map whose kernel is the
+    nilradical, onto a product of fields that has no nilpotents."""
     alg = quotient_mod_p(order_for(coeffs, p), p)
-    red, _ = quotient_by(alg, nilradical(alg))
-    assert nilradical(red) == []
-    # exhaustive for small cases, randomized otherwise
-    if red.p ** red.dim <= 700:
-        for v in itertools.product(range(red.p), repeat=red.dim):
-            if any(v) and red.mul(list(v), list(v)) == red.zero():
-                raise AssertionError(f"nilpotent {v} in reduced quotient")
+    nil = nilradical(alg)
+    comps = split_reduced(alg).components
+    stacked = [row for comp in comps for row in comp.projection]
+    assert fp_rank(stacked, p) == len(stacked) == alg.dim - len(nil)
+    assert all(not any(fp_matvec(stacked, v, p)) for v in nil)
+    for comp in comps:
+        red = comp.algebra
+        assert nilradical(red) == []
+        # exhaustive for small cases
+        if red.p ** red.dim <= 700:
+            for v in itertools.product(range(red.p), repeat=red.dim):
+                if any(v) and red.mul(list(v), list(v)) == red.zero():
+                    raise AssertionError(f"nilpotent {v} in a residue field")
 
 
 @pytest.mark.parametrize("coeffs,p", CORPUS, ids=CORPUS_IDS)
 def test_dimension_bound_and_sums(coeffs, p):
     field = field_for(coeffs)
     alg = quotient_mod_p(order_for(coeffs, p), p)
-    nil = nilradical(alg)
-    red, proj = quotient_by(alg, nil)
-    assert red.dim <= field.n
-    dec = split_reduced(red)
-    assert sum(c.dim for c in dec.components) == red.dim
-    lifted = lift_idempotents(alg, dec, proj)
+    reduced_dim = alg.dim - len(nilradical(alg))
+    assert reduced_dim <= field.n
+    dec = split_reduced(alg)
+    assert sum(c.dim for c in dec.components) == reduced_dim
     local_dims = []
-    for e in lifted:
+    for e in idempotents(dec):
         local = [alg.mul(alg.basis_vector(j), e) for j in range(alg.dim)]
         local_dims.append(fp_rank(local, p))
     assert sum(local_dims) == alg.dim
@@ -480,21 +463,15 @@ def test_dimension_bound_and_sums(coeffs, p):
 def test_rational_images_in_components(coeffs, p):
     """Units of Z_(p) stay nonzero in every field component; p vanishes."""
     order = order_for(coeffs, p)
-    alg = quotient_mod_p(order, p)
-    nil = nilradical(alg)
-    red, proj = quotient_by(alg, nil)
-    dec = split_reduced(red)
-    for q in [1, 2, 1 + p, p - 1, 7]:
+    dec = split_reduced(quotient_mod_p(order, p))
+    for q in [1, 2, 1 + p, p - 1, 7, p]:
         image = order.coords_mod_p(order.field.from_rational(q), p)
-        reduced = fp_matvec(proj, image, p)
         for comp in dec.components:
-            comp_image = fp_matvec(comp.projection, reduced, p)
+            comp_image = fp_matvec(comp.projection, image, p)
             if q % p:
                 assert any(comp_image)
             else:
                 assert not any(comp_image)
-    p_image = order.coords_mod_p(order.field.from_rational(p), p)
-    assert not any(fp_matvec(proj, p_image, p))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -557,7 +534,7 @@ def test_frobenius_matrix_of_power_basis(p, data):
     alg = poly_algebra(p, g)
     assert alg.frobenius() == _pow_columns(alg)
     assert alg.frobenius() is alg.frobenius()
-    red, _ = quotient_by(alg, nilradical(alg))
+    red, _ = _reduce(alg)
     assert red.frobenius() == FpAlgebra(p, red.table, red.unit, validate=False).frobenius()
 
 
@@ -566,17 +543,19 @@ def test_frobenius_matrix_of_power_basis(p, data):
 def test_frobenius_matrix_and_components_of_round2_orders(instance):
     """The same on O/pO of the p-maximal order, whose basis is no power
     basis once p divides the index, and its reduced quotient; every
-    component's table, unit and projection equal those of one fp_solve per
-    vector."""
+    component's table and unit equal those of one fp_solve per vector at
+    the image of its idempotent in the reduction, and its projection is
+    that oracle's composed with the reduction."""
     f, p = instance
     alg = quotient_mod_p(p_maximal_order(NumberField(f), p), p)
     assert alg.frobenius() == _pow_columns(alg)
-    red, _ = quotient_by(alg, nilradical(alg))
+    red, proj = _reduce(alg)
     assert red.frobenius() == FpAlgebra(p, red.table, red.unit, validate=False).frobenius()
     assert red.frobenius() == _pow_columns(red)
-    for comp in split_reduced(red).components:
-        oracle = component_by_solve(red, comp.idempotent)
-        assert (comp.algebra.table, comp.algebra.unit, comp.projection) == oracle
+    for comp in split_reduced(alg).components:
+        table, unit, red_proj = component_by_solve(red, fp_matvec(proj, comp.idempotent, p))
+        assert (comp.algebra.table, comp.algebra.unit) == (table, unit)
+        assert comp.projection == fp_matmul(red_proj, proj, p)
 
 
 @pytest.mark.parametrize("coeffs,p", [((1, 0, 1), 5), ((1, 1, 0, 0, 0, 1), 1000000007),
@@ -637,3 +616,74 @@ def test_nilradical_by_squaring_matches_frobenius_power(case):
     while q < alg.dim:
         power, q = fp_matmul(power, frob, p), q * p
     assert nilradical(alg) == fp_kernel(power, p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nonreduced_moduli())
+def test_split_reduced_of_nonreduced_algebra_splits_its_reduction(case):
+    """F_p[t]/(g) modulo its radical is F_p[t]/(rad g), rad g the product
+    of g's distinct irreducible factors, so its components have those
+    factors' degrees (sympy). The lifted idempotents are orthogonal in
+    F_p[t]/(g) and sum to 1, and each projection sends its own idempotent
+    to the field's unit and every other to 0."""
+    p, g = case
+    alg = poly_algebra(p, g)
+    _, factors = sympy.Poly(g[::-1], sympy.Symbol("t"), modulus=p).factor_list()
+    comps = split_reduced(alg).components
+    assert sorted(c.dim for c in comps) == sorted(f.degree() for f, _ in factors)
+    total = alg.zero()
+    for i, comp in enumerate(comps):
+        assert alg.mul(comp.idempotent, comp.idempotent) == comp.idempotent
+        for j, other in enumerate(comps):
+            image = fp_matvec(comp.projection, other.idempotent, p)
+            assert image == (comp.algebra.unit if i == j else comp.algebra.zero())
+        total = [(x + y) % p for x, y in zip(total, comp.idempotent)]
+    assert total == alg.unit
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(round2_instances().map(
+    lambda inst: quotient_mod_p(p_maximal_order(NumberField(inst[0]), inst[1]), inst[1])),
+    nonreduced_moduli().map(lambda case: poly_algebra(*case))))
+def test_nilradical_is_an_ideal_that_misses_the_unit(alg):
+    """Neither split_reduced nor Round 2 checks the nilradical's span, so
+    this does: every basis row times every basis vector of the algebra
+    stays in the span, and the unit is not in it. The draws are O/pO of
+    Round 2's instances, with e > p and p dividing the index, and
+    F_p[t]/(g) for g with repeated factors."""
+    p, nil = alg.p, nilradical(alg)
+    for v in nil:
+        for i in range(alg.dim):
+            assert fp_rank(nil + [alg.mul(v, alg.basis_vector(i))], p) == len(nil)
+    assert fp_rank(nil + [alg.unit], p) == len(nil) + 1
+
+
+def test_extensions_of_takes_one_nilradical(monkeypatch):
+    """x^2+1 at 5 needs no Round-2 step, and split_reduced reduces O/pO
+    with one nilradical; nothing re-checks that the reduction is reduced."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return nilradical(a)
+
+    monkeypatch.setattr(fpalgebra_module, "nilradical", counted)
+    monkeypatch.setattr(orders_module, "nilradical", counted)
+    extensions_of(NumberField([1, 0, 1]), 5)
+    assert len(calls) == 1
+
+
+def test_split_of_nonreduced_algebra_takes_two_kernels(monkeypatch):
+    """F_2[y]/(y^3+y^2) has the nilpotent y: split_reduced takes one kernel
+    for its nilradical and one for the Berlekamp subalgebra of the
+    reduction, and none to lift its two idempotents."""
+    kernels = []
+
+    def counted(m, q):
+        kernels.append(m)
+        return fp_kernel(m, q)
+
+    monkeypatch.setattr(fpalgebra_module, "fp_kernel", counted)
+    dec = split_reduced(poly_algebra(2, [0, 0, 1, 1]))
+    assert len(dec.components) == 2
+    assert len(kernels) == 2

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from valext import NumberField, Order, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
-from valext import nilradical, quotient_by, quotient_mod_p
+from valext import nilradical, quotient_mod_p, split_reduced
 from valext import orders
 from valext.errors import NotIrreducible
 from valext.linalg import columns, fp_kernel, lattice_canonical, mult_matrix, pval, q_identity
@@ -374,16 +374,18 @@ def test_round2_bases_are_canonical_z_1_over_p_bases(instance):
 def test_nilradical_codimension_is_sum_of_residue_degrees(instance):
     """For O the p-maximal order, O/pO modulo its nilradical is the product
     of the residue fields, so the nilradical, ker F^m, has dimension
-    n - sum f_i, and the reduced quotient has no nilpotents. Where
-    v_p(disc f) <= 1, sum f_i is the sum of sympy's factor degrees of f mod
-    p; elsewhere it is read off extensions_of. The explicit examples are
-    totally ramified with e > p, where some nilpotent x has x^p != 0, so
-    ker F alone would not be the nilradical."""
+    n - sum f_i, split_reduced's fields fill the rest, and none of them has
+    nilpotents. Where v_p(disc f) <= 1, sum f_i is the sum of sympy's
+    factor degrees of f mod p; elsewhere it is read off extensions_of. The
+    explicit examples are totally ramified with e > p, where some nilpotent
+    x has x^p != 0, so ker F alone would not be the nilradical."""
     f, p = instance
     fld = NumberField(f)
     alg = quotient_mod_p(p_maximal_order(fld, p), p)
     nil = nilradical(alg)
-    assert nilradical(quotient_by(alg, nil)[0]) == []
+    comps = split_reduced(alg).components
+    assert sum(c.dim for c in comps) == fld.n - len(nil)
+    assert all(nilradical(c.algebra) == [] for c in comps)
     poly = sympy.Poly(f[::-1], sympy.Symbol("t"))
     if int(sympy.discriminant(poly)) % p**2:
         sum_f = sum(g.degree() for g, _ in sympy.Poly(poly, modulus=p).factor_list()[1])
