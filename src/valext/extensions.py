@@ -253,8 +253,9 @@ def _count(w: ExtensionValuation, x: NFElem) -> int:
     for y in O, e*w(y) is the number of steps y <- y*beta/p that stay in O.
     With p^a the largest p-power among the denominators of x's order
     coordinates, y = x*p^a has coordinates in Z_(p) and e*w(x) is that count
-    less e*a. The product formula bounds the count by
-    e*v_p(N(y)) = e*(v_p(N(x)) + n*a); passing the bound raises
+    less e*a. Every w_j(y) >= 0, so the product formula
+    sum_j e_j f_j w_j(y) = v_p(N(y)) gives e*f*w(y) <= v_p(N(y)), and the
+    count is at most floor((v_p(N(x)) + n*a) / f); passing that bound raises
     AssertionError. The first bound+1 steps depend only on y mod
     p^(bound+1), so the coordinates are kept reduced modulo it, and each
     step loses one power of p.
@@ -265,7 +266,7 @@ def _count(w: ExtensionValuation, x: NFElem) -> int:
     p, e = w.p, w.e
     coords = w.order.coords(x)
     a = max(0, max(-pval(c, p) for c in coords if c))
-    bound = e * (pval(norm, p) + x.field.n * a)
+    bound = (pval(norm, p) + x.field.n * a) // w.f
     mod = p ** (bound + 1)
     scaled = [c * p**a for c in coords]
     y = [c.numerator * pow(c.denominator, -1, mod) % mod for c in scaled]

@@ -1,9 +1,13 @@
-"""Exact dense linear algebra over Q, F_p and Z, and Z_(p)-lattice bases.
+"""Exact dense linear algebra over Z and F_p, and Z_(p)-lattice bases.
 
-Matrices are lists of rows; vectors are flat lists. Everything over Q uses
-fractions.Fraction, everything over F_p uses ints reduced into [0, p), and
-integer determinants stay in ints. Sizes here are desk scale (the dimension
-is the field degree), so plain Gaussian elimination is the right tool.
+Matrices are lists of rows; vectors are flat lists. There are two
+eliminations: a fraction-free echelon form over Z (int_echelon), which
+gives determinants, ranks and minimal relations over Q once the rows are
+scaled to integers, and a reduced echelon form over F_p on ints reduced
+into [0, p). Rationals enter only as the Z[1/p] entries of lattice bases
+and in lattice_solve's substitution. Sizes here are desk scale (the
+dimension is the field degree), so plain Gaussian elimination is the right
+tool.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from fractions import Fraction
 from operator import mul
 
 VecQ = list[Fraction]
-MatQ = list[list[Fraction]]
 VecFp = list[int]
 MatFp = list[list[int]]
 
@@ -53,38 +56,47 @@ def mult_matrix(table: list[list[list[int]]], v: list[int], p: int | None = None
     return columns(cols)
 
 
+def int_echelon(rows):
+    """Fraction-free row echelon form (Bareiss 1968) of integer rows taken
+    one at a time. Row r is reduced against each earlier pivot row P_j, with
+    pivot column c_j and pivot d_j = P_j[c_j], by
+    r <- (d_j r - r[c_j] P_j) / d_(j-1), d_(-1) = 1; every entry formed is a
+    minor of the input, so each division is exact. Yields each reduced row
+    and its pivot column, its first nonzero one, or None for a row dependent
+    on those before it, which reduces to zero and becomes no pivot row."""
+    pivots: list[tuple[int, list[int]]] = []
+    for r in rows:
+        prev = 1
+        for c, top in pivots:
+            x, d = r[c], top[c]
+            r = [(d * a - x * b) // prev for a, b in zip(r, top)]
+            prev = d
+        col = next((c for c, a in enumerate(r) if a), None)
+        if col is not None:
+            pivots.append((col, r))
+        yield r, col
+
+
 def int_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination (Cohen, GTM 138, §2.2): every entry it leaves is a minor of
-    m, so each division is exact and no rational is formed.
-    A zero pivot is swapped with a lower row, which flips the sign."""
-    m = [row[:] for row in m]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k]
-        for i in range(k + 1, n):
-            c = m[i][k]
-            tail = zip(m[i][k + 1 :], top[k + 1 :])
-            m[i] = [0] * (k + 1) + [(pivot * x - c * y) // prev for x, y in tail]
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
+    """Determinant of a square integer matrix: the last pivot of its
+    fraction-free echelon form, the determinant of m with its columns in
+    pivot order, signed by that order; 0 at the first dependent row."""
+    cols, last = [], 1
+    for row, c in int_echelon(m):
+        if c is None:
+            return 0
+        cols.append(c)
+        last = row[c]
+    return (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :]) * last
 
 
 # ---------------------------------------------------------------------------
-# One elimination core for both fields: p is None for Q (Fraction entries),
-# otherwise entries are ints reduced into [0, p).
+# One elimination core over F_p: entries are ints reduced into [0, p).
 
 
-def _rref(m: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = [row[:] for row in m] if p is None else [[x % p for x in row] for row in m]
+def _rref(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p and the pivot column indices."""
+    m = [[x % p for x in row] for row in m]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
@@ -94,20 +106,13 @@ def _rref(m: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        if p is None:
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-        else:
-            inv = pow(m[r][c], -1, p)
-            m[r] = [x * inv % p for x in m[r]]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
         pivot = m[r]
         for i in range(rows):
             f = m[i][c]
             if i != r and f:
-                if p is None:
-                    m[i] = [x - f * y for x, y in zip(m[i], pivot)]
-                else:
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], pivot)]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], pivot)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -115,46 +120,18 @@ def _rref(m: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
     return m, pivots
 
 
-def _kernel(m: list[list], p: int | None = None) -> list[list]:
-    """Basis of {v : m v = 0}, one vector per free column."""
+def _kernel(m: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {v : m v = 0} over F_p, one vector per free column."""
     cols = len(m[0]) if m else 0
     rref, pivots = _rref(m, p)
-    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [zero] * cols
-        v[fc] = one
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc] if p is None else -rref[r][fc] % p
+            v[pc] = -rref[r][fc] % p
         basis.append(v)
     return basis
-
-
-def min_relation(powers: list[list]) -> list:
-    """Monic least relation c_0..c_k, sum c_i x^i = 0, among the rational
-    coordinate vectors of x^0, ..., x^m: the kernel vector of the first free
-    column k of one elimination, which has 1 at k and zero beyond. The
-    columns before k are independent, so no relation of lower degree exists."""
-    kernel = _kernel(columns(powers))
-    if not kernel:
-        raise AssertionError("no relation among the given powers")
-    rel = kernel[0]
-    while not rel[-1]:
-        rel.pop()
-    return rel
-
-
-# ---------------------------------------------------------------------------
-# Rational matrices
-
-
-def q_identity(n: int) -> MatQ:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def q_rank(m: MatQ) -> int:
-    return len(_rref(m)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 Elements are length-n rational coordinate vectors over 1, theta, ...,
 theta^(n-1). A product is a convolution reduced mod f by
 theta^m = theta^(m-n) (theta^n - f), with no division since f is monic;
-the same product gives the integer structure constants of orders. The
-norm is the determinant of the integer matrix of multiplication by a
-denominator-free multiple. An element computes its norm and its minimal
-polynomial at most once each, and a nonzero rational multiple inherits the
-relation rescaled, so the walk that certifies a value at x^e p^-m reuses
-the elimination of x^e.
+the same product gives the integer structure constants of orders. The norm
+and the minimal polynomial are read off integer matrices of y = d x, with d
+clearing the denominators of x, by one fraction-free elimination
+(linalg.int_echelon): the norm is the determinant of multiplication by y,
+and the minimal polynomial the first relation among the powers of y. An
+element computes each at most once, and a nonzero rational multiple
+inherits the relation rescaled, so the walk that certifies a value at
+x^e p^-m reuses the elimination of x^e.
 No inverse is formed: the library never divides one element by another.
 Irreducibility of f is assumed, never verified eagerly: a zero divisor met
 during value or position work surfaces as NotIrreducible.
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
-from .linalg import int_det, min_relation
+from .linalg import int_det, int_echelon
 from .polynomials import PolyQ, poly_deg, poly_q
 
 
@@ -171,13 +174,17 @@ class NFElem:
     def __hash__(self):
         return hash(tuple(self.coords))
 
+    def _integral(self) -> tuple[int, list[int]]:
+        """(d, y): d the lcm of the coordinate denominators, y = d x in ints."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        return d, [c.numerator * (d // c.denominator) for c in self.coords]
+
     def norm(self) -> Fraction:
-        """N(x) = det(M) / d^n, with d the lcm of the coordinate denominators
-        and M the integer matrix whose column j is d x theta^j; 0 for a zero
-        divisor. It is computed once per element."""
+        """N(x) = det(M) / d^n, with M the integer matrix whose column j is
+        y theta^j, y = d x; 0 for a zero divisor. It is computed once per
+        element."""
         if self._norm is None:
-            d = math.lcm(*(c.denominator for c in self.coords))
-            col = [c.numerator * (d // c.denominator) for c in self.coords]
+            d, col = self._integral()
             cols = [col]
             for _ in range(self.field.n - 1):
                 col = self.field._reduce([0] + col)
@@ -186,14 +193,25 @@ class NFElem:
         return self._norm
 
     def min_poly(self) -> PolyQ:
-        """Monic minimal polynomial: the least relation among the powers
-        1, self, ..., self^n, found by one elimination on their coordinates.
+        """Monic minimal polynomial, from the first dependent power of y = d x.
+
+        Row k is y^k followed by the unit vector e_k, and the rows enter one
+        fraction-free elimination one at a time, powers formed lazily. At the
+        first k whose coordinate part reduces to zero, the rest of the row
+        holds sum c_i y^i = 0 with c_k != 0, and the monic relation of x is
+        c_i / (c_k d^(k-i)): unique, as y^0, ..., y^(k-1) are independent.
         It is computed once per element; each call returns a fresh copy."""
         if self._min_poly is None:
-            pows = [self.field.one()]
-            for _ in range(self.field.n):
-                pows.append(pows[-1] * self)
-            self._min_poly = min_relation([x.coords for x in pows])
+            n = self.field.n
+            d, y = self._integral()
+            one = [1] + [0] * (n - 1)
+            powers = accumulate(range(n), lambda power, _: self.field._mul(power, y), initial=one)
+            rows = (power + [int(i == k) for i in range(n + 1)] for k, power in enumerate(powers))
+            for k, (row, col) in enumerate(int_echelon(rows)):
+                if col >= n:  # the coordinate part reduced to zero
+                    break
+            rel, ck = row[n : n + k + 1], row[n + k]
+            self._min_poly = [Fraction(c, ck * d ** (k - i)) for i, c in enumerate(rel)]
         return self._min_poly[:]
 
     def __repr__(self):

@@ -30,6 +30,7 @@ from .fpalgebra import nilradical, quotient_mod_p
 from .linalg import (
     VecQ,
     columns,
+    fp_identity,
     fp_kernel,
     fp_rref,
     lattice_canonical,
@@ -37,7 +38,6 @@ from .linalg import (
     lattice_solve,
     mult_matrix,
     pval,
-    q_identity,
     require_triangular,
 )
 from .numberfield import NFElem, NumberField
@@ -144,7 +144,7 @@ class Order:
 
 def equation_order(field: NumberField) -> Order:
     """Z[theta] localized: the power basis itself."""
-    return Order(field, q_identity(field.n))
+    return Order(field, fp_identity(field.n))
 
 
 def discriminant(field: NumberField) -> Fraction:

@@ -5,7 +5,8 @@ of the reduced quotient; approx_element realizes a prescribed value at one
 extension while staying strictly above it at the others; check_fundamental
 verifies the min-value formula of the fundamental inequality with exact
 rational comparison and certifies sum(e_i f_i) <= [L:Q] by an explicit
-independent set.
+independent set, whose rank over Q is taken in integers by the fraction-free
+elimination linalg.int_echelon.
 
 Every value here is counted with the anti-uniformizer beta of its
 extension's prime (extensions.value_by_count), without the walk that
@@ -32,7 +33,7 @@ from fractions import Fraction
 from .errors import GammaNotInValueGroup
 from .extensions import ExtensionValuation, value_by_count
 from .fpalgebra import lift_idempotent
-from .linalg import VecFp, fp_solve, fp_vec, pval, q_rank
+from .linalg import VecFp, fp_solve, fp_vec, int_echelon, pval
 from .numberfield import NFElem
 from .polynomials import format_poly
 from .values import INFINITY
@@ -181,7 +182,9 @@ def check_fundamental(
 
     # products[i][j][k] = a_ij b_ik, formed once for the rank and every trial
     products = [[[aij * bik for bik in b_i] for aij in a_i] for a_i, b_i in zip(basis.a, basis.b)]
-    rank = q_rank([x.coords for p_i in products for row in p_i for x in row])
+    # scaling each product's coordinates to integers keeps the rank
+    rows = (x._integral()[1] for p_i in products for row in p_i for x in row)
+    rank = sum(c is not None for _, c in int_echelon(rows))
 
     report = CheckReport(
         instance=f"Q[x]/({format_poly(fld.f, 'x')}) at p={exts[0].p}",

@@ -250,13 +250,13 @@ def test_value_eliminates_once_per_element(monkeypatch):
     exts = extensions_for((1, 0, 0, 0, 1), 17)
     x = exts[0].field.element([Fraction(3, 17), 2, 0, Fraction(-5, 289)])
     calls = []
-    real = valext.numberfield.min_relation
+    real = valext.numberfield.int_echelon
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(valext.numberfield, "min_relation", counted)
+    monkeypatch.setattr(valext.numberfield, "int_echelon", counted)
     vals = [value(w, x) for w in exts]
     assert len(exts) == 4 and all(w.e == 1 for w in exts)
     assert sum(vals) == -8  # v_17(N(x)), by the product formula

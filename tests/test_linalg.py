@@ -16,6 +16,7 @@ from valext.linalg import (
     fp_rank,
     fp_solve,
     int_det,
+    int_echelon,
     lattice_canonical,
     lattice_coords,
     pval,
@@ -93,7 +94,7 @@ def test_kernel_matches_brute_force(p):
         assert fp_rank(basis, p) == len(basis)
 
 
-# -- the shared elimination core, over Q (p = None) and F_p -------------------
+# -- the elimination core over F_p --------------------------------------------
 
 
 @st.composite
@@ -106,26 +107,20 @@ def linear_systems(draw):
     return a, b
 
 
-@pytest.mark.parametrize("p", [None, 2, 3, 7])
+@pytest.mark.parametrize("p", [2, 3, 7])
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(system=linear_systems())
 def test_elimination_core(p, system):
     a, b = system
-    if p is None:
-        a = q_mat(a)
-        b = [Fraction(y) for y in b]
 
     def dot(row, v):
-        s = sum(x * y for x, y in zip(row, v))
-        return s if p is None else s % p
+        return sum(x * y for x, y in zip(row, v)) % p
 
     rank = len(_rref(a, p)[1])
     kernel = _kernel(a, p)
     assert rank + len(kernel) == len(a[0])
     for v in kernel:
         assert all(dot(row, v) == 0 for row in a)
-    if p is None:
-        return  # solving is over F_p only
     x = fp_solve(a, b, p)
     augmented_rank = len(_rref([row + [y] for row, y in zip(a, b)], p)[1])
     if x is None:
@@ -348,6 +343,50 @@ def test_int_det_matches_sympy(m):
     assert type(det) is int
     assert det == sympy.Matrix(len(m), len(m), [x for row in m for x in row]).det()
     assert m == before
+
+
+@st.composite
+def int_matrices(draw):
+    """A rectangular integer matrix of 1..7 rows and 1..5 columns, so rows
+    often outnumber columns, with some rows replaced by zero rows or by
+    combinations of two earlier rows."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    m = draw(st.lists(st.lists(st.integers(-20, 20), min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for i in range(rows):
+        kind = draw(st.sampled_from(["drawn", "zero", "dependent"]))
+        if kind == "zero":
+            m[i] = [0] * cols
+        elif kind == "dependent" and i >= 1:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(int_matrices())
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[1, 2], [2, 4], [0, 1], [3, 7]])
+def test_int_echelon_rank_matches_sympy(m):
+    """The pivots of the fraction-free echelon form count sympy's rank; a
+    row is dependent exactly when it adds nothing to the rank of the rows
+    before it, and it then reduces to zero. Rows stay integers, and the
+    input is left alone."""
+    def rank(rows):
+        return sympy.Matrix(len(rows), len(m[0]), [x for row in rows for x in row]).rank()
+
+    before = [row[:] for row in m]
+    out = list(int_echelon(m))
+    assert m == before
+    assert sum(c is not None for _, c in out) == rank(m)
+    for i, (row, c) in enumerate(out):
+        assert all(type(x) is int for x in row)
+        assert (c is not None) == (rank(m[: i + 1]) > rank(m[:i]))
+        if c is None:
+            assert not any(row)
+        else:
+            assert row[c] and not any(row[:c])
 
 
 def naive_matmul(a, b, p):

@@ -136,6 +136,22 @@ def test_min_poly_examples():
     assert GAUSS.element([1, 1]).min_poly() == poly_q([2, -2, 1])
 
 
+def test_min_poly_stops_at_first_dependent_power(monkeypatch):
+    """min_poly forms the powers of its element only up to its degree: one
+    product for a rational, two for a^2 in x^4+1 and for a^4 in x^8+1, whose
+    minimal polynomials are t^2 + 1; not one product per field degree."""
+    calls = []
+    mul = NumberField._mul
+    monkeypatch.setattr(NumberField, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    x4, x8 = NumberField([1, 0, 0, 0, 1]), NumberField([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    for x, mp, products in [(x4.from_rational(Fraction(-5, 3)), [Fraction(5, 3), 1], 1),
+                            (x4.from_poly([0, 0, 1]), [1, 0, 1], 2),
+                            (x8.from_poly([0, 0, 0, 0, 1]), [1, 0, 1], 2)]:
+        calls.clear()
+        assert x.min_poly() == poly_q(mp)
+        assert len(calls) == products
+
+
 def test_min_poly_annihilates():
     rng = random.Random(3)
     for fld in (GAUSS, CUBIC):

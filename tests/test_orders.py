@@ -12,7 +12,7 @@ from valext import NumberField, Order, extensions_of, discriminant, equation_ord
 from valext import nilradical, quotient_mod_p, split_reduced
 from valext import orders
 from valext.errors import NotIrreducible
-from valext.linalg import columns, fp_kernel, lattice_canonical, mult_matrix, pval, q_identity
+from valext.linalg import columns, fp_identity, fp_kernel, lattice_canonical, mult_matrix, pval
 from valext.orders import ideal_over
 
 from conftest import (
@@ -34,7 +34,7 @@ DEDEKIND = NumberField([8, -2, 1, 1])  # x^3 + x^2 - 2x + 8
 def test_equation_order_is_power_basis():
     for fld in (GAUSS, DEDEKIND):
         o = equation_order(fld)
-        assert o.basis == q_identity(fld.n)
+        assert o.basis == fp_identity(fld.n)
         assert o.basis[0] == [Fraction(1)] + [Fraction(0)] * (fld.n - 1)
 
 
@@ -593,8 +593,8 @@ def test_p_maximal_order_matches_plain_round2(p, kind, shifted, data):
         assert got == equation_order(fld).basis and calls == []
     if type(got) is list:
         gfld = NumberField(g)
-        assert (index_valuation(q_identity(fld.n), got, p) ==
-                index_valuation(q_identity(gfld.n), p_maximal_order(gfld, p).basis, p))
+        assert (index_valuation(fp_identity(fld.n), got, p) ==
+                index_valuation(fp_identity(gfld.n), p_maximal_order(gfld, p).basis, p))
 
 
 @pytest.mark.parametrize("f,p,steps", [
