@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -30,57 +31,34 @@ class PolyParseError(ValueError):
 def parse_poly(text: str, var: str) -> dict[int, Fraction]:
     """Exponent -> coefficient. poly := term (('+'|'-') term)*;
     term := [coef '*'?]? VAR ('^' uint)? | coef; coef := int | int '/' uint.
-    Whitespace-insensitive; a leading sign is allowed."""
+    Whitespace-insensitive; a leading sign is allowed. Each term is one
+    match of the pattern below, with its sign; only the first may omit it."""
     s = "".join(text.split())
     if not s:
         raise PolyParseError("empty polynomial")
+    term = re.compile(
+        rf"""(?P<sign> [+-] | ^ )
+        (?: (?P<num> \d+ ) (?: / (?P<den> \d+ ) )? )?
+        (?: (?(num) \*? ) (?P<var> {re.escape(var)} ) (?: \^ (?P<exp> \d+ ) )? )?""",
+        re.VERBOSE,
+    )
     coeffs: dict[int, Fraction] = {}
     i = 0
-    n = len(s)
-
-    def parse_uint(k: int) -> tuple[int, int]:
-        j = k
-        while j < n and s[j].isdigit():
-            j += 1
-        if j == k:
-            raise PolyParseError(f"expected a number at position {k} in {text!r}")
-        return int(s[k:j]), j
-
-    first = True
-    while i < n:
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise PolyParseError(f"expected '+' or '-' at position {i} in {text!r}")
-        first = False
-        coef = None
-        if i < n and s[i].isdigit():
-            num, i = parse_uint(i)
-            coef = Fraction(num)
-            if i < n and s[i] == "/":
-                den, i = parse_uint(i + 1)
-                if den == 0:
-                    raise PolyParseError("zero denominator")
-                coef = Fraction(num, den)
-            if i < n and s[i] == "*":
-                i += 1
-                if i >= n or s[i] != var:
-                    raise PolyParseError(f"expected {var!r} after '*' in {text!r}")
-        exp = 0
-        if i < n and s[i] == var:
-            i += 1
-            exp = 1
-            if i < n and s[i] == "^":
-                exp, i = parse_uint(i + 1)
-            if coef is None:
-                coef = Fraction(1)
-        elif coef is None:
-            if i == n:
+    while i < len(s):
+        m = term.match(s, i)
+        if not m or not (m["num"] or m["var"]):
+            j = m.end() if m else i
+            if j == len(s):
                 raise PolyParseError(f"expected a term at the end of {text!r}")
-            raise PolyParseError(f"unexpected character {s[i]!r} in {text!r}")
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
+            pos = [k for k, c in enumerate(text) if not c.isspace()][j]  # j indexes s
+            raise PolyParseError(f"unexpected character {s[j]!r} at position {pos} in {text!r}")
+        den = int(m["den"] or 1)
+        if not den:
+            raise PolyParseError("zero denominator")
+        exp = int(m["exp"] or 1) if m["var"] else 0
+        coef = Fraction(int(m["num"] or 1), den) * (-1 if m["sign"] == "-" else 1)
+        coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
+        i = m.end()
     return coeffs
 
 

@@ -18,7 +18,7 @@ whose CASE steps the value command traces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import NegativeValue, NotIrreducible, ZeroElement
@@ -58,6 +58,7 @@ class Position:
     witness: tuple[NFElem, NFElem] | None = None
 
 
+@dataclass(eq=False)
 class ExtensionValuation:
     """One extension w of v_p to L.
 
@@ -67,33 +68,20 @@ class ExtensionValuation:
     idempotent of O/pO in order coordinates: 1 at w's prime and 0 at every
     other prime over p. The anti-uniformizer beta that values are counted
     with, and that approx_element steps down the value group with, is built
-    on its first use.
+    on its first use. Instances compare by identity.
     """
 
-    def __init__(
-        self,
-        index: int,
-        e: int,
-        f: int,
-        field: NumberField,
-        p: int,
-        order: Order,
-        residue_algebra: FpAlgebra,
-        residue_projection: MatFp,
-        prime_basis: list[VecQ],
-        idempotent: VecFp,
-    ):
-        self.index = index
-        self.e = e
-        self.f = f
-        self.field = field
-        self.p = p
-        self.order = order
-        self.residue_algebra = residue_algebra
-        self.residue_projection = residue_projection
-        self.prime_basis = prime_basis
-        self.idempotent = idempotent
-        self._beta_matrix: list[list[int]] | None = None
+    index: int
+    e: int
+    f: int
+    field: NumberField
+    p: int
+    order: Order
+    residue_algebra: FpAlgebra
+    residue_projection: MatFp
+    prime_basis: list[VecQ]
+    idempotent: VecFp
+    _beta_matrix: list[list[int]] | None = dataclass_field(default=None, init=False)
 
     def anti_uniformizer_matrix(self) -> list[list[int]]:
         """Integer matrix of y -> beta*y over the order basis, for some beta

@@ -2,12 +2,12 @@
 
 Matrices are lists of rows; vectors are flat lists. There are two
 eliminations: a fraction-free echelon form over Z (int_echelon), which
-gives determinants, ranks and minimal relations over Q once the rows are
-scaled to integers, and a reduced echelon form over F_p on ints reduced
-into [0, p). Rationals enter only as the Z[1/p] entries of lattice bases
-and in lattice_solve's substitution. Sizes here are desk scale (the
-dimension is the field degree), so plain Gaussian elimination is the right
-tool.
+gives determinants and minimal relations over Q once the rows are scaled
+to integers, and a reduced echelon form over F_p (fp_rref) on ints reduced
+into [0, p), which gives ranks, kernels and solutions modulo p. Rationals
+enter only as the Z[1/p] entries of lattice bases and in lattice_solve's
+substitution. Sizes here are desk scale (the dimension is the field
+degree), so plain Gaussian elimination is the right tool.
 """
 
 from __future__ import annotations
@@ -91,10 +91,11 @@ def int_det(m: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One elimination core over F_p: entries are ints reduced into [0, p).
+# Matrices over F_p, with one elimination core, fp_rref: entries are ints
+# reduced into [0, p).
 
 
-def _rref(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+def fp_rref(m: MatFp, p: int) -> tuple[MatFp, list[int]]:
     """Reduced row echelon form over F_p and the pivot column indices."""
     m = [[x % p for x in row] for row in m]
     rows = len(m)
@@ -120,10 +121,14 @@ def _rref(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def _kernel(m: list[list[int]], p: int) -> list[list[int]]:
+def fp_rank(m: MatFp, p: int) -> int:
+    return len(fp_rref(m, p)[1])
+
+
+def fp_kernel(m: MatFp, p: int) -> list[VecFp]:
     """Basis of {v : m v = 0} over F_p, one vector per free column."""
     cols = len(m[0]) if m else 0
-    rref, pivots = _rref(m, p)
+    rref, pivots = fp_rref(m, p)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [0] * cols
@@ -134,8 +139,19 @@ def _kernel(m: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-# ---------------------------------------------------------------------------
-# Matrices over F_p
+def fp_solve(a: MatFp, b: VecFp, p: int) -> VecFp | None:
+    """One solution of a x = b, or None when inconsistent.
+
+    Free variables, if any, are set to zero.
+    """
+    cols = len(a[0]) if a else 0
+    rref, pivots = fp_rref([row + [y] for row, y in zip(a, b)], p)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rref[r][cols]
+    return x
 
 
 def fp_vec(v, p: int) -> VecFp:
@@ -159,34 +175,6 @@ def fp_matvec(m: MatFp, v: VecFp, p: int) -> VecFp:
 def fp_matmul(a: MatFp, b: MatFp, p: int) -> MatFp:
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-
-
-def fp_rref(m: MatFp, p: int) -> tuple[MatFp, list[int]]:
-    return _rref(m, p)
-
-
-def fp_rank(m: MatFp, p: int) -> int:
-    # Through fp_rref, not the core, so a traced run times rank probes as fp_rref.
-    return len(fp_rref(m, p)[1])
-
-
-def fp_kernel(m: MatFp, p: int) -> list[VecFp]:
-    return _kernel(m, p)
-
-
-def fp_solve(a: MatFp, b: VecFp, p: int) -> VecFp | None:
-    """One solution of a x = b, or None when inconsistent.
-
-    Free variables, if any, are set to zero.
-    """
-    cols = len(a[0]) if a else 0
-    rref, pivots = _rref([row + [y] for row, y in zip(a, b)], p)
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][cols]
-    return x
 
 
 # ---------------------------------------------------------------------------

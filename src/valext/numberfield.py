@@ -110,10 +110,6 @@ class NFElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def _check_same(self, other: "NFElem"):
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-
     def __add__(self, other):
         other = self._coerce(other)
         return NFElem(self.field, [a + b for a, b in zip(self.coords, other.coords)])
@@ -127,7 +123,8 @@ class NFElem:
 
     def _coerce(self, other) -> "NFElem":
         if isinstance(other, NFElem):
-            self._check_same(other)
+            if self.field != other.field:
+                raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)

@@ -5,8 +5,8 @@ of the reduced quotient; approx_element realizes a prescribed value at one
 extension while staying strictly above it at the others; check_fundamental
 verifies the min-value formula of the fundamental inequality with exact
 rational comparison and certifies sum(e_i f_i) <= [L:Q] by an explicit
-independent set, whose rank over Q is taken in integers by the fraction-free
-elimination linalg.int_echelon.
+independent set, whose rank over Q is bounded below by the rank of its
+image in O/pO, taken over F_p.
 
 Every value here is counted with the anti-uniformizer beta of its
 extension's prime (extensions.value_by_count), without the walk that
@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import GammaNotInValueGroup
 from .extensions import ExtensionValuation, value_by_count
 from .fpalgebra import lift_idempotent
-from .linalg import VecFp, fp_solve, fp_vec, int_echelon, pval
+from .linalg import VecFp, fp_rank, fp_solve, fp_vec, pval
 from .numberfield import NFElem
 from .polynomials import format_poly
 from .values import INFINITY
@@ -175,19 +175,26 @@ def check_fundamental(
 ) -> CheckReport:
     """Verify the min-value formula on random coefficient draws and the
     K-linear independence of the products a_ij b_ik; failures are recorded
-    in the report rather than raised."""
+    in the report rather than raised.
+
+    The rank is that of the products' images in O/pO over F_p, a lower
+    bound for their rank over Q: a Q-relation, scaled to integers not all
+    divisible by p, reduces to an F_p-relation. O/pO is the product of the
+    O/P_l^(e_l). For l != i, w_l(b_ik) >= 1, as approx_element gives it,
+    so a_ij b_ik vanishes there; in O/P_i^(e_i) the products span, since
+    the a_ij lift a basis of the residue field and b_ik has value k/e_i.
+    So the images have F_p-rank sum e_i f_i, and that rank proves the
+    products independent over Q."""
     basis = build_ef_basis(exts)
-    fld = exts[0].field
+    fld, order, p = exts[0].field, exts[0].order, exts[0].p
     sum_ef = sum(w.e * w.f for w in exts)
 
     # products[i][j][k] = a_ij b_ik, formed once for the rank and every trial
     products = [[[aij * bik for bik in b_i] for aij in a_i] for a_i, b_i in zip(basis.a, basis.b)]
-    # scaling each product's coordinates to integers keeps the rank
-    rows = (x._integral()[1] for p_i in products for row in p_i for x in row)
-    rank = sum(c is not None for _, c in int_echelon(rows))
+    rank = fp_rank([order.coords_mod_p(x, p) for p_i in products for row in p_i for x in row], p)
 
     report = CheckReport(
-        instance=f"Q[x]/({format_poly(fld.f, 'x')}) at p={exts[0].p}",
+        instance=f"Q[x]/({format_poly(fld.f, 'x')}) at p={p}",
         degree=fld.n,
         sum_ef=sum_ef,
         rank=rank,
@@ -197,25 +204,20 @@ def check_fundamental(
     all_equal = True
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
-        coeffs: list[list[list[Fraction]]] = []
+        flat: list[str] = []  # the c_ijk in (i, j, k) order
         total = fld.zero()
         rhs = INFINITY
         for i, w in enumerate(exts):
-            ci = []
             for j in range(w.f):
-                cj = []
                 for k in range(w.e):
                     cval = _random_coefficient(rng, w.p)
-                    cj.append(cval)
+                    flat.append(str(cval))
                     if cval != 0:
                         total = total + products[i][j][k] * cval
                         rhs = min(rhs, pval(cval, w.p) + Fraction(k, w.e))
-                ci.append(cj)
-            coeffs.append(ci)
         lhs = min(value_by_count(w, total) for w in exts)
         equal = lhs == rhs
         all_equal = all_equal and equal
-        flat = [str(c) for ci in coeffs for cj in ci for c in cj]
         report.trials.append(
             TrialRecord(coefficients=flat, lhs=str(lhs), rhs=str(rhs), equal=equal)
         )

@@ -1,7 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valext.cli import (
     PolyParseError,
@@ -12,6 +15,7 @@ from valext.cli import (
     parse_poly,
 )
 from valext.numberfield import NumberField
+from valext.polynomials import format_poly
 
 
 # -- parser -------------------------------------------------------------------
@@ -33,11 +37,47 @@ def test_parse_poly_whitespace_insensitive():
     assert parse_poly(" x ^ 2 + 1 ", "x") == parse_poly("x^2+1", "x")
 
 
+GARBAGE = ["", "x^", "x**2", "^2", "x^2 + + 1", "y^2+1", "1/0", "3..5", "x^2+", "-", "x^2 -",
+           "2*", "2*y", "1/", "x2", "x^2x"]
+
+
 def test_parse_poly_rejects_garbage():
-    for bad in ["", "x^", "x**2", "^2", "x^2 + + 1", "y^2+1", "1/0", "3..5",
-                "x^2+", "-", "x^2 -"]:
+    for bad in GARBAGE:
         with pytest.raises(PolyParseError):
             parse_poly(bad, "x")
+
+
+@pytest.mark.parametrize("bad", GARBAGE)
+def test_garbage_poly_exits_2_naming_it(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["extensions", "--prime", "5", "--poly", bad])
+    assert exc.value.code == 2
+    # these two messages say what is wrong without quoting the input
+    want = {"": "empty polynomial", "1/0": "zero denominator"}.get(bad, repr(bad))
+    assert want in capsys.readouterr().err
+
+
+def test_parse_error_position_indexes_the_input_as_given():
+    """The position counts the whitespace that the parser skips."""
+    with pytest.raises(PolyParseError, match=r"'\+' at position 6 in 'x\^2 \+ \+ 1'"):
+        parse_poly("x^2 + + 1", "x")
+    with pytest.raises(PolyParseError, match=r"'\*' at position 2 in '2 \*y'"):
+        parse_poly("2 *y", "x")
+
+
+rationals = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(rationals, max_size=6), shift=st.integers(0, 10**18 - 6),
+       var=st.sampled_from("xa"))
+def test_parse_poly_inverts_format_poly(coeffs, shift, var):
+    """format_poly's text parses back to its coefficients. Exponents 2 and
+    up are shifted by up to 10^18 in the text, so the round trip reaches
+    the exponents that parse_element takes by repeated squaring."""
+    text = re.sub(r"\^(\d+)", lambda m: f"^{int(m[1]) + shift}", format_poly(coeffs, var))
+    want = {k + shift * (k >= 2): c for k, c in enumerate(coeffs) if c}
+    assert {k: c for k, c in parse_poly(text, var).items() if c} == want
 
 
 def test_parse_defining_poly_constraints():

@@ -8,12 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from valext.linalg import (
-    _kernel,
-    _rref,
     fp_kernel,
     fp_matmul,
     fp_matvec,
     fp_rank,
+    fp_rref,
     fp_solve,
     int_det,
     int_echelon,
@@ -116,13 +115,13 @@ def test_elimination_core(p, system):
     def dot(row, v):
         return sum(x * y for x, y in zip(row, v)) % p
 
-    rank = len(_rref(a, p)[1])
-    kernel = _kernel(a, p)
+    rank = len(fp_rref(a, p)[1])
+    kernel = fp_kernel(a, p)
     assert rank + len(kernel) == len(a[0])
     for v in kernel:
         assert all(dot(row, v) == 0 for row in a)
     x = fp_solve(a, b, p)
-    augmented_rank = len(_rref([row + [y] for row, y in zip(a, b)], p)[1])
+    augmented_rank = len(fp_rref([row + [y] for row, y in zip(a, b)], p)[1])
     if x is None:
         assert rank < augmented_rank
     else:

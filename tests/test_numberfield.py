@@ -6,7 +6,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from valext import NumberField, discriminant
+from valext import NumberField, discriminant, equation_order
 from valext.polynomials import poly_q
 
 from conftest import inverse, poly_rem
@@ -305,6 +305,27 @@ def test_degree_one_field():
     x = line.from_rational(Fraction(7, 2))
     assert (x * x).coords == [Fraction(49, 4)]
     assert x.min_poly() == poly_q([Fraction(-7, 2), 1])
+
+
+def test_subtraction_with_rationals_and_elements():
+    theta = CUBIC.from_poly([0, 1])
+    assert theta - 10 == CUBIC.from_poly([-10, 1])
+    assert 10 - theta == CUBIC.from_poly([10, -1])
+    assert theta - theta == 0
+    assert (theta - Fraction(1, 2)) + Fraction(1, 2) == theta
+    with pytest.raises(ValueError, match="different fields"):
+        theta - GAUSS.from_poly([0, 1])
+
+
+def test_equal_objects_hash_equal():
+    """Fields, elements and orders define equality by value, and equal ones
+    hash alike, so they serve as set members and dict keys."""
+    other = NumberField([-1, -1, 0, 1])
+    assert hash(other) == hash(CUBIC) and len({CUBIC, other, GAUSS}) == 2
+    x, y = CUBIC.from_poly([1, 2]), other.from_poly([1, 2])
+    assert hash(x) == hash(y) and len({x, y, x + 1}) == 2
+    orders = {equation_order(CUBIC), equation_order(other)}
+    assert len(orders) == 1
 
 
 def test_power_negative_exponent():

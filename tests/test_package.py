@@ -1,6 +1,7 @@
 """Package-wide guards on the source tree itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import valext
@@ -68,3 +69,11 @@ def test_no_function_takes_a_trace_parameter():
         )
     ]
     assert takes_trace == []
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's Library example runs as printed, asserts included."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S)[1]
+    exec(compile(example, "README.md", "exec"), {})
+    assert "inf" in capsys.readouterr().out

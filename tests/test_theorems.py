@@ -19,6 +19,7 @@ from valext import (
     value_by_count,
     weak_approx,
 )
+from valext import theorems
 from valext.fpalgebra import lift_idempotent
 
 from conftest import (
@@ -256,3 +257,24 @@ def test_check_fundamental_deterministic():
     r1 = check_fundamental(exts, trials=5, seed=9)
     r2 = check_fundamental(exts, trials=5, seed=9)
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
+
+
+@pytest.mark.parametrize("coeffs,p", [((1, 0, 1), 2), ((1, 0, 0, 0, 1), 17)],
+                         ids=["x^2+1@2", "x^4+1@17"])
+def test_check_fundamental_takes_the_rank_mod_p(coeffs, p, monkeypatch):
+    """p b_00 lies in pO, so its products with the a_0j vanish in O/pO:
+    with b_00 replaced by p b_00 the products stay independent over Q, but
+    their rank mod p, the one the report gives, falls below sum e_i f_i
+    and the check fails."""
+    real = theorems.build_ef_basis
+
+    def scaled(exts):
+        basis = real(exts)
+        basis.b[0][0] = basis.b[0][0] * p
+        return basis
+
+    monkeypatch.setattr(theorems, "build_ef_basis", scaled)
+    exts = extensions_for(coeffs, p)
+    report = check_fundamental(exts, trials=0)
+    assert report.rank == report.sum_ef - exts[0].f
+    assert not report.passed
