@@ -1,5 +1,8 @@
 """Command-line interface: parse inputs, run the pipeline, print JSON or text.
 
+The argument parser, PARSER, is built once, at import: main parses every
+call's arguments with it, and run_command reports usage errors through it.
+
 Exit codes: 0 success, 1 mathematical error (NotIrreducible, NegativeValue,
 ...) or failed internal check (AssertionError), both reported without a
 traceback and as JSON on stdout when --output json, 2 usage or parse errors
@@ -114,78 +117,76 @@ def _gamma_type(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/2, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="valext",
-        description="Extensions of the p-adic valuation v_p to a number field Q[x]/(f).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+PARSER = argparse.ArgumentParser(
+    prog="valext",
+    description="Extensions of the p-adic valuation v_p to a number field Q[x]/(f).",
+)
+_commands = PARSER.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--prime", type=_prime_type, required=True, help="prime p")
-    shared.add_argument("--poly", required=True, help="monic integer polynomial in x")
-    shared.add_argument("--output", choices=["json", "text"], default="text")
-    shared.add_argument("--trace", action="store_true", help="emit procedure trace lines")
+_shared = argparse.ArgumentParser(add_help=False)
+_shared.add_argument("--prime", type=_prime_type, required=True, help="prime p")
+_shared.add_argument("--poly", required=True, help="monic integer polynomial in x")
+_shared.add_argument("--output", choices=["json", "text"], default="text")
+_shared.add_argument("--trace", action="store_true", help="emit procedure trace lines")
 
-    sub.add_parser("extensions", parents=[shared], help="list all extensions of v_p")
+_commands.add_parser("extensions", parents=[_shared], help="list all extensions of v_p")
 
-    p_value = sub.add_parser("value", parents=[shared], help="values w_i(elem)")
-    p_value.add_argument("--elem", required=True, help="element, polynomial in a")
-    p_value.add_argument("--extension", type=int, help="restrict to one extension (1-based)")
+_value = _commands.add_parser("value", parents=[_shared], help="values w_i(elem)")
+_value.add_argument("--elem", required=True, help="element, polynomial in a")
+_value.add_argument("--extension", type=int, help="restrict to one extension (1-based)")
 
-    p_res = sub.add_parser("residue", parents=[shared], help="residue of elem at one extension")
-    p_res.add_argument("--elem", required=True, help="element, polynomial in a")
-    p_res.add_argument("--extension", type=int, required=True, help="extension index (1-based)")
+_res = _commands.add_parser("residue", parents=[_shared], help="residue of elem at one extension")
+_res.add_argument("--elem", required=True, help="element, polynomial in a")
+_res.add_argument("--extension", type=int, required=True, help="extension index (1-based)")
 
-    p_weak = sub.add_parser(
-        "weak-approx", parents=[shared], help="element hitting prescribed residues"
-    )
-    p_weak.add_argument(
-        "--targets",
-        required=True,
-        help="per-extension residue coordinates, e.g. '0;1' or '1,0;2'",
-    )
+_weak = _commands.add_parser(
+    "weak-approx", parents=[_shared], help="element hitting prescribed residues"
+)
+_weak.add_argument(
+    "--targets",
+    required=True,
+    help="per-extension residue coordinates, e.g. '0;1' or '1,0;2'",
+)
 
-    p_approx = sub.add_parser(
-        "approx", parents=[shared], help="element with value gamma at one extension"
-    )
-    p_approx.add_argument("--extension", type=int, required=True, help="target index (1-based)")
-    p_approx.add_argument("--gamma", type=_gamma_type, required=True, help="target value m/e")
+_approx = _commands.add_parser(
+    "approx", parents=[_shared], help="element with value gamma at one extension"
+)
+_approx.add_argument("--extension", type=int, required=True, help="target index (1-based)")
+_approx.add_argument("--gamma", type=_gamma_type, required=True, help="target value m/e")
 
-    p_verify = sub.add_parser(
-        "verify", parents=[shared], help="run the fundamental-inequality check"
-    )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_trials_type, default=100)
-    sub.add_parser("order", parents=[shared], help="print the p-maximal order basis")
-    return parser
+_verify = _commands.add_parser(
+    "verify", parents=[_shared], help="run the fundamental-inequality check"
+)
+_verify.add_argument("--seed", type=int, default=0)
+_verify.add_argument("--trials", type=_trials_type, default=100)
+_commands.add_parser("order", parents=[_shared], help="print the p-maximal order basis")
 
 
-def _pick_extension(exts, index: int, parser):
+def _pick_extension(exts, index: int):
     if not 1 <= index <= len(exts):
-        parser.error(f"--extension must be in 1..{len(exts)}")
+        PARSER.error(f"--extension must be in 1..{len(exts)}")
     return exts[index - 1]
 
 
-def _parse_targets(text: str, exts, parser) -> list[list[int]]:
+def _parse_targets(text: str, exts) -> list[list[int]]:
     groups = text.split(";")
     if len(groups) != len(exts):
-        parser.error(f"--targets needs {len(exts)} ';'-separated groups, got {len(groups)}")
+        PARSER.error(f"--targets needs {len(exts)} ';'-separated groups, got {len(groups)}")
     out = []
     for g, w in zip(groups, exts):
         try:
             coords = [int(c) for c in g.split(",")] if g.strip() else []
         except ValueError:
-            parser.error(f"bad target coordinates {g!r}")
+            PARSER.error(f"bad target coordinates {g!r}")
         if len(coords) != w.f:
-            parser.error(
+            PARSER.error(
                 f"target for extension {w.index} needs {w.f} coordinates, got {len(coords)}"
             )
         out.append(coords)
     return out
 
 
-def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
+def run_command(args) -> tuple[dict, list[str], list[str]]:
     """Returns (json payload, text lines, trace lines)."""
     field = parse_defining_poly(args.poly)
     p = args.prime
@@ -210,7 +211,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
 
     if args.command == "value":
         elem = parse_element(args.elem, field)
-        chosen = exts if args.extension is None else [_pick_extension(exts, args.extension, parser)]
+        chosen = exts if args.extension is None else [_pick_extension(exts, args.extension)]
         with recording() as steps:
             vals = [(w.index, value(w, elem)) for w in chosen]
         estr = format_element(elem)
@@ -223,7 +224,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
 
     if args.command == "residue":
         elem = parse_element(args.elem, field)
-        w = _pick_extension(exts, args.extension, parser)
+        w = _pick_extension(exts, args.extension)
         with recording() as steps:
             res = residue(w, elem)
         estr = format_element(elem)
@@ -232,7 +233,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
         return payload, lines, trace + steps
 
     if args.command == "weak-approx":
-        targets = _parse_targets(args.targets, exts, parser)
+        targets = _parse_targets(args.targets, exts)
         x = weak_approx(exts, targets)
         # The walk, not residue_of_integral: it refuses a zero divisor of a reducible f.
         residues = [residue(w, x) for w in exts]
@@ -248,7 +249,7 @@ def run_command(args, parser) -> tuple[dict, list[str], list[str]]:
         return payload, lines, trace
 
     if args.command == "approx":
-        w = _pick_extension(exts, args.extension, parser)
+        w = _pick_extension(exts, args.extension)
         x = approx_element(exts, w.index - 1, args.gamma)
         vals = [(u.index, value_by_count(u, x)) for u in exts]
         estr = format_element(x)
@@ -295,14 +296,13 @@ def main(argv=None) -> int:
     # default; the limit would end the run with a traceback.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_values(list(argv)))
+    args = PARSER.parse_args(_join_values(list(argv)))
     try:
-        payload, lines, trace = run_command(args, parser)
+        payload, lines, trace = run_command(args)
     except PolyParseError as exc:
-        parser.error(str(exc))
+        PARSER.error(str(exc))
     except (ValExtError, AssertionError) as exc:
         if args.output == "json":
             print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

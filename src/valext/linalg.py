@@ -5,9 +5,11 @@ eliminations: a fraction-free echelon form over Z (int_echelon), which
 gives determinants and minimal relations over Q once the rows are scaled
 to integers, and a reduced echelon form over F_p (fp_rref) on ints reduced
 into [0, p), which gives ranks, kernels and solutions modulo p. Rationals
-enter only as the Z[1/p] entries of lattice bases and in lattice_solve's
-substitution. Sizes here are desk scale (the dimension is the field
-degree), so plain Gaussian elimination is the right tool.
+enter only in lattice_solve's substitution, over a lattice basis with
+Z[1/p] entries; lattice_canonical reduces such a basis in integers, scaled
+by its common denominator, a power of p. Sizes here are desk scale (the
+dimension is the field degree), so plain Gaussian elimination is the right
+tool.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ def fp_matmul(a: MatFp, b: MatFp, p: int) -> MatFp:
 # unique lower-triangular basis with p-power pivots and the entries of each
 # row reduced modulo its pivot. Round 2 reads a triangular basis of each of
 # its lattices off an F_p echelon form, with Z[1/p] entries and p-power
-# pivots, so nothing is eliminated over Z_(p) and the reduction is floor
-# division.
+# pivots, so nothing is eliminated over Z_(p): scaled to integers by its
+# common denominator, a power of p, the basis is reduced by floor division.
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -194,32 +196,28 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def lattice_canonical(basis: list[VecQ], p: int) -> list[VecQ]:
+def lattice_canonical(basis: list[list[int]], p: int) -> list[list[int]]:
     """Canonical basis of the Z_(p)-lattice spanned by a lower-triangular
-    basis (see require_triangular) with Z[1/p] entries and pivots p^k,
-    k in Z; any other basis raises ValueError.
+    basis (see require_triangular) with integer entries and pivots p^k,
+    k >= 0; any other basis raises ValueError. A lattice with Z[1/p] entries
+    is passed scaled by its common denominator, a power of p.
 
     The entries of each column below its pivot are reduced modulo the later
     pivots by floor division, in increasing row order, which is stable
-    because a later column vanishes above its own pivot. The reduction runs
-    on integer numerators over the one common denominator, a power of p,
-    and a basis of integers comes back in ints. The result is unique for
-    the lattice, and the map is idempotent.
+    because a later column vanishes above its own pivot. The result, in
+    ints, is unique for the lattice, and the map is idempotent.
     """
     require_triangular(basis)
-    if not all(_is_p_power(x.denominator, p) for col in basis for x in col) or not all(
-        _is_p_power(col[k].numerator, p) for k, col in enumerate(basis)
-    ):
-        raise ValueError(f"basis needs Z[1/{p}] entries and powers of {p} as pivots")
-    den = max(x.denominator for col in basis for x in col)
-    cols = [[x.numerator * (den // x.denominator) for x in col] for col in basis]
+    cols = [[int(x) for x in col] for col in basis]
+    if cols != basis or not all(_is_p_power(col[k], p) for k, col in enumerate(cols)):
+        raise ValueError(f"basis needs integer entries and powers of {p} as pivots")
     for bi, col in enumerate(cols):
         for j in range(bi + 1, len(cols)):
             f = col[j] // cols[j][j]
             if f:
                 for r in range(j, len(col)):
                     col[r] -= f * cols[j][r]
-    return [[Fraction(x, den) for x in col] for col in cols] if den > 1 else cols
+    return cols
 
 
 def require_triangular(basis: list[VecQ]) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -195,6 +196,15 @@ def canonical_basis(gens, p: int) -> list:
                 for r in range(len(col)):
                     col[r] -= f * pivcol[r]
     return [col for _, _, col in basis]
+
+
+def scaled_to_integers(basis, p: int) -> list:
+    """basis times the common denominator of its entries, which must be a
+    power of p: the integer form in which lattice_canonical takes a lattice
+    with Z[1/p] entries."""
+    den = math.lcm(*(Fraction(x).denominator for v in basis for x in v))
+    assert p ** pval(den, p) == den, f"denominator {den} is not a power of {p}"
+    return [[int(x * den) for x in v] for v in basis]
 
 
 def in_prime(w, x) -> bool:

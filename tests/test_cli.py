@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valext
 from valext.cli import (
     PolyParseError,
     format_element,
@@ -650,3 +655,37 @@ def test_golden_stdout(capsys, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def test_one_parser_serves_a_whole_process(capsys, monkeypatch):
+    """main parses every call with the one parser built at import. A run of
+    calls in one process, usage errors and --help among them, prints
+    byte-for-byte what each argv prints from a fresh interpreter: stdout,
+    stderr and exit code."""
+    field = ["--prime", "5", "--poly", "x^2+1"]
+    runs = [
+        ["extensions", *field],
+        ["value", *field, "--elem", "a+2", "--trace"],
+        ["extensions", "--prime", "4", "--poly", "x^2+1"],
+        ["verify", "--prime", "23", "--poly", "x^3-x-1", "--trials", "2"],
+        ["--help"],
+        ["value", "--help"],
+        ["residue", *field, "--elem", "1/5", "--extension", "1"],
+        ["extensions", *field],
+    ]
+    # --help wraps its text at the terminal width: the same in both.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(valext.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "valext.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        got = (code, captured.out.encode(), captured.err.encode())
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv

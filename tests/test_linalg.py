@@ -22,7 +22,7 @@ from valext.linalg import (
     require_triangular,
 )
 
-from conftest import canonical_basis, lattice_contains, rep_mod_ppow
+from conftest import canonical_basis, lattice_contains, rep_mod_ppow, scaled_to_integers
 
 
 def q_mat(rows):
@@ -150,7 +150,7 @@ def in_lattice2(gens, v, p):
 
 
 def test_lattice_standard_basis_fixed():
-    std = q_mat([[1, 0], [0, 1]])
+    std = [[1, 0], [0, 1]]
     for p in (2, 3, 5):
         assert lattice_canonical(std, p) == std
 
@@ -159,7 +159,7 @@ def test_lattice_canonical_example_p2():
     gens = q_mat([[2, 0], [1, 1]])
     basis = canonical_basis(gens, 2)
     assert basis == q_mat([[1, 1], [0, 2]])
-    assert lattice_canonical(q_mat([[1, 1], [0, 2]]), 2) == basis
+    assert lattice_canonical([[1, 1], [0, 2]], 2) == basis
     # oracle: same membership on a small grid, via independent 2x2 solves
     for x in range(-4, 5):
         for y in range(-4, 5):
@@ -173,14 +173,17 @@ def test_lattice_canonical_example_p2():
         [[3, 0], [0, 1]],  # pivot 3 is a unit at 2, not a power of 2
         [[-2, 0], [0, 1]],  # negative pivot
         [[1, Fraction(1, 3)], [0, 1]],  # 1/3 lies in Z_(2) but not in Z[1/2]
+        [[1, Fraction(1, 2)], [0, 1]],  # in Z[1/2]: passed scaled by 2, not as is
+        [[Fraction(1, 2), 0], [0, 1]],  # pivot 2^-1
     ],
-    ids=["unit-pivot", "negative-pivot", "entry-1/3"],
+    ids=["unit-pivot", "negative-pivot", "entry-1/3", "entry-1/2", "pivot-1/2"],
 )
 def test_lattice_canonical_refuses_bases_outside_z_1_over_p(basis):
-    """lattice_canonical normalizes only what Round 2 forms: Z[1/p] entries
-    and pivots p^k. A general Z_(p) basis is refused, not normalized."""
-    with pytest.raises(ValueError, match=r"Z\[1/2\] entries and powers of 2"):
-        lattice_canonical(q_mat(basis), 2)
+    """lattice_canonical normalizes only what Round 2 forms: a Z[1/p] basis
+    with pivots p^k, scaled by its common denominator to integer entries and
+    pivots p^k, k >= 0. Any other basis is refused, not normalized."""
+    with pytest.raises(ValueError, match="integer entries and powers of 2"):
+        lattice_canonical(basis, 2)
 
 
 def test_lattice_canonical_idempotent():
@@ -196,7 +199,8 @@ def test_lattice_canonical_idempotent():
             except ValueError:
                 continue
             assert canonical_basis(basis, p) == basis
-            assert lattice_canonical(basis, p) == basis
+            scaled = scaled_to_integers(basis, p)
+            assert lattice_canonical(scaled, p) == scaled
 
 
 def test_lattice_rank_deficiency_detected():
@@ -222,8 +226,9 @@ def test_lattice_canonical_refuses_non_triangular_basis(basis):
 @given(st.data())
 def test_lattice_canonical_of_triangular_basis_matches_general_elimination(data):
     """On a lower-triangular basis with pivots p^k, k in -2..3, and Z[1/p]
-    entries below them, lattice_canonical gives the canonical basis of the
-    general Z_(p) elimination, leaves its input alone and fixes its output."""
+    entries below them, scaled to integers by its common denominator,
+    lattice_canonical gives the canonical basis of the general Z_(p)
+    elimination, leaves its input alone and fixes its output."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(1, 5))
     entry = st.builds(lambda a, k: Fraction(a, p**k), st.integers(-p**3, p**3), st.integers(0, 2))
@@ -232,6 +237,7 @@ def test_lattice_canonical_of_triangular_basis_matches_general_elimination(data)
         + data.draw(st.lists(entry, min_size=n - k - 1, max_size=n - k - 1))
         for k in range(n)
     ]
+    basis = scaled_to_integers(basis, p)
     before = [col[:] for col in basis]
     canonical = lattice_canonical(basis, p)
     assert basis == before

@@ -14,6 +14,11 @@ prime_decomp the rest. sympy 1.14 is not the first oracle because where p
 divides the index [O_K : Z[theta]] it gives wrong answers, raises, or does
 not return (test_ore_settles_known_sympy_failures and ROADMAP item 2 list
 cases). No draw is filtered out on either account.
+
+Single values are checked one extension at a time at primes that do not
+divide disc f: w_i(h(theta)) = v_p(Res(F_i, h)) / deg F_i, for F_i the
+factor of f over Q_p that belongs to w_i, lifted from f mod p by Hensel's
+lemma (ROADMAP item 18, stage 1).
 """
 
 from fractions import Fraction
@@ -22,9 +27,14 @@ from math import gcd
 import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_zz_hensel_lift
+from sympy.polys.galoistools import gf_factor_sqf
 from sympy.polys.numberfields.primes import prime_decomp
 
 from valext import NumberField, extensions_of, value, value_by_count
+
+from conftest import lattice_contains
 
 
 T = sympy.Symbol("t")
@@ -168,3 +178,85 @@ def test_extensions_and_values_against_oracles(case):
     assert counts == vals
     assert sum((w.e * w.f * v for w, v in zip(exts, counts)), Fraction(0)) == vp(norm, p)
     assert [value_by_count(w, y) for w in exts] == [v + shift for v in counts]
+
+
+K_LIFT = 30  # the local factors are known modulo p^K_LIFT
+
+
+def local_factors(f, p: int) -> list[sympy.Poly]:
+    """The monic factors of f over Z_p, modulo p^K_LIFT, for p not dividing
+    disc f: the irreducible factors of f mod p, squarefree there, lifted by
+    Hensel's lemma."""
+    high = [ZZ(c) for c in f[::-1]]
+    _, gs = gf_factor_sqf(high, p, ZZ)
+    lifts = dup_zz_hensel_lift(ZZ(p), high, gs, K_LIFT, ZZ)
+    return [sympy.Poly([int(c) for c in F], T) for F in lifts]
+
+
+def irreducible(f) -> bool:
+    _, factors = sympy.factor_list(sympy.Poly(f[::-1], T))
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+@st.composite
+def unramified_instances(draw):
+    """(f, p, factors, hs): monic f of degree 2..8, irreducible over Q; the
+    first prime p at or above a drawn start that does not divide disc f;
+    f's local factors at p; and integer polynomials h = c g^m + p^j r, for
+    g one of those factors taken mod p, so that positive values occur at
+    every extension."""
+    n = draw(st.integers(2, 8))
+    coeffs = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    f = draw(coeffs.map(lambda c: c + [1]).filter(irreducible))
+    disc = sympy.discriminant(sympy.Poly(f[::-1], T))
+    p = sympy.nextprime(draw(st.integers(2, 40)) - 1)
+    while disc % p == 0:
+        p = sympy.nextprime(p)
+    factors = local_factors(f, p)
+    hs = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.sampled_from(factors)).trunc(p)
+        c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        m, j = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        r = sympy.Poly(draw(st.lists(st.integers(-p, p), min_size=1, max_size=n)), T)
+        hs.append(c * g**m + p**j * r)
+    return f, p, factors, hs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(unramified_instances())
+def test_each_value_against_its_local_factor(case):
+    """Each w_i is matched to the one local factor F_i with g_i(theta) in
+    P_i, for g_i = F_i mod p, by lattice membership and not by value, and
+    the match is a bijection; w_i is unramified with f_i = deg F_i. For each
+    h with h(theta) != 0, w_i(h(theta)) = v_p(Res(F_i, h)) / deg F_i wherever
+    v_p(Res) < K_LIFT, where the lift makes the resultant exact enough."""
+    f, p, factors, hs = case
+    exts = extensions_of(NumberField(f), p)
+    field = exts[0].field
+
+    def at_theta(h):
+        return field.from_poly([int(c) for c in h.all_coeffs()[::-1]])
+
+    match = {}
+    for w in exts:
+        owners = [
+            F for F in factors
+            if lattice_contains(w.prime_basis, at_theta(F.trunc(p)).coords, p)
+        ]
+        assert len(owners) == 1, f"w_{w.index} lies over {len(owners)} factors"
+        match[w.index] = owners[0]
+        assert (w.e, w.f) == (1, owners[0].degree())
+    assert len(set(match.values())) == len(factors) == len(exts)
+
+    for h in hs:
+        x = at_theta(h)
+        if x == field.zero():  # f divides h: value inf at every w_i
+            continue
+        for w in exts:
+            res = sympy.resultant(match[w.index], h)
+            v = vp(res, p) if res else K_LIFT
+            if v < K_LIFT:
+                assert value(w, x) == Fraction(v, match[w.index].degree())
+            else:
+                event("v_p(Res) reaches the lift's precision: not checked")

@@ -25,6 +25,7 @@ from conftest import (
     order_contains,
     order_for,
     poly_rem,
+    scaled_to_integers,
 )
 
 GAUSS = NumberField([1, 0, 1])
@@ -182,15 +183,16 @@ def test_radical_nilpotency():
         q = 1
         while q < fld.n:
             q *= p
-        p_o = lattice_canonical([[p * x for x in b] for b in o.basis], p)
+        # p*O and its elements, both scaled to integers by O's denominator
+        p_o = lattice_canonical([[p * x for x in v] for v in o.num], p)
         gens = [o.element(v) for v in rad]
         for g in gens:
-            assert lattice_contains(p_o, (g**q).coords, p)
+            assert lattice_contains(p_o, [o.den * x for x in (g**q).coords], p)
         for combo in itertools.product(gens, repeat=fld.n):
             prod = fld.one()
             for g in combo:
                 prod = prod * g
-            assert lattice_contains(p_o, prod.coords, p)
+            assert lattice_contains(p_o, [o.den * x for x in prod.coords], p)
 
 
 def test_round2_deep_chain():
@@ -356,15 +358,18 @@ def test_mult_matrix_over_z_matches_order_products(instance, data):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(round2_instances())
 def test_round2_bases_are_canonical_z_1_over_p_bases(instance):
-    """Every basis Round 2 keeps lies in lattice_canonical's domain, Z[1/p]
-    entries and p-power pivots, and is canonical: the p-maximal order's
-    basis and each prime's basis are fixed by lattice_canonical and equal
-    the canonical basis of the general Z_(p) elimination."""
+    """Every basis Round 2 keeps has Z[1/p] entries, so scaled by its
+    common denominator, a power of p, it lies in lattice_canonical's domain,
+    integer entries and p-power pivots, and it is canonical: the p-maximal
+    order's basis and each prime's basis, so scaled, are fixed by
+    lattice_canonical and equal the canonical basis of the general Z_(p)
+    elimination."""
     f, p = instance
     fld = NumberField(f)
     bases = [p_maximal_order(fld, p).basis] + [w.prime_basis for w in extensions_of(fld, p)]
     for basis in bases:
-        assert lattice_canonical(basis, p) == basis == canonical_basis(basis, p)
+        ints = scaled_to_integers(basis, p)
+        assert lattice_canonical(ints, p) == ints == canonical_basis(ints, p)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

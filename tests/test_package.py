@@ -55,20 +55,39 @@ def test_every_public_method_is_used_in_the_package():
     assert unused == []
 
 
-def test_no_function_takes_a_trace_parameter():
-    """Trace lines go through valext.events, not a list threaded through
-    the signatures."""
-    takes_trace = [
+def _functions(test) -> list[str]:
+    """Every function or method in src/ for which test(fn) holds."""
+    return [
         f"{module}.{fn.name}"
         for module, tree in TREES.items()
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        and any(
-            arg.arg == "trace"
-            for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        )
+        if isinstance(fn, ast.FunctionDef) and test(fn)
     ]
-    assert takes_trace == []
+
+
+def _takes(name: str):
+    return lambda fn: any(
+        arg.arg == name for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    )
+
+
+def test_no_function_takes_a_trace_parameter():
+    """Trace lines go through valext.events, not a list threaded through
+    the signatures."""
+    assert _functions(_takes("trace")) == []
+
+
+def test_no_function_takes_or_builds_a_parser():
+    """The CLI parses with cli.PARSER, built once at import, and reports
+    usage errors through it: no parser is built per call or threaded
+    through the signatures."""
+    def builds(fn):
+        return any(
+            isinstance(node, ast.Attribute) and node.attr == "ArgumentParser"
+            for node in ast.walk(fn)
+        )
+
+    assert _functions(_takes("parser")) == _functions(builds) == []
 
 
 def test_readme_library_example_runs(capsys):
