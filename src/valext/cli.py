@@ -204,7 +204,7 @@ def run_command(args) -> tuple[dict, list[str], list[str]]:
     if args.command == "extensions":
         payload = {"extensions": [w.to_descriptor() for w in exts]}
         lines = [
-            f"w_{w.index}: e={w.e} f={w.f} residue_field_dim={w.residue_algebra.dim}"
+            f"w_{w.index}: e={w.e} f={w.f} residue_field_dim={w.f}"
             for w in exts
         ]
         return payload, lines, trace

@@ -20,12 +20,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NegativeValue, NotIrreducible, ZeroElement
 from .events import emit
-from .fpalgebra import FpAlgebra, quotient_mod_p, split_reduced
+from .fpalgebra import Component, FpAlgebra, quotient_mod_p, split_reduced
 from .linalg import (
-    MatFp,
     VecFp,
     VecQ,
     fp_matvec,
@@ -62,13 +62,14 @@ class Position:
 class ExtensionValuation:
     """One extension w of v_p to L.
 
-    Values of nonzero elements lie in (1/e)Z; the residue field is the
-    field component of the reduced quotient, reached through
-    residue_projection applied to O/pO coordinates. idempotent is w's
-    idempotent of O/pO in order coordinates: 1 at w's prime and 0 at every
-    other prime over p. The anti-uniformizer beta that values are counted
-    with, and that approx_element steps down the value group with, is built
-    on its first use. Instances compare by identity.
+    Values of nonzero elements lie in (1/e)Z. component is w's field
+    component of O/pO in order coordinates: its projection maps onto the
+    residue field, and its idempotent is 1 at w's prime and 0 at every
+    other prime over p. Built on first use and kept: the residue field's
+    table (residue_algebra, the component's), the prime P as an F_p kernel
+    and as a lattice (prime_basis), and the anti-uniformizer beta that
+    values are counted with and approx_element steps by. Instances compare
+    by identity.
     """
 
     index: int
@@ -77,11 +78,22 @@ class ExtensionValuation:
     field: NumberField
     p: int
     order: Order
-    residue_algebra: FpAlgebra
-    residue_projection: MatFp
-    prime_basis: list[VecQ]
-    idempotent: VecFp
+    component: Component
     _beta_matrix: list[list[int]] | None = dataclass_field(default=None, init=False)
+
+    @property
+    def residue_algebra(self) -> FpAlgebra:
+        return self.component.algebra
+
+    @cached_property
+    def prime_kernel(self) -> list[VecFp]:
+        """A basis of P/pO in O/pO coordinates: the residue projection's kernel."""
+        return fp_kernel(self.component.projection, self.p)
+
+    @cached_property
+    def prime_basis(self) -> list[VecQ]:
+        """P's canonical lattice basis in the power basis (Order.lattice_basis)."""
+        return self.order.lattice_basis(ideal_over(self.order, self.prime_kernel, self.p), self.p)
 
     def anti_uniformizer_matrix(self) -> list[list[int]]:
         """Integer matrix of y -> beta*y over the order basis, for some beta
@@ -94,9 +106,8 @@ class ExtensionValuation:
         """
         if self._beta_matrix is None:
             p, table = self.p, self.order.table
-            prime = fp_kernel(self.residue_projection, p)
-            if prime:
-                stacked = [row for g in prime for row in mult_matrix(table, g)]
+            if self.prime_kernel:
+                stacked = [row for g in self.prime_kernel for row in mult_matrix(table, g)]
                 beta = fp_kernel(stacked, p)[0]
                 self._beta_matrix = mult_matrix(table, beta)
             else:
@@ -116,14 +127,14 @@ class ExtensionValuation:
 
     def residue_of_integral(self, x: NFElem) -> VecFp:
         """Residue-field image of an element of the p-maximal order."""
-        return fp_matvec(self.residue_projection, self.order.coords_mod_p(x, self.p), self.p)
+        return fp_matvec(self.component.projection, self.order.coords_mod_p(x, self.p), self.p)
 
     def to_descriptor(self) -> dict:
         return {
             "index": self.index,
             "e": self.e,
             "f": self.f,
-            "residue_field_dim": self.residue_algebra.dim,
+            "residue_field_dim": self.f,
             "prime_basis": [[str(x) for x in row] for row in self.prime_basis],
         }
 
@@ -142,7 +153,6 @@ def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
         local_dim = fp_rank(alg.mult_matrix(comp.idempotent), p)
         if local_dim % comp.dim:
             raise AssertionError("local factor dimension not divisible by residue degree")
-        prime = order.lattice_basis(ideal_over(order, fp_kernel(comp.projection, p), p), p)
         exts.append(
             ExtensionValuation(
                 index=i + 1,
@@ -151,10 +161,7 @@ def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
                 field=field,
                 p=p,
                 order=order,
-                residue_algebra=comp.algebra,
-                residue_projection=comp.projection,
-                prime_basis=prime,
-                idempotent=comp.idempotent,
+                component=comp,
             )
         )
     return exts
@@ -269,7 +276,7 @@ def _count(w: ExtensionValuation, x: NFElem) -> int:
 def residue(w: ExtensionValuation, x: NFElem) -> VecFp:
     """Image of x in the residue field; requires w(x) >= 0."""
     if x.is_zero:
-        return w.residue_algebra.zero()
+        return [0] * w.f
     pos = decide_position(x, w)
     if pos.kind is PositionKind.OUTSIDE:
         raise NegativeValue("element has negative value at this extension")

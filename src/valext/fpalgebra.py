@@ -13,7 +13,8 @@ Frobenius x -> x^p is F_p-linear, and each algebra builds its matrix once
 (FpAlgebra.frobenius): the nilradical and the Berlekamp kernel read it,
 and the reduction is handed the induced matrix, since x^p maps every ideal
 into itself.
-Components come in a canonical order, sorted by their reduced projections.
+Components come in a canonical order, sorted by their reduced projections;
+a component's own multiplication table is built only when first read.
 Idempotents are lifted through the nilradical, and on to O/p^K O, by one
 Newton iteration over an integer structure table (lift_idempotent).
 """
@@ -21,7 +22,9 @@ Newton iteration over an integer structure table (lift_idempotent).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .events import emit
 from .linalg import (
@@ -31,7 +34,6 @@ from .linalg import (
     fp_identity,
     fp_kernel,
     fp_matmul,
-    fp_matvec,
     fp_rank,
     fp_rref,
     fp_solve,
@@ -169,18 +171,20 @@ class FpAlgebra:
 class Component:
     """One field factor of an algebra's reduction, lifted to the algebra.
 
-    idempotent is the factor's idempotent in the input algebra, and
-    projection maps the input algebra's coordinates onto the field, whose
-    own basis `algebra` uses.
+    idempotent is the factor's idempotent in the input algebra, projection
+    maps the input algebra's coordinates onto the field of degree dim, and
+    build_algebra gives that field's table in the same basis, `algebra`,
+    on its first read: AssertionError then if a product leaves the factor.
     """
 
     idempotent: VecFp
     projection: MatFp
-    algebra: FpAlgebra
+    dim: int
+    build_algebra: Callable[[], FpAlgebra]
 
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
+    @cached_property
+    def algebra(self) -> FpAlgebra:
+        return self.build_algebra()
 
 
 @dataclass
@@ -291,8 +295,9 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
         emit(f"SPLIT{{z={z}, idempotent={idem}}}")
         pending += [[(u - x) % p for u, x in zip(e, idem)], idem]
     components.sort(key=lambda c: c.projection)
-    lifted = [Component(lift_idempotent(a.table, fp_solve(reduction, c.idempotent, p), p),
-                        fp_matmul(c.projection, reduction, p), c.algebra) for c in components]
+    lifted = [replace(c, projection=fp_matmul(c.projection, reduction, p),
+                      idempotent=lift_idempotent(a.table, fp_solve(reduction, c.idempotent, p), p))
+              for c in components]
     total = a.zero()
     for i, c in enumerate(lifted):
         if any(any(a.mul(c.idempotent, d.idempotent)) for d in lifted[:i]):
@@ -307,8 +312,8 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
     # The factor unit*A has the echelon basis of the products unit*b_j.
     # Re-basis with the idempotent first, so component coordinates make the
     # unit [1, 0, ...] and one-dimensional residue fields read as canonical
-    # F_p labels. Coordinates in the chosen basis are the echelon ones times
-    # the inverse of the chosen basis's echelon coordinates, from one rref.
+    # F_p labels. Chosen-basis coordinates are the echelon ones (v at the
+    # pivots) times the inverse of the chosen basis's, one product per batch.
     p = a.p
     products = columns(a.mult_matrix(unit))
     rows, pivots = fp_rref(products, p)
@@ -321,28 +326,24 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
             chosen.append(row[:])
     if len(chosen) != d:
         raise AssertionError("failed to complete the component basis")
+    aug = [[v[pc] for v in chosen] + e for pc, e in zip(pivots, fp_identity(d))]
+    inv = [r[d:] for r in fp_rref(aug, p)[0]]
 
-    def span_coords(v: VecFp) -> VecFp:
-        # the echelon coordinates are v at the pivots
-        coords = [v[pc] for pc in pivots]
-        if [sum(c * row[i] for c, row in zip(coords, rows)) % p for i in range(a.dim)] != v:
+    def coords(vs: list[VecFp]) -> MatFp:
+        ech = [[v[pc] for pc in pivots] for v in vs]
+        if fp_matmul(ech, rows[:d], p) != vs:
             raise AssertionError("vector not in the factor span")
-        return coords
+        return fp_matmul(inv, columns(ech), p)
 
-    cols = columns([span_coords(v) for v in chosen])
-    inv = [row[d:] for row in fp_rref([r + e for r, e in zip(cols, fp_identity(d))], p)[0]]
+    def algebra() -> FpAlgebra:
+        # the table is symmetric, so each product is formed once
+        pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        *prods, one = columns(coords([a.mul(chosen[i], chosen[j]) for i, j in pairs] + [unit]))
+        entry = dict(zip(pairs, prods))
+        table = [[entry[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
+        return FpAlgebra(p, table, one, validate=False)
 
-    def coords(v: VecFp) -> VecFp:
-        return fp_matvec(inv, span_coords(v), p)
-
-    # the table is symmetric, so each product is formed once
-    table: list[list[VecFp]] = [[[]] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            table[i][j] = table[j][i] = coords(a.mul(chosen[i], chosen[j]))
-    alg = FpAlgebra(p, table, coords(unit), validate=False)
-    proj = columns([coords(v) for v in products])
-    return Component(idempotent=unit[:], projection=proj, algebra=alg)
+    return Component(unit[:], coords(products), d, algebra)
 
 
 def lift_idempotent(table: list[list[list[int]]], x: list[int], mod: int) -> list[int]:

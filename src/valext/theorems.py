@@ -51,7 +51,7 @@ def weak_approx(exts: list[ExtensionValuation], targets: list[VecFp]) -> NFElem:
     for w, t in zip(exts, targets):
         if len(t) != w.f:
             raise ValueError(f"target for extension {w.index} must have {w.f} coordinates")
-        stacked.extend(w.residue_projection)
+        stacked.extend(w.component.projection)
         rhs.extend(fp_vec(t, p))
     sol = fp_solve(stacked, rhs, p)
     if sol is None:
@@ -85,7 +85,7 @@ def approx_element(
     b = a * e - m
     # Each step by beta/p loses one power of p from the modulus.
     mod = p ** (floor + 1 + k + b)
-    x = [c * p**a % mod for c in lift_idempotent(w1.order.table, w1.idempotent, mod)]
+    x = [c * p**a % mod for c in lift_idempotent(w1.order.table, w1.component.idempotent, mod)]
     for _ in range(b):
         x = w1.times_beta_over_p(x, mod)
         if x is None:
@@ -112,10 +112,7 @@ def build_ef_basis(exts: list[ExtensionValuation]) -> EfBasis:
     for i, w in enumerate(exts):
         a_i = []
         for j in range(w.f):
-            targets = [
-                ([0] * other.f if other is not w else other.residue_algebra.basis_vector(j))
-                for other in exts
-            ]
+            targets = [[int(other is w and k == j) for k in range(other.f)] for other in exts]
             x = weak_approx(exts, targets)
             if value_by_count(w, x) != 0:
                 raise AssertionError("residue lift is not a unit at its own extension")

@@ -21,7 +21,10 @@ from valext import (
     value,
     value_by_count,
 )
+from valext.cli import main
 from valext.errors import NegativeValue
+from valext.extensions import ExtensionValuation
+from valext.fpalgebra import Component
 
 from conftest import (
     CORPUS,
@@ -284,6 +287,45 @@ def test_anti_uniformizer_by_the_walk():
             beta_over_p = order.element(beta) * Fraction(1, p)
             assert value(w, beta_over_p) == Fraction(-1, w.e)
             assert all(value(u, beta_over_p) >= 0 for u in exts if u is not w)
+
+
+def test_residue_tables_and_prime_lattices_wait_for_their_reader(monkeypatch):
+    """extensions_of builds no residue table and no prime lattice, and
+    to_descriptor, which prints f and the lattice, builds the lattice but no
+    table. residue of 0 builds nothing; the first residue of a nonzero
+    element builds the table, and later ones reuse it. Through the CLI,
+    value, approx and verify build neither, and extensions builds no
+    table."""
+    for coeffs, p in CORPUS:
+        fld = field_for(coeffs)
+        for w in extensions_of(fld, p):
+            assert "algebra" not in vars(w.component) and "prime_basis" not in vars(w)
+            assert w.to_descriptor()["residue_field_dim"] == w.f
+            assert "algebra" not in vars(w.component) and "prime_basis" in vars(w)
+            builds = []
+            build = w.component.build_algebra
+
+            def counted():
+                builds.append(w.index)
+                return build()
+
+            w.component.build_algebra = counted
+            assert residue(w, fld.zero()) == [0] * w.f and not builds
+            one = [1] + [0] * (w.f - 1)
+            assert residue(w, fld.one()) == residue(w, fld.from_rational(1 + p)) == one
+            assert builds == [w.index] and w.residue_algebra is w.component.algebra
+
+    def refused(what):
+        def read(self):
+            raise AssertionError(f"{what} built")
+        return property(read)
+
+    monkeypatch.setattr(Component, "algebra", refused("residue table"))
+    assert main(["extensions", "--prime", "2", "--poly", "x^3+x^2-2*x+8"]) == 0
+    monkeypatch.setattr(ExtensionValuation, "prime_basis", refused("prime lattice"))
+    for argv in (["value", "--elem", "a^2+1"], ["approx", "--extension", "1", "--gamma", "1"],
+                 ["verify", "--trials", "2"]):
+        assert main([*argv, "--prime", "2", "--poly", "x^3+x^2-2*x+8"]) == 0
 
 
 def test_count_refusals(monkeypatch):

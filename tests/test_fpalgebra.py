@@ -185,6 +185,24 @@ def test_quotient_by_radical_of_double_root():
     assert fp_matvec(comp.projection, [0, 1], 2) == fp_matvec(comp.projection, [1, 0], 2) == [1]
 
 
+def test_component_table_checks_its_span_when_built(monkeypatch):
+    """The span check runs where a component's table is built. Split
+    F_5[t]/(t^2 - t) = F_5 x F_5, which builds no table, then make t^2 = 1
+    in its table: the component at t, whose product t*t now leaves t*A,
+    refuses to build its table, and the one at 1 - t, whose product
+    (1 - t)^2 = 2(1 - t) stays in its span, builds it."""
+    alg = poly_algebra(5, [0, 4, 1])
+    comps = {tuple(c.idempotent): c for c in split_reduced(alg).components}
+    assert sorted(comps) == [(0, 1), (1, 4)]
+    assert not any("algebra" in vars(c) for c in comps.values())
+    corrupted = [row[:] for row in alg.table]
+    corrupted[1][1] = [1, 0]
+    monkeypatch.setattr(alg, "table", corrupted)
+    with pytest.raises(AssertionError, match="vector not in the factor span"):
+        comps[0, 1].algebra
+    assert comps[1, 4].algebra.table == [[[2]]]
+
+
 def test_is_unit():
     assert is_unit(F5_T2P1, [1, 0])
     t = [0, 1]

@@ -174,8 +174,8 @@ def test_lifted_idempotents_modulo_p_power(instance, big_m):
 
     eps = []
     for w in exts:
-        lifted = lift_idempotent(order.table, w.idempotent, mod)
-        assert [c % p for c in lifted] == w.idempotent
+        lifted = lift_idempotent(order.table, w.component.idempotent, mod)
+        assert [c % p for c in lifted] == w.component.idempotent
         eps.append(order.element(lifted))
     for i, a in enumerate(eps):
         assert reduced(a * a) == reduced(a)
