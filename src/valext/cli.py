@@ -21,7 +21,7 @@ from .errors import ValExtError
 from .events import recording
 from .extensions import extensions_of, residue, value, value_by_count
 from .numberfield import NFElem, NumberField
-from .orders import p_maximal_order
+from .orders import p_maximal_order, ratio_str
 from .padic import PRIME_BOUND, is_prime
 from .polynomials import format_poly
 from .theorems import approx_element, check_fundamental, weak_approx
@@ -193,7 +193,7 @@ def run_command(args) -> tuple[dict, list[str], list[str]]:
 
     if args.command == "order":
         order = p_maximal_order(field, p)
-        basis = [[str(x) for x in row] for row in order.basis]
+        basis = [[ratio_str(x, order.den) for x in v] for v in order.num]
         payload = {"prime": p, "poly": args.poly, "basis": basis}
         lines = [" ".join(row) for row in basis]
         return payload, lines, []

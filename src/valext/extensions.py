@@ -27,7 +27,6 @@ from .events import emit
 from .fpalgebra import Component, FpAlgebra, quotient_mod_p, split_reduced
 from .linalg import (
     VecFp,
-    VecQ,
     fp_matvec,
     fp_kernel,
     fp_rank,
@@ -35,7 +34,7 @@ from .linalg import (
     pval,
 )
 from .numberfield import NFElem, NumberField
-from .orders import Order, ideal_over, p_maximal_order
+from .orders import Order, ideal_over, p_maximal_order, ratio_str
 from .polynomials import poly_deg
 from .values import INFINITY
 
@@ -67,7 +66,7 @@ class ExtensionValuation:
     residue field, and its idempotent is 1 at w's prime and 0 at every
     other prime over p. Built on first use and kept: the residue field's
     table (residue_algebra, the component's), the prime P as an F_p kernel
-    and as a lattice (prime_basis), and the anti-uniformizer beta that
+    and as a lattice (prime_lattice), and the anti-uniformizer beta that
     values are counted with and approx_element steps by. Instances compare
     by identity.
     """
@@ -91,9 +90,9 @@ class ExtensionValuation:
         return fp_kernel(self.component.projection, self.p)
 
     @cached_property
-    def prime_basis(self) -> list[VecQ]:
-        """P's canonical lattice basis in the power basis (Order.lattice_basis)."""
-        return self.order.lattice_basis(ideal_over(self.order, self.prime_kernel, self.p), self.p)
+    def prime_lattice(self) -> list[list[int]]:
+        """den times P's canonical basis in the power basis (Order.lattice_nums)."""
+        return self.order.lattice_nums(ideal_over(self.order, self.prime_kernel, self.p), self.p)
 
     def anti_uniformizer_matrix(self) -> list[list[int]]:
         """Integer matrix of y -> beta*y over the order basis, for some beta
@@ -135,7 +134,7 @@ class ExtensionValuation:
             "e": self.e,
             "f": self.f,
             "residue_field_dim": self.f,
-            "prime_basis": [[str(x) for x in row] for row in self.prime_basis],
+            "prime_basis": [[ratio_str(x, self.order.den) for x in v] for v in self.prime_lattice],
         }
 
     def __repr__(self):
@@ -145,12 +144,13 @@ class ExtensionValuation:
 def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
     """All extensions of v_p to L, one per maximal ideal of the closure:
     one per component of split_reduced(O/pO), with f the component's
-    dimension and e*f that of its local factor."""
+    dimension and e*f that of its local factor: f, e = 1, if O/pO is reduced."""
     order = p_maximal_order(field, p)
     alg = quotient_mod_p(order, p)
+    dec = split_reduced(alg)
     exts = []
-    for i, comp in enumerate(split_reduced(alg).components):
-        local_dim = fp_rank(alg.mult_matrix(comp.idempotent), p)
+    for i, comp in enumerate(dec.components):
+        local_dim = comp.dim if dec.reduced else fp_rank(alg.mult_matrix(comp.idempotent), p)
         if local_dim % comp.dim:
             raise AssertionError("local factor dimension not divisible by residue degree")
         exts.append(

@@ -189,9 +189,10 @@ class Component:
 
 @dataclass
 class Decomposition:
-    """An algebra's orthogonal idempotents, one per field of its reduction."""
+    """An algebra's idempotents, one per field of its reduction, and whether it is reduced."""
 
     components: list[Component]
+    reduced: bool
 
 
 def quotient_mod_p(order, p: int) -> FpAlgebra:
@@ -263,9 +264,9 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
     idempotent, which raises AssertionError. Components are sorted by their
     projection matrices from the reduction, so their order depends only on
     the algebra, not on which z and c the search took. Only then is each
-    idempotent lifted to a, as lift_idempotent of its fp_solve preimage,
-    and each projection composed with the reduction; lifts that are not
-    orthogonal or do not sum to 1 raise AssertionError.
+    idempotent lifted to a, as lift_idempotent of its preimage, and each
+    projection composed with the reduction, unless a is its own reduction;
+    lifts that are not orthogonal or do not sum to 1 raise AssertionError.
     """
     red, reduction = _reduce(a)
     p = a.p
@@ -295,9 +296,10 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
         emit(f"SPLIT{{z={z}, idempotent={idem}}}")
         pending += [[(u - x) % p for u, x in zip(e, idem)], idem]
     components.sort(key=lambda c: c.projection)
-    lifted = [replace(c, projection=fp_matmul(c.projection, reduction, p),
-                      idempotent=lift_idempotent(a.table, fp_solve(reduction, c.idempotent, p), p))
-              for c in components]
+    if red is not a:
+        components = [replace(c, projection=fp_matmul(c.projection, reduction, p),
+                              idempotent=fp_solve(reduction, c.idempotent, p)) for c in components]
+    lifted = [replace(c, idempotent=lift_idempotent(a.table, c.idempotent, p)) for c in components]
     total = a.zero()
     for i, c in enumerate(lifted):
         if any(any(a.mul(c.idempotent, d.idempotent)) for d in lifted[:i]):
@@ -305,7 +307,7 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
         total = [(s + x) % p for s, x in zip(total, c.idempotent)]
     if total != a.unit:
         raise AssertionError("lifted idempotents do not sum to 1")
-    return Decomposition(lifted)
+    return Decomposition(lifted, red is a)
 
 
 def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
@@ -314,6 +316,7 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
     # unit [1, 0, ...] and one-dimensional residue fields read as canonical
     # F_p labels. Chosen-basis coordinates are the echelon ones (v at the
     # pivots) times the inverse of the chosen basis's, one product per batch.
+    # That basis is the unit and the echelon rows but the last row k where the unit's u_k != 0.
     p = a.p
     products = columns(a.mult_matrix(unit))
     rows, pivots = fp_rref(products, p)
@@ -326,8 +329,11 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
             chosen.append(row[:])
     if len(chosen) != d:
         raise AssertionError("failed to complete the component basis")
-    aug = [[v[pc] for v in chosen] + e for pc, e in zip(pivots, fp_identity(d))]
-    inv = [r[d:] for r in fp_rref(aug, p)[0]]
+    u = [unit[pc] for pc in pivots]
+    k = max(j for j, x in enumerate(u) if x)
+    s = pow(u[k], -1, p)
+    inv = [[s * (i == k) for i in range(d)]] + [
+        [((i == j) - s * u[j] * (i == k)) % p for i in range(d)] for j in range(d) if j != k]
 
     def coords(vs: list[VecFp]) -> MatFp:
         ech = [[v[pc] for pc in pivots] for v in vs]

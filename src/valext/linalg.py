@@ -230,11 +230,11 @@ def require_triangular(basis: list[VecQ]) -> None:
 def _exact_div(row: list, d) -> list:
     """row / d over Q; for an int d and a row of ints, their integer
     quotients, and ValueError when d does not divide one of them."""
-    if type(d) is not int or any(type(x) is not int for x in row):
+    if type(d) is not int or {*map(type, row)} - {int}:
         return [x / d for x in row]
-    if any(x % d for x in row):
+    if any(map(d.__rmod__, row)):
         raise ValueError(f"{d} does not divide every entry of {row}")
-    return [x // d for x in row]
+    return list(map(d.__rfloordiv__, row))
 
 
 def lattice_solve(basis: list[VecQ], m: list[list]) -> list[list]:

@@ -12,12 +12,12 @@ p_maximal_order).
 Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
 so it is fixed by an F_p-subspace of O/pO, whose echelon form is its
 canonical basis in integer O-coordinates; power bases are formed only for
-new orders and primes, in integers over the order's one denominator.
-Every order carries its integer structure constants, computed once: for
-Z[theta] they are the reduced powers theta^(i+j), with no solve. Round 2
-multiplies through them, and solves each generator's whole product matrix
-in the ideal as one integer block: no product of number-field elements is
-formed here.
+new orders and primes, in integers over the order's one denominator, and
+printed from them (ratio_str). Every order carries its integer structure
+constants, computed once, in one block solve or, for Z[theta], none. Round
+2 multiplies through them, and solves all generators' product matrices in
+the ideal as one integer block per step: no product of number-field
+elements is formed here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from fractions import Fraction
 from .errors import NotIrreducible
 from .fpalgebra import nilradical, quotient_mod_p
 from .linalg import (
-    VecQ,
     columns,
     fp_identity,
     fp_kernel,
@@ -49,7 +48,7 @@ def _structure_constants(field: NumberField, num: list[list[int]], d: int) -> li
     b_j = num[j] / d, or ValueError where one is not an integer. For
     Z[theta] they are theta^(i+j) mod f, read off theta^0 .. theta^(2n-2).
     Otherwise b_i b_j = w / d^2 with w = num[i] num[j] mod f integral, as f
-    is monic, and sum_k c_k d num[k] = w is one integer block solve per i.
+    is monic, and sum_k c_k d num[k] = w is one integer block solve for all i <= j.
     """
     n = field.n
     pows = [[int(i == k) for i in range(n)] for k in range(n)]
@@ -57,41 +56,45 @@ def _structure_constants(field: NumberField, num: list[list[int]], d: int) -> li
         for _ in range(n - 1):
             pows.append(field._reduce([0] + pows[-1]))
         return [[pows[i + j] for j in range(n)] for i in range(n)]
-    solve_basis = [[d * x for x in v] for v in num]
-    table: list[list[list[int]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        prods = columns([field._mul(num[i], num[j]) for j in range(i, n)])
-        try:
-            coords = columns(lattice_solve(solve_basis, prods))
-        except ValueError:
-            raise ValueError("basis is not closed under multiplication") from None
-        for j, c in enumerate(coords, i):
-            table[i][j] = table[j][i] = c
-    return table
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    prods = columns([field._mul(num[i], num[j]) for i, j in pairs])
+    try:
+        coords = columns(lattice_solve([[d * x for x in v] for v in num], prods))
+    except ValueError:
+        raise ValueError("basis is not closed under multiplication") from None
+    entry = dict(zip(pairs, coords))
+    return [[entry[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def ratio_str(x: int, den: int) -> str:
+    """str(Fraction(x, den)) for den > 0, with no Fraction formed."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 class Order:
     """Full-rank unital subring of L given by a canonical lattice basis.
 
-    basis[j] is the power-basis coordinate vector of the j-th basis element,
-    kept also as integer numerators num[j] over one common denominator den.
-    It must be lower triangular with nonzero diagonal, as lattice_canonical
-    returns it; any other basis raises ValueError. The structure constants
-    table[i][j][k], with b_i b_j = sum_k table[i][j][k] b_k, are computed
-    once and must be integers; otherwise the basis spans no ring over Z and
-    ValueError is raised. Canonical bases of orders always pass: their
-    entries lie in Z[1/p] with p-power pivots, so the constants lie in
-    Z[1/p] and in Z_(p), hence in Z.
+    The j-th basis element is num[j] / den, in integers with their common
+    gcd divided out, so equal orders have equal (den, num); only element
+    coordinates are Fractions. num must be lower triangular with nonzero
+    diagonal, as lattice_canonical returns it; any other basis raises
+    ValueError. The structure constants table[i][j][k], with
+    b_i b_j = sum_k table[i][j][k] b_k, are computed once and must be
+    integers; otherwise the basis spans no ring over Z and ValueError is
+    raised. Canonical bases of orders always pass: their entries lie in
+    Z[1/p] with p-power pivots, so the constants lie in Z[1/p] and in
+    Z_(p), hence in Z.
     """
 
-    def __init__(self, field: NumberField, basis: list[VecQ]):
+    def __init__(self, field: NumberField, num: list[list[int]], den: int):
         self.field = field
-        self.basis = [[x if type(x) is Fraction else Fraction(x) for x in v] for v in basis]
-        if len(self.basis) != field.n:
+        if len(num) != field.n:
             raise ValueError("order basis must have full rank")
-        require_triangular(self.basis)
-        self.den = math.lcm(*(x.denominator for v in self.basis for x in v))
-        self.num = [[x.numerator * (self.den // x.denominator) for x in v] for v in self.basis]
+        require_triangular(num)
+        g = math.gcd(den, *(x for v in num for x in v))
+        self.den = den // g
+        self.num = [[x // g for x in v] for v in num]
         self.table = _structure_constants(field, self.num, self.den)
 
     def element(self, coords) -> NFElem:
@@ -105,38 +108,45 @@ class Order:
                 v = [x + c * y for x, y in zip(v, b)]
         return v
 
-    def lattice_basis(self, gens: list[list[int]], p: int) -> list[VecQ]:
-        """Canonical power basis of the lattice with O-coordinate basis gens."""
-        return [[Fraction(x, self.den) for x in v] for v in self._lattice_nums(gens, p)]
-
-    def _lattice_nums(self, gens: list[list[int]], p: int) -> list[list[int]]:
-        """den times that basis, reduced in integers. den must be a power of
+    def lattice_nums(self, gens: list[list[int]], p: int) -> list[list[int]]:
+        """den times the canonical power basis of the lattice with
+        O-coordinate basis gens, reduced in integers. den must be a power of
         p, so that the lattice has Z[1/p] entries and p-power pivots exactly
         when den times it has p-power pivots."""
         if p ** pval(self.den, p) != self.den:
             raise ValueError(f"basis needs Z[1/{p}] entries and powers of {p} as pivots")
         return lattice_canonical([self._combo(g) for g in gens], p)
 
-    def coords(self, x: NFElem) -> VecQ:
+    def _coords(self, x: NFElem) -> tuple[list[int], int]:
+        """(c, D), c / D x's coordinates, solved in integers (det num^-1 is integral)."""
+        d, y = x._integral()
+        det = math.prod(v[k] for k, v in enumerate(self.num))
+        return lattice_coords(self.num, [det * self.den * t for t in y]), det * d
+
+    def coords(self, x: NFElem) -> list[Fraction]:
         """Exact coordinates of x in the order basis (over Q)."""
-        return lattice_coords(self.basis, x.coords)
+        c, den = self._coords(x)
+        return [Fraction(t, den) for t in c]
 
     def coords_mod_p(self, x: NFElem, p: int) -> list[int]:
         """Image of an order element in O/pO, as F_p coordinates."""
-        coords = self.coords(x)
-        if any(c.denominator % p == 0 for c in coords):
+        c, den = self._coords(x)
+        q = p ** pval(den, p)
+        if any(t % q for t in c):
             raise NotIrreducible("element expected in the order has p in a coordinate denominator")
-        return [c.numerator * pow(c.denominator, -1, p) % p for c in coords]
+        u = pow(den // q, -1, p)
+        return [t // q * u % p for t in c]
 
     def mult_table_mod_p(self, p: int) -> list[list[list[int]]]:
         """Structure constants of O/pO over the order basis: the table mod p."""
         return [[[x % p for x in c] for c in row] for row in self.table]
 
     def __eq__(self, other):
-        return isinstance(other, Order) and self.field == other.field and self.basis == other.basis
+        return (isinstance(other, Order) and self.field == other.field
+                and (self.den, self.num) == (other.den, other.num))
 
     def __hash__(self):
-        return hash((self.field, tuple(tuple(v) for v in self.basis)))
+        return hash((self.field, self.den, tuple(map(tuple, self.num))))
 
     def __repr__(self):
         return f"Order(n={self.field.n})"
@@ -144,14 +154,14 @@ class Order:
 
 def equation_order(field: NumberField) -> Order:
     """Z[theta] localized: the power basis itself."""
-    return Order(field, fp_identity(field.n))
+    return Order(field, fp_identity(field.n), 1)
 
 
 def discriminant(field: NumberField) -> Fraction:
     """disc(f) = (-1)^(n(n-1)/2) N(f'(theta)) = (-1)^(n(n-1)/2) Res(f, f')
-    for monic f."""
+    for monic f, with f'(theta) kept in integer coordinates for NFElem.norm."""
     n = field.n
-    norm = field.from_poly([field.f[i] * i for i in range(1, n + 1)]).norm()
+    norm = NFElem(field, [i * c for i, c in enumerate(field._low + [1])][1:]).norm()
     return -norm if (n * (n - 1) // 2) % 2 else norm
 
 
@@ -180,32 +190,35 @@ def ring_of_multipliers(order: Order, ideal: list[list[int]], p: int) -> Order:
 
     Computed via pO' = {w in O : w I <= p I}: each generator g of I gives an
     F_p-linear map O/pO -> I/pI, and the intersection of their kernels is
-    pO'/pO, zero exactly when O' = O. The matrix of b_j -> b_j g is one
-    contraction with the table, solved in I in integers as one block: a
-    remainder means I is no ideal. The stacked maps are folded into echelon
-    form after generators 1, 2, 4, 8, ...; once they have full rank, the
-    kernel is zero and the later generators are only checked.
+    pO'/pO, zero exactly when O' = O. The matrices of b_j -> b_j g, one
+    contraction with the table each, are solved in I side by side as one
+    integer block: a remainder means I is no ideal. The stacked maps are
+    folded into echelon form after generators 1, 2, 4, 8, ...; once they
+    have full rank, the kernel is zero and the later ones are only checked.
     """
-    if len(ideal) != order.field.n or any(type(x) is not int for g in ideal for x in g):
+    n = order.field.n
+    if len(ideal) != n or any(type(x) is not int for g in ideal for x in g):
         raise ValueError("ideal generators must be n integer O-coordinate vectors")
     require_triangular(ideal)
-    rows, full = [], False
-    for k, g in enumerate(ideal, 1):
-        try:
-            coords = lattice_solve(ideal, mult_matrix(order.table, g))
-        except ValueError:
-            raise NotIrreducible("ideal is not multiplicatively closed") from None
-        if not full:
-            rows += coords
-            if k & (k - 1) == 0:
-                echelon, pivots = fp_rref(rows, p)
-                rows, full = echelon[: len(pivots)], len(pivots) == len(ideal)
+    block = [sum(parts, []) for parts in zip(*(mult_matrix(order.table, g) for g in ideal))]
+    try:
+        coords = lattice_solve(ideal, block)
+    except ValueError:
+        raise NotIrreducible("ideal is not multiplicatively closed") from None
+    rows: list[list[int]] = []
+    for k in range(1, n + 1):
+        rows += [c[(k - 1) * n : k * n] for c in coords]
+        if k & (k - 1) == 0:
+            echelon, pivots = fp_rref(rows, p)
+            rows = echelon[: len(pivots)]
+            if len(pivots) == n:
+                break
     kern = fp_kernel(rows, p)
     if not kern:  # pO' = pO: O is its own ring of multipliers
         return order
     # O' = p^-1 ideal_over(kern), and canonical bases scale with powers of p
-    bigger = order._lattice_nums(ideal_over(order, kern, p), p)
-    return Order(order.field, [[Fraction(x, order.den * p) for x in v] for v in bigger])
+    bigger = order.lattice_nums(ideal_over(order, kern, p), p)
+    return Order(order.field, bigger, order.den * p)
 
 
 def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
@@ -225,8 +238,9 @@ def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
         return equation_order(field), True
     # c != 0 leaves a_0 = (-c)^n != 0 mod p, so lambda = 0: Z[theta]
     lam = min(Fraction(pval(x, p), n - i) for i, x in enumerate(a[:n]) if x)
-    return Order(field, [[Fraction(int(i == k), p ** math.floor(k * lam)) for i in range(n)]
-                         for k in range(n)]), False
+    top = math.floor((n - 1) * lam)
+    return Order(field, [[p ** (top - math.floor(k * lam)) * (i == k) for i in range(n)]
+                         for k in range(n)], p**top), False
 
 
 def p_maximal_order(field: NumberField, p: int) -> Order:

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import sympy
 
-from valext import NumberField, extensions_of, p_maximal_order, value, weak_approx
+from valext import NumberField, Order, extensions_of, p_maximal_order, value, weak_approx
 from valext.linalg import columns, fp_rank, fp_rref, fp_solve
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
@@ -34,6 +34,29 @@ def order_for(coeffs: tuple, p: int):
 @lru_cache(maxsize=None)
 def extensions_for(coeffs: tuple, p: int):
     return extensions_of(field_for(coeffs), p)
+
+
+def over_den(nums, den: int) -> list:
+    """A lattice kept as integers over one denominator, as the Fractions it
+    stands for."""
+    return [[Fraction(x, den) for x in v] for v in nums]
+
+
+def order_basis(order) -> list:
+    """An order's basis b_j = num[j] / den, as Fractions."""
+    return over_den(order.num, order.den)
+
+
+def prime_basis(w) -> list:
+    """w's prime lattice as Fractions: its integer basis over the order's den."""
+    return over_den(w.prime_lattice, w.order.den)
+
+
+def order_from_basis(field, basis):
+    """Order from a basis of rationals: integer numerators over the lcm of
+    the denominators."""
+    den = math.lcm(*(Fraction(x).denominator for v in basis for x in v))
+    return Order(field, [[int(Fraction(x) * den) for x in v] for v in basis], den)
 
 
 def random_rational(rng, p: int, scale: int = 3) -> Fraction:
@@ -82,7 +105,7 @@ def paper_approx_element(exts, target: int, gamma: Fraction):
     c y^(1-2d) for y = x0 + b c (a x0)^(1-2d). Values come from the walk."""
     w1 = exts[target]
     fld = w1.field
-    g = next(g for g in map(fld.element, w1.prime_basis) if value(w1, g) == Fraction(1, w1.e))
+    g = next(g for g in map(fld.element, prime_basis(w1)) if value(w1, g) == Fraction(1, w1.e))
     x0 = power(g, int(w1.e * gamma))
     unit = [list(w.residue_algebra.unit) for w in exts]
     zero = [w.residue_algebra.zero() for w in exts]
@@ -209,7 +232,7 @@ def scaled_to_integers(basis, p: int) -> list:
 
 def in_prime(w, x) -> bool:
     """Lattice membership of x in the prime P = ker(residue) of w's order."""
-    return lattice_contains(w.prime_basis, x.coords, w.p)
+    return lattice_contains(prime_basis(w), x.coords, w.p)
 
 
 def index_valuation(sub, sup, p: int) -> int:

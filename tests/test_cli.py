@@ -518,6 +518,90 @@ GOLDEN = {
         "w_2: e=2 f=1 residue_field_dim=1\n"
         "w_3: e=6 f=1 residue_field_dim=1\n",
     ),
+    # The prime lattices as --output json prints them, entry by entry as
+    # Fractions of the order's denominator: over the 2-maximal orders of
+    # x^12+x^6+4, with entries in 1/4 Z, and of x^8+4096, whose Newton-polygon
+    # start gives entries down to 1/2048; and over Z[x] for x^10+x+1, where
+    # O/2O is reduced (e = 1, f = 3 and 7).
+    "extensions-json-order-denominators": (
+        ["extensions", "--prime", "2", "--poly", "x^12+x^6+4", "--output", "json"],
+        '{"extensions": [{"index": 1, "e": 2, "f": 2, "residue_field_dim": 2, "prime_basis": '
+        '[["1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "1"], '
+        '["0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0"], '
+        '["0", "0", "1/2", "0", "0", "1/4", "0", "0", "1/2", "0", "0", "5/4"], '
+        '["0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0", "0"], '
+        '["0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0"], '
+        '["0", "0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2"], '
+        '["0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "1", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "1", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "1", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "2", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "2"]]}, '
+        '{"index": 2, "e": 2, "f": 1, "residue_field_dim": 1, "prime_basis": '
+        '[["1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1"], '
+        '["0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1"], '
+        '["0", "0", "1/2", "0", "0", "1/4", "0", "0", "1/2", "0", "0", "5/4"], '
+        '["0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0", "0"], '
+        '["0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0"], '
+        '["0", "0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2"], '
+        '["0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "2"]]}, '
+        '{"index": 3, "e": 6, "f": 1, "residue_field_dim": 1, "prime_basis": '
+        '[["1", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0", "0"], '
+        '["0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], '
+        '["0", "0", "1/2", "0", "0", "1/4", "0", "0", "1/2", "0", "0", "1/4"], '
+        '["0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2", "0"], '
+        '["0", "0", "0", "0", "0", "1/2", "0", "0", "0", "0", "0", "1/2"], '
+        '["0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1"]]}]}\n',
+    ),
+    "extensions-json-deep-denominators": (
+        ["extensions", "--prime", "2", "--poly", "x^8+4096", "--output", "json"],
+        '{"extensions": [{"index": 1, "e": 8, "f": 1, "residue_field_dim": 1, "prime_basis": '
+        '[["1", "0", "0", "0", "0", "0", "1/512", "0"], '
+        '["0", "1/4", "0", "0", "0", "1/256", "1/512", "0"], '
+        '["0", "0", "1/8", "0", "0", "0", "1/512", "0"], '
+        '["0", "0", "0", "1/32", "0", "0", "1/512", "1/2048"], '
+        '["0", "0", "0", "0", "1/64", "0", "1/512", "0"], '
+        '["0", "0", "0", "0", "0", "1/128", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "1/256", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "1/1024"]]}]}\n',
+    ),
+    "extensions-json-reduced": (
+        ["extensions", "--prime", "2", "--poly", "x^10+x+1", "--output", "json"],
+        '{"extensions": [{"index": 1, "e": 1, "f": 3, "residue_field_dim": 3, "prime_basis": '
+        '[["1", "0", "0", "0", "0", "0", "0", "1", "0", "0"], '
+        '["0", "1", "0", "0", "0", "0", "0", "0", "1", "0"], '
+        '["0", "0", "1", "0", "0", "0", "0", "0", "0", "1"], '
+        '["0", "0", "0", "1", "0", "0", "0", "1", "1", "0"], '
+        '["0", "0", "0", "0", "1", "0", "0", "0", "1", "1"], '
+        '["0", "0", "0", "0", "0", "1", "0", "1", "1", "1"], '
+        '["0", "0", "0", "0", "0", "0", "1", "1", "0", "1"], '
+        '["0", "0", "0", "0", "0", "0", "0", "2", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "2", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "2"]]}, '
+        '{"index": 2, "e": 1, "f": 7, "residue_field_dim": 7, "prime_basis": '
+        '[["1", "0", "0", "1", "1", "1", "0", "1", "0", "0"], '
+        '["0", "1", "0", "0", "1", "1", "1", "0", "1", "0"], '
+        '["0", "0", "1", "0", "0", "1", "1", "1", "0", "1"], '
+        '["0", "0", "0", "2", "0", "0", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "2", "0", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "2", "0", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "2", "0", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "2", "0", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "2", "0"], '
+        '["0", "0", "0", "0", "0", "0", "0", "0", "0", "2"]]}]}\n',
+    ),
     # The trace scope: every command traces the pipeline, and value and
     # residue also trace the CASE steps of their own element, not those of
     # the values and residues that approx, weak-approx and verify compute.

@@ -33,6 +33,7 @@ from conftest import (
     in_prime,
     inverse,
     order_for,
+    prime_basis,
     pval,
     random_element,
     random_order_element,
@@ -281,7 +282,7 @@ def test_anti_uniformizer_by_the_walk():
             one = order.coords(w.field.one())
             beta = [sum(r * c for r, c in zip(row, one)) for row in m]
             assert all(c.denominator == 1 for c in beta) and any(c % p for c in beta)
-            for g in w.prime_basis:
+            for g in prime_basis(w):
                 g_coords = order.coords(w.field.element(g))
                 assert all(sum(r * c for r, c in zip(row, g_coords)) % p == 0 for row in m)
             beta_over_p = order.element(beta) * Fraction(1, p)
@@ -299,9 +300,9 @@ def test_residue_tables_and_prime_lattices_wait_for_their_reader(monkeypatch):
     for coeffs, p in CORPUS:
         fld = field_for(coeffs)
         for w in extensions_of(fld, p):
-            assert "algebra" not in vars(w.component) and "prime_basis" not in vars(w)
+            assert "algebra" not in vars(w.component) and "prime_lattice" not in vars(w)
             assert w.to_descriptor()["residue_field_dim"] == w.f
-            assert "algebra" not in vars(w.component) and "prime_basis" in vars(w)
+            assert "algebra" not in vars(w.component) and "prime_lattice" in vars(w)
             builds = []
             build = w.component.build_algebra
 
@@ -322,10 +323,58 @@ def test_residue_tables_and_prime_lattices_wait_for_their_reader(monkeypatch):
 
     monkeypatch.setattr(Component, "algebra", refused("residue table"))
     assert main(["extensions", "--prime", "2", "--poly", "x^3+x^2-2*x+8"]) == 0
-    monkeypatch.setattr(ExtensionValuation, "prime_basis", refused("prime lattice"))
+    monkeypatch.setattr(ExtensionValuation, "prime_lattice", refused("prime lattice"))
     for argv in (["value", "--elem", "a^2+1"], ["approx", "--extension", "1", "--gamma", "1"],
                  ["verify", "--trials", "2"]):
         assert main([*argv, "--prime", "2", "--poly", "x^3+x^2-2*x+8"]) == 0
+
+
+@pytest.mark.parametrize("poly,p,reduced,efs", [
+    ("x^3-2", 7, True, [(1, 3)]),
+    ("x^10+x+1", 2, True, [(1, 3), (1, 7)]),
+    ("x^12+x^6+4", 2, False, [(2, 2), (2, 1), (6, 1)]),
+])
+def test_reduced_quotient_lifts_nothing(monkeypatch, poly, p, reduced, efs):
+    """Where O/pO is reduced, split_reduced's fields are already its own
+    components: extensions_of solves for no preimage of an idempotent, makes
+    no product with the reduction (the identity there) and takes no rank
+    for e, and each idempotent still passes lift_idempotent, one LIFT line
+    apiece. On x^12+x^6+4 at 2, whose O/2O has nilpotents, every component
+    is lifted: one preimage solve, one reduction product and one rank each."""
+    import valext.extensions
+    import valext.fpalgebra
+    from valext.cli import parse_defining_poly
+
+    calls = {"fp_solve": 0, "fp_matmul": 0, "fp_rank": 0}
+    reductions = []
+
+    def counted(module, name, counts=lambda args: True):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += counts(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    real_reduce = valext.fpalgebra._reduce
+
+    def recorded_reduce(a):
+        reductions.append(real_reduce(a))
+        return reductions[-1]
+
+    monkeypatch.setattr(valext.fpalgebra, "_reduce", recorded_reduce)
+    counted(valext.fpalgebra, "fp_solve")
+    counted(valext.fpalgebra, "fp_matmul", lambda args: any(args[1] is r for _, r in reductions))
+    counted(valext.extensions, "fp_rank")
+    with recording() as lines:
+        exts = extensions_of(parse_defining_poly(poly), p)
+    assert [(w.e, w.f) for w in exts] == efs
+    assert (reductions[0][0].dim < exts[0].order.field.n) is not reduced
+    lifted = 0 if reduced else len(exts)
+    assert calls == {"fp_solve": lifted, "fp_matmul": lifted, "fp_rank": lifted}
+    if reduced:
+        assert [ln for ln in lines if ln.startswith("LIFT")] == ["LIFT{iteration=1}"] * len(exts)
 
 
 def test_count_refusals(monkeypatch):
@@ -433,7 +482,7 @@ def test_ramification_cross_check():
     for coeffs, p in CORPUS:
         fld = field_for(coeffs)
         for w in extensions_for(coeffs, p):
-            denoms = [value(w, fld.element(v)).denominator for v in w.prime_basis]
+            denoms = [value(w, fld.element(v)).denominator for v in prime_basis(w)]
             assert lcm(*denoms) == w.e
 
 
@@ -446,7 +495,7 @@ def test_bijection_round_trip():
         exts = extensions_for(coeffs, p)
         primes = set()
         for w in exts:
-            primes.add(tuple(tuple(x for x in row) for row in w.prime_basis))
+            primes.add(tuple(tuple(x for x in row) for row in prime_basis(w)))
             for _ in range(20):
                 x = random_order_element(rng, order, p)
                 if x.is_zero:

@@ -34,7 +34,7 @@ from sympy.polys.numberfields.primes import prime_decomp
 
 from valext import NumberField, extensions_of, value, value_by_count
 
-from conftest import lattice_contains
+from conftest import lattice_contains, prime_basis
 
 
 T = sympy.Symbol("t")
@@ -242,7 +242,7 @@ def test_each_value_against_its_local_factor(case):
     for w in exts:
         owners = [
             F for F in factors
-            if lattice_contains(w.prime_basis, at_theta(F.trunc(p)).coords, p)
+            if lattice_contains(prime_basis(w), at_theta(F.trunc(p)).coords, p)
         ]
         assert len(owners) == 1, f"w_{w.index} lies over {len(owners)} factors"
         match[w.index] = owners[0]

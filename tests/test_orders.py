@@ -8,12 +8,12 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from valext import NumberField, Order, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
+from valext import NumberField, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
 from valext import nilradical, quotient_mod_p, split_reduced
 from valext import orders
 from valext.errors import NotIrreducible
 from valext.linalg import columns, fp_identity, fp_kernel, lattice_canonical, mult_matrix, pval
-from valext.orders import ideal_over
+from valext.orders import ideal_over, ratio_str
 
 from conftest import (
     CORPUS,
@@ -22,9 +22,13 @@ from conftest import (
     extensions_for,
     index_valuation,
     lattice_contains,
+    order_basis,
     order_contains,
     order_for,
+    order_from_basis,
+    over_den,
     poly_rem,
+    prime_basis,
     scaled_to_integers,
 )
 
@@ -35,14 +39,30 @@ DEDEKIND = NumberField([8, -2, 1, 1])  # x^3 + x^2 - 2x + 8
 def test_equation_order_is_power_basis():
     for fld in (GAUSS, DEDEKIND):
         o = equation_order(fld)
-        assert o.basis == fp_identity(fld.n)
-        assert o.basis[0] == [Fraction(1)] + [Fraction(0)] * (fld.n - 1)
+        assert order_basis(o) == fp_identity(fld.n)
+        assert order_basis(o)[0] == [Fraction(1)] + [Fraction(0)] * (fld.n - 1)
 
 
 def test_discriminant():
     assert discriminant(GAUSS) == -4
     assert discriminant(NumberField([-1, -1, 0, 1])) == -23
     assert discriminant(DEDEKIND) == -4 * 503
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers() | st.integers(-(2**300), 2**300), st.sampled_from([2, 3, 5, 7, 10**9 + 7]),
+       st.integers(0, 130))
+@example(0, 2, 0)
+@example(0, 2, 120)
+@example(-(2**120), 2, 120)
+@example(3 * 2**119, 2, 120)
+def test_ratio_str_prints_the_fraction(x, p, k):
+    """Lattices stay integers over a p-power denominator until printed, and
+    each entry prints exactly as str(Fraction(x, p^k)) would, for x of any
+    sign, 0 included, and k up to 130, above the 120 powers of 2 by which
+    the 2-maximal order of x^16+65536 exceeds Z[x] (its entries lie over
+    2^15)."""
+    assert ratio_str(x, p**k) == str(Fraction(x, p**k))
 
 
 def test_p_radical_semisimple_case():
@@ -152,14 +172,14 @@ def test_p_maximal_order_examples():
     expected = canonical_basis(
         [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]], 2
     )
-    assert o.basis == expected
-    assert index_valuation(equation_order(DEDEKIND).basis, o.basis, 2) == 1
+    assert order_basis(o) == expected
+    assert index_valuation(order_basis(equation_order(DEDEKIND)), order_basis(o), 2) == 1
 
 
 def test_round2_chain_increases_index():
     o = equation_order(DEDEKIND)
     bigger = ring_of_multipliers(o, p_radical(o, 2), 2)
-    assert index_valuation(o.basis, bigger.basis, 2) >= 1
+    assert index_valuation(order_basis(o), order_basis(bigger), 2) >= 1
     top = p_maximal_order(DEDEKIND, 2)
     fix = ring_of_multipliers(top, p_radical(top, 2), 2)
     assert fix == top
@@ -170,7 +190,7 @@ def test_multiplicative_closure_of_maximal_orders():
         o = p_maximal_order(fld, p)
         for i in range(fld.n):
             for j in range(fld.n):
-                prod = o.field.element(o.basis[i]) * o.field.element(o.basis[j])
+                prod = o.field.element(order_basis(o)[i]) * o.field.element(order_basis(o)[j])
                 assert order_contains(o, prod, p)
 
 
@@ -200,7 +220,7 @@ def test_round2_deep_chain():
     # needs several enlargement steps before stabilizing at Z[(8+theta)/16]
     fld = NumberField([-320, 0, 1])
     o = p_maximal_order(fld, 2)
-    assert index_valuation(equation_order(fld).basis, o.basis, 2) == 4
+    assert index_valuation(order_basis(equation_order(fld)), order_basis(o), 2) == 4
     golden = fld.element([Fraction(1, 2), Fraction(1, 16)])  # (8+theta)/16
     mp = golden.min_poly()
     assert all(c.denominator == 1 for c in mp)  # x^2 - x - 1
@@ -219,17 +239,17 @@ def test_ideal_over_indices_are_residue_degrees(coeffs, p):
     """ideal_over builds both the prime lattices of extensions_of and the
     p-radical: v_p[O : P_i] = f_i, and the radical, the intersection of the
     P_i, has v_p[O : rad] = sum f_i. Indices from sympy's determinants. The
-    radical comes in canonical O-coordinates, and Order.lattice_basis maps
+    radical comes in canonical O-coordinates, and Order.lattice_nums maps
     it to the canonical power basis of a general elimination."""
     o = order_for(coeffs, p)
     exts = extensions_for(coeffs, p)
     for w in exts:
-        assert index_valuation(w.prime_basis, o.basis, p) == w.f
+        assert index_valuation(prime_basis(w), order_basis(o), p) == w.f
     rad = p_radical(o, p)
     assert_canonical_o_coordinates(rad, p)
-    rad_basis = o.lattice_basis(rad, p)
+    rad_basis = over_den(o.lattice_nums(rad, p), o.den)
     assert rad_basis == canonical_basis([o.element(g).coords for g in rad], p)
-    assert index_valuation(rad_basis, o.basis, p) == sum(w.f for w in exts)
+    assert index_valuation(rad_basis, order_basis(o), p) == sum(w.f for w in exts)
 
 
 def test_order_contains_one():
@@ -255,16 +275,16 @@ def test_coords_round_trip():
 )
 def test_order_refuses_non_triangular_basis(basis):
     with pytest.raises(ValueError):
-        Order(GAUSS, basis)
+        order_from_basis(GAUSS, basis)
 
 
 def test_order_refuses_basis_not_closed_under_multiplication():
     # (theta/2)^2 = -1/4 is not in Z + Z theta/2
     with pytest.raises(ValueError, match="not closed under multiplication"):
-        Order(GAUSS, [[1, 0], [0, Fraction(1, 2)]])
+        order_from_basis(GAUSS, [[1, 0], [0, Fraction(1, 2)]])
     # theta^2/2 is not integral at 2: the 2-maximal order is Z[theta, (theta+theta^2)/2]
     with pytest.raises(ValueError, match="not closed under multiplication"):
-        Order(DEDEKIND, [[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
+        order_from_basis(DEDEKIND, [[1, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
 
 
 def assert_canonical_o_coordinates(gens, p):
@@ -322,7 +342,7 @@ def test_structure_constants_match_sympy(instance, data):
     t = sympy.Symbol("t")
     modulus = sympy.Poly(f[::-1], t, domain="QQ")
     b = [sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in v[::-1]], t,
-                    domain="QQ") for v in o.basis]
+                    domain="QQ") for v in order_basis(o)]
     for i in range(fld.n):
         for j in range(fld.n):
             consts = o.table[i][j]
@@ -331,10 +351,10 @@ def test_structure_constants_match_sympy(instance, data):
             assert combo == (b[i] * b[j]).rem(modulus)
     assert o.mult_table_mod_p(p) == [[[c % p for c in cs] for cs in row] for row in o.table]
     k = data.draw(st.integers(0, fld.n - 1))
-    bigger = [v[:] for v in o.basis]
+    bigger = order_basis(o)
     bigger[k] = [x / p for x in bigger[k]]
     with pytest.raises(ValueError, match="not closed under multiplication"):
-        Order(fld, bigger)
+        order_from_basis(fld, bigger)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -356,6 +376,27 @@ def test_mult_matrix_over_z_matches_order_products(instance, data):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(round2_instances(), st.data())
+def test_coords_mod_p_reduces_the_rational_coordinates(instance, data):
+    """Order.coords and coords_mod_p solve in integers. On p-maximal orders
+    that need not be Z[theta], coords inverts Order.element, and
+    coords_mod_p is coords reduced mod p, or NotIrreducible where p divides
+    a reduced denominator."""
+    f, p = instance
+    o = p_maximal_order(NumberField(f), p)
+    n = o.field.n
+    c = [Fraction(data.draw(st.integers(-50, 50)), data.draw(st.sampled_from([1, 3, p, p * p, 3 * p])))
+         for _ in range(n)]
+    x = o.element(c)
+    assert o.coords(x) == c
+    if any(q.denominator % p == 0 for q in c):
+        with pytest.raises(NotIrreducible, match="p in a coordinate denominator"):
+            o.coords_mod_p(x, p)
+    else:
+        assert o.coords_mod_p(x, p) == [q.numerator * pow(q.denominator, -1, p) % p for q in c]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(round2_instances())
 def test_round2_bases_are_canonical_z_1_over_p_bases(instance):
     """Every basis Round 2 keeps has Z[1/p] entries, so scaled by its
@@ -366,7 +407,7 @@ def test_round2_bases_are_canonical_z_1_over_p_bases(instance):
     elimination."""
     f, p = instance
     fld = NumberField(f)
-    bases = [p_maximal_order(fld, p).basis] + [w.prime_basis for w in extensions_of(fld, p)]
+    bases = [order_basis(p_maximal_order(fld, p))] + [prime_basis(w) for w in extensions_of(fld, p)]
     for basis in bases:
         ints = scaled_to_integers(basis, p)
         assert lattice_canonical(ints, p) == ints == canonical_basis(ints, p)
@@ -459,7 +500,7 @@ def test_lattices_from_echelon_form_match_general_elimination(instance):
     """ideal_over and ring_of_multipliers read their bases off an F_p echelon
     form. A general Z_(p) elimination of their full generator sets gives the
     same canonical bases: V + pZ^n in O-coordinates for ideal_over, and
-    through Order.lattice_basis lift(V) + pO, O + p^-1 lift(V) for its p^-1
+    through Order.lattice_nums lift(V) + pO, O + p^-1 lift(V) for its p^-1
     multiple, and O + p^-1 lift(kernel) for each multiplier ring along
     Round 2 from Z[theta]."""
     f, p, vectors = instance
@@ -470,10 +511,10 @@ def test_lattices_from_echelon_form_match_general_elimination(instance):
     assert_canonical_o_coordinates(gens, p)
     assert gens == canonical_basis(vectors + [[p * (j == k) for j in range(fld.n)]
                                               for k in range(fld.n)], p)
-    ideal = top.lattice_basis(gens, p)
-    assert ideal == canonical_basis(lifts + [[p * x for x in b] for b in top.basis], p)
+    ideal = over_den(top.lattice_nums(gens, p), top.den)
+    assert ideal == canonical_basis(lifts + [[p * x for x in b] for b in order_basis(top)], p)
     assert [[x / p for x in b] for b in ideal] == canonical_basis(
-        top.basis + [[x / p for x in v] for v in lifts], p
+        order_basis(top) + [[x / p for x in v] for v in lifts], p
     )
     kernels = []
 
@@ -486,7 +527,7 @@ def test_lattices_from_echelon_form_match_general_elimination(instance):
         while True:
             bigger = ring_of_multipliers(order, p_radical(order, p), p)
             kern = [[x / p for x in order.element(v).coords] for v in kernels[-1]]
-            assert bigger.basis == canonical_basis(order.basis + kern, p)
+            assert order_basis(bigger) == canonical_basis(order_basis(order) + kern, p)
             if bigger == order:
                 break
             order = bigger
@@ -539,7 +580,7 @@ def plain_round2(fld, p):
 def outcome(fn, *args):
     """fn's answer as its order basis, or its refusal as type and message."""
     try:
-        return fn(*args).basis
+        return order_basis(fn(*args))
     except (NotIrreducible, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -595,11 +636,11 @@ def test_p_maximal_order_matches_plain_round2(p, kind, shifted, data):
     assert got == outcome(lambda *args: plain_round2(*args)[0], fld, p)
     if kind == "eisenstein":
         assert plain_round2(fld, p) == (equation_order(fld), 1)
-        assert got == equation_order(fld).basis and calls == []
+        assert got == order_basis(equation_order(fld)) and calls == []
     if type(got) is list:
         gfld = NumberField(g)
         assert (index_valuation(fp_identity(fld.n), got, p) ==
-                index_valuation(fp_identity(gfld.n), p_maximal_order(gfld, p).basis, p))
+                index_valuation(fp_identity(gfld.n), order_basis(p_maximal_order(gfld, p)), p))
 
 
 @pytest.mark.parametrize("f,p,steps", [
