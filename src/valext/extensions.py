@@ -18,13 +18,13 @@ whose CASE steps the value command traces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import NegativeValue, NotIrreducible, ZeroElement
 from .events import emit
-from .fpalgebra import Component, FpAlgebra, quotient_mod_p, split_reduced
+from .fpalgebra import Component, quotient_mod_p, split_reduced
 from .linalg import (
     VecFp,
     fp_matvec,
@@ -65,10 +65,10 @@ class ExtensionValuation:
     component of O/pO in order coordinates: its projection maps onto the
     residue field, and its idempotent is 1 at w's prime and 0 at every
     other prime over p. Built on first use and kept: the residue field's
-    table (residue_algebra, the component's), the prime P as an F_p kernel
-    and as a lattice (prime_lattice), and the anti-uniformizer beta that
-    values are counted with and approx_element steps by. Instances compare
-    by identity.
+    table (component.algebra), the prime P as an F_p kernel and as a
+    lattice (prime_lattice), and the matrix of the anti-uniformizer beta
+    that values are counted with and approx_element steps by. Instances
+    compare by identity.
     """
 
     index: int
@@ -78,11 +78,6 @@ class ExtensionValuation:
     p: int
     order: Order
     component: Component
-    _beta_matrix: list[list[int]] | None = dataclass_field(default=None, init=False)
-
-    @property
-    def residue_algebra(self) -> FpAlgebra:
-        return self.component.algebra
 
     @cached_property
     def prime_kernel(self) -> list[VecFp]:
@@ -94,32 +89,28 @@ class ExtensionValuation:
         """den times P's canonical basis in the power basis (Order.lattice_nums)."""
         return self.order.lattice_nums(ideal_over(self.order, self.prime_kernel, self.p), self.p)
 
+    @cached_property
     def anti_uniformizer_matrix(self) -> list[list[int]]:
         """Integer matrix of y -> beta*y over the order basis, for some beta
-        outside pO with beta*P <= pO, built on the first call.
+        outside pO with beta*P <= pO.
 
         P/pO is the kernel of the residue projection, and beta mod p is a
         nonzero element of its annihilator in O/pO, which is P^(e-1)/P^e at
         P and zero at every other prime over p. So v_P(beta) = e - 1 and
         beta/p is integral away from P. When P = pO, beta = 1.
         """
-        if self._beta_matrix is None:
-            p, table = self.p, self.order.table
-            if self.prime_kernel:
-                stacked = [row for g in self.prime_kernel for row in mult_matrix(table, g)]
-                beta = fp_kernel(stacked, p)[0]
-                self._beta_matrix = mult_matrix(table, beta)
-            else:
-                n = len(table)
-                self._beta_matrix = [[int(i == j) for j in range(n)] for i in range(n)]
-        return self._beta_matrix
+        table = self.order.table
+        if not self.prime_kernel:
+            return [[int(i == j) for j in range(len(table))] for i in range(len(table))]
+        stacked = [row for g in self.prime_kernel for row in mult_matrix(table, g)]
+        return mult_matrix(table, fp_kernel(stacked, self.p)[0])
 
     def times_beta_over_p(self, y: list[int], mod: int) -> list[int] | None:
         """Order coordinates of y*beta/p modulo mod/p, for y in O given by
         its coordinates modulo mod, a power of p; None when y*beta is not in
         pO, that is when y*beta/p leaves O."""
         p = self.p
-        z = [sum(r * c for r, c in zip(row, y)) % mod for row in self.anti_uniformizer_matrix()]
+        z = [sum(r * c for r, c in zip(row, y)) % mod for row in self.anti_uniformizer_matrix]
         if any(c % p for c in z):
             return None
         return [c // p for c in z]
@@ -283,4 +274,5 @@ def residue(w: ExtensionValuation, x: NFElem) -> VecFp:
     u, s = pos.witness
     ru = w.residue_of_integral(u)
     rs = w.residue_of_integral(s)
-    return w.residue_algebra.mul(ru, w.residue_algebra.inverse(rs))
+    alg = w.component.algebra
+    return alg.mul(ru, alg.inverse(rs))

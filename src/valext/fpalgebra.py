@@ -37,10 +37,8 @@ from .linalg import (
     fp_rank,
     fp_rref,
     fp_solve,
-    fp_vec,
     mult_matrix,
 )
-from .padic import is_prime
 
 
 def table_mul(table: list[list[list[int]]], x: list[int], y: list[int], mod: int) -> list[int]:
@@ -66,50 +64,17 @@ class FpAlgebra:
     """Commutative unital F_p-algebra given by structure constants.
 
     table[i][j] is the coordinate vector of b_i * b_j; unit is the
-    coordinate vector of 1. With validate (the default) the modulus is
-    checked to be prime, every coordinate is reduced into [0, p), and the
-    table is checked to be commutative, associative and unital. Without it,
-    as the quotients below build their algebras, table and unit are kept as
-    given and must already be reduced.
+    coordinate vector of 1. Both are taken as given: p must be prime, every
+    coordinate reduced into [0, p), and the table commutative, associative
+    and unital, as the quotients below build it.
     """
 
-    def __init__(self, p: int, table: list[list[VecFp]], unit: VecFp, validate: bool = True):
+    def __init__(self, p: int, table: list[list[VecFp]], unit: VecFp):
         self.p = p
         self.dim = len(table)
         self.table = table
         self.unit = unit
         self._frobenius: MatFp | None = None
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        d, p = self.dim, self.p
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.table = [[fp_vec(v, p) for v in row] for row in self.table]
-        self.unit = fp_vec(self.unit, p)
-        if d == 0:
-            raise ValueError("the zero algebra has no residue field")
-        for i in range(d):
-            if len(self.table[i]) != d or any(len(v) != d for v in self.table[i]):
-                raise ValueError("structure constant table not cubical")
-        if len(self.unit) != d:
-            raise ValueError(f"unit has length {len(self.unit)}, expected {d}")
-        for i in range(d):
-            for j in range(i):
-                if self.table[i][j] != self.table[j][i]:
-                    raise ValueError("multiplication not commutative")
-        basis = fp_identity(d)
-        for i in range(d):
-            if self.mul(self.unit, basis[i]) != basis[i]:
-                raise ValueError("unit does not act as identity")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    left = self.mul(self.table[i][j], basis[k])
-                    right = self.mul(basis[i], self.table[j][k])
-                    if left != right:
-                        raise ValueError("multiplication not associative")
 
     def zero(self) -> VecFp:
         return [0] * self.dim
@@ -199,11 +164,11 @@ def quotient_mod_p(order, p: int) -> FpAlgebra:
     """A = O/pO with basis the images of the order basis.
 
     The table is the multiplication table of an order basis, so it is
-    commutative and associative by construction and is not re-validated.
+    commutative and associative by construction.
     """
     table = order.mult_table_mod_p(p)
     unit = order.coords_mod_p(order.field.one(), p)
-    return FpAlgebra(p, table, unit, validate=False)
+    return FpAlgebra(p, table, unit)
 
 
 def nilradical(a: FpAlgebra) -> list[VecFp]:
@@ -240,7 +205,7 @@ def _reduce(a: FpAlgebra) -> tuple[FpAlgebra, MatFp]:
     reps = [a.basis_vector(c) for c in free]
     table = [[qcoords(a.mul(r1, r2)) for r2 in reps] for r1 in reps]
     proj = columns([qcoords(a.basis_vector(j)) for j in range(a.dim)])
-    quotient = FpAlgebra(p, table, qcoords(a.unit), validate=False)
+    quotient = FpAlgebra(p, table, qcoords(a.unit))
     quotient._frobenius = columns([qcoords([row[c] for row in a.frobenius()]) for c in free])
     return quotient, proj
 
@@ -347,7 +312,7 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
         *prods, one = columns(coords([a.mul(chosen[i], chosen[j]) for i, j in pairs] + [unit]))
         entry = dict(zip(pairs, prods))
         table = [[entry[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
-        return FpAlgebra(p, table, one, validate=False)
+        return FpAlgebra(p, table, one)
 
     return Component(unit[:], coords(products), d, algebra)
 

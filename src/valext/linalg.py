@@ -4,10 +4,10 @@ Matrices are lists of rows; vectors are flat lists. There are two
 eliminations: a fraction-free echelon form over Z (int_echelon), which
 gives determinants and minimal relations over Q once the rows are scaled
 to integers, and a reduced echelon form over F_p (fp_rref) on ints reduced
-into [0, p), which gives ranks, kernels and solutions modulo p. Rationals
-enter only in lattice_solve's substitution, over a lattice basis with
-Z[1/p] entries; lattice_canonical reduces such a basis in integers, scaled
-by its common denominator, a power of p. Sizes here are desk scale (the
+into [0, p), which gives ranks, kernels and solutions modulo p. A lattice
+basis with Z[1/p] entries is taken scaled to integers by its common
+denominator, a power of p: lattice_canonical reduces it and lattice_solve
+solves against it in integers. Sizes here are desk scale (the
 dimension is the field degree), so plain Gaussian elimination is the right
 tool.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-VecQ = list[Fraction]
 VecFp = list[int]
 MatFp = list[list[int]]
 
@@ -220,45 +219,37 @@ def lattice_canonical(basis: list[list[int]], p: int) -> list[list[int]]:
     return cols
 
 
-def require_triangular(basis: list[VecQ]) -> None:
+def require_triangular(basis: list[list[int]]) -> None:
     """ValueError unless basis[k] is zero above row k and nonzero at row k."""
     for k, col in enumerate(basis):
         if len(col) != len(basis) or not col[k] or any(col[:k]):
             raise ValueError("basis is not lower triangular with nonzero diagonal")
 
 
-def _exact_div(row: list, d) -> list:
-    """row / d over Q; for an int d and a row of ints, their integer
-    quotients, and ValueError when d does not divide one of them."""
-    if type(d) is not int or {*map(type, row)} - {int}:
-        return [x / d for x in row]
-    if any(map(d.__rmod__, row)):
-        raise ValueError(f"{d} does not divide every entry of {row}")
-    return list(map(d.__rfloordiv__, row))
-
-
-def lattice_solve(basis: list[VecQ], m: list[list]) -> list[list]:
-    """The matrix C with m = B C, where column k of B is basis[k], for a basis
-    of the shape lattice_canonical returns: forward substitution on whole
-    rows, C[i] = (m[i] - sum_{k<i} B[i][k] C[k]) / B[i][i]. The basis must
-    already have passed require_triangular: it is not checked again here,
-    since every caller solves many columns against one basis.
-
-    With Fraction entries C is rational. With int entries throughout it is
-    an integer matrix, and an entry outside Z raises ValueError, so the same
-    solve decides whether every column of m lies in the Z-span of the basis.
+def lattice_solve(basis: list[list[int]], m: list[list[int]]) -> list[list[int]]:
+    """The integer matrix C with m = B C, where column k of B is basis[k],
+    for an integer basis of the shape lattice_canonical returns: forward
+    substitution on whole rows, C[i] = (m[i] - sum_{k<i} B[i][k] C[k]) / B[i][i].
+    An entry of C outside Z raises ValueError, so the same solve decides
+    whether every column of m lies in the Z-span of the basis. The basis
+    must already have passed require_triangular: it is not checked again
+    here, since every caller solves many columns against one basis.
     Zero B[i][k] are skipped: most entries of a canonical basis are zero.
     """
-    sol: list[list] = []
+    sol: list[list[int]] = []
     for row, coeffs in zip(m, columns(basis)):
         for c, prev in zip(coeffs, sol):
             if c:
                 row = [x - c * y for x, y in zip(row, prev)]
         d = coeffs[len(sol)]
-        sol.append(row if d == 1 else _exact_div(row, d))
+        if d != 1:
+            if any(map(d.__rmod__, row)):
+                raise ValueError(f"{d} does not divide every entry of {row}")
+            row = list(map(d.__rfloordiv__, row))
+        sol.append(row)
     return sol
 
 
-def lattice_coords(basis: list[VecQ], v: VecQ) -> VecQ:
+def lattice_coords(basis: list[list[int]], v: list[int]) -> list[int]:
     """Coordinates c of v = sum_k c_k basis[k]: lattice_solve on one column."""
     return [c for c, in lattice_solve(basis, [[x] for x in v])]

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import sympy
 
-from valext import NumberField, Order, extensions_of, p_maximal_order, value, weak_approx
-from valext.linalg import columns, fp_rank, fp_rref, fp_solve
+from valext import (
+    FpAlgebra,
+    NumberField,
+    Order,
+    extensions_of,
+    is_prime,
+    p_maximal_order,
+    value,
+    weak_approx,
+)
+from valext.linalg import columns, fp_identity, fp_rank, fp_rref, fp_solve, fp_vec
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -107,8 +117,8 @@ def paper_approx_element(exts, target: int, gamma: Fraction):
     fld = w1.field
     g = next(g for g in map(fld.element, prime_basis(w1)) if value(w1, g) == Fraction(1, w1.e))
     x0 = power(g, int(w1.e * gamma))
-    unit = [list(w.residue_algebra.unit) for w in exts]
-    zero = [w.residue_algebra.zero() for w in exts]
+    unit = [list(w.component.algebra.unit) for w in exts]
+    zero = [w.component.algebra.zero() for w in exts]
     at_gamma = [w is not w1 and value(w, x0) >= gamma for w in exts]
     a = weak_approx(exts, [zero[i] if hit else unit[i] for i, hit in enumerate(at_gamma)])
     b = weak_approx(exts, [zero[i] if w is w1 else unit[i] for i, w in enumerate(exts)])
@@ -245,6 +255,35 @@ def index_valuation(sub, sup, p: int) -> int:
 def order_contains(order, x, p: int) -> bool:
     """Membership of x in the order localized at p."""
     return all(c == 0 or pval(c, p) >= 0 for c in order.coords(x))
+
+
+def checked_algebra(p: int, table, unit) -> FpAlgebra:
+    """FpAlgebra(p, table, unit) once its preconditions hold, ValueError
+    otherwise: p prime (checked before any coordinate is reduced by it),
+    integer coordinates reduced into [0, p) (an entry such as 1/2 is
+    refused, not truncated), a nonzero cubical table with a unit of its
+    length, and a commutative, unital and associative multiplication."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    table = [[fp_vec(v, p) for v in row] for row in table]
+    unit = fp_vec(unit, p)
+    d = len(table)
+    if d == 0:
+        raise ValueError("the zero algebra has no residue field")
+    if any(len(row) != d or any(len(v) != d for v in row) for row in table):
+        raise ValueError("structure constant table not cubical")
+    if len(unit) != d:
+        raise ValueError(f"unit has length {len(unit)}, expected {d}")
+    if any(table[i][j] != table[j][i] for i in range(d) for j in range(i)):
+        raise ValueError("multiplication not commutative")
+    alg = FpAlgebra(p, table, unit)
+    basis = fp_identity(d)
+    if any(alg.mul(unit, b) != b for b in basis):
+        raise ValueError("unit does not act as identity")
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if alg.mul(table[i][j], basis[k]) != alg.mul(basis[i], table[j][k]):
+            raise ValueError("multiplication not associative")
+    return alg
 
 
 def is_unit(alg, x) -> bool:

@@ -274,11 +274,11 @@ def test_anti_uniformizer_by_the_walk():
     no beta: the matrix appears on the first count and is then reused."""
     for coeffs, p in CORPUS:
         exts = extensions_of(field_for(coeffs), p)
-        assert all(w._beta_matrix is None for w in exts)
+        assert all("anti_uniformizer_matrix" not in vars(w) for w in exts)
         for w in exts:
             order = w.order
-            m = w.anti_uniformizer_matrix()
-            assert w.anti_uniformizer_matrix() is m
+            m = w.anti_uniformizer_matrix
+            assert w.anti_uniformizer_matrix is m
             one = order.coords(w.field.one())
             beta = [sum(r * c for r, c in zip(row, one)) for row in m]
             assert all(c.denominator == 1 for c in beta) and any(c % p for c in beta)
@@ -314,7 +314,7 @@ def test_residue_tables_and_prime_lattices_wait_for_their_reader(monkeypatch):
             assert residue(w, fld.zero()) == [0] * w.f and not builds
             one = [1] + [0] * (w.f - 1)
             assert residue(w, fld.one()) == residue(w, fld.from_rational(1 + p)) == one
-            assert builds == [w.index] and w.residue_algebra is w.component.algebra
+            assert builds == [w.index] and "algebra" in vars(w.component)
 
     def refused(what):
         def read(self):
@@ -386,7 +386,7 @@ def test_count_refusals(monkeypatch):
             assert value_by_count(w, w.field.zero()) == INFINITY
     w = extensions_of(field_for((1, 0, 1)), 5)[0]
     times_p = [[5 * (i == j) for j in range(2)] for i in range(2)]
-    monkeypatch.setattr(w, "anti_uniformizer_matrix", lambda: times_p)
+    monkeypatch.setattr(w, "anti_uniformizer_matrix", times_p)
     with pytest.raises(AssertionError, match="norm bound"):
         value_by_count(w, w.field.element([2, 1]))
     red = NumberField([-4, 0, 1])  # (x-2)(x+2)
@@ -519,8 +519,8 @@ def test_residue_examples():
     fld = field_for((1, 0, 1))
     exts = extensions_for((1, 0, 1), 5)
     for w in exts:
-        assert residue(w, fld.one()) == w.residue_algebra.unit
-        assert residue(w, fld.from_rational(5)) == w.residue_algebra.zero()
+        assert residue(w, fld.one()) == w.component.algebra.unit
+        assert residue(w, fld.from_rational(5)) == w.component.algebra.zero()
     gens = sorted(tuple(residue(w, fld.from_poly([0, 1]))) for w in exts)
     assert gens == [(2,), (3,)]  # the two roots of x^2+1 mod 5
 
@@ -538,7 +538,7 @@ def test_residue_is_ring_hom_on_valuation_ring():
     for coeffs, p in CORPUS[:3]:
         fld = field_for(coeffs)
         for w in extensions_for(coeffs, p):
-            alg = w.residue_algebra
+            alg = w.component.algebra
             for _ in range(10):
                 x = random_element(rng, fld, p)
                 y = random_element(rng, fld, p)

@@ -17,7 +17,6 @@ from valext import (
     recording,
     split_reduced,
 )
-from valext import extensions as extensions_module
 from valext import fpalgebra as fpalgebra_module
 from valext import orders as orders_module
 from valext.fpalgebra import _reduce, lift_idempotent
@@ -26,6 +25,7 @@ from valext.linalg import columns, fp_kernel, fp_matmul, fp_matvec, fp_rank, fp_
 from conftest import (
     CORPUS,
     CORPUS_IDS,
+    checked_algebra,
     component_by_solve,
     field_for,
     frobenius_lift,
@@ -57,7 +57,7 @@ def poly_algebra(p, modulus):
     basis = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
     table = [[mul(basis[i], basis[j]) for j in range(d)] for i in range(d)]
     unit = [1] + [0] * (d - 1)
-    return FpAlgebra(p, table, unit)
+    return checked_algebra(p, table, unit)
 
 
 F5_T2P1 = poly_algebra(5, [1, 0, 1])  # F_5[t]/(t^2+1), semisimple split
@@ -67,10 +67,10 @@ F2_T2P1 = poly_algebra(2, [1, 0, 1])  # F_2[t]/((t+1)^2), non-reduced
 
 def test_validation_catches_bad_tables():
     with pytest.raises(ValueError):
-        FpAlgebra(2, [[[1, 0], [0, 0]], [[1, 0], [0, 1]]], [1, 0])
+        checked_algebra(2, [[[1, 0], [0, 0]], [[1, 0], [0, 1]]], [1, 0])
     for unit in ([1], [1, 0, 0]):  # the table of F_5[t]/(t^2+1), a unit of the wrong length
         with pytest.raises(ValueError):
-            FpAlgebra(5, F5_T2P1.table, unit)
+            checked_algebra(5, F5_T2P1.table, unit)
 
 
 @pytest.mark.parametrize("p", [0, 4, 9, 15])
@@ -80,12 +80,12 @@ def test_validation_refuses_composite_modulus(p):
     The modulus is checked before any coordinate is reduced by it, so p = 0
     is refused the same way, not with a ZeroDivisionError."""
     with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
-        FpAlgebra(p, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], [1, 0])
+        checked_algebra(p, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], [1, 0])
 
 
 def test_validation_refuses_zero_algebra():
     with pytest.raises(ValueError, match="zero algebra"):
-        FpAlgebra(5, [], [])
+        checked_algebra(5, [], [])
 
 
 def test_rational_coordinates_are_refused_not_truncated():
@@ -93,8 +93,8 @@ def test_rational_coordinates_are_refused_not_truncated():
     pass as 1, so it is refused; an integral Fraction is the integer it
     equals."""
     with pytest.raises(ValueError, match="F_p coordinates must be integers"):
-        FpAlgebra(5, [[[1]]], [Fraction(6, 5)])
-    assert FpAlgebra(5, [[[1]]], [Fraction(6)]).unit == [1]
+        checked_algebra(5, [[[1]]], [Fraction(6, 5)])
+    assert checked_algebra(5, [[[1]]], [Fraction(6)]).unit == [1]
 
 
 # The instances of test_beyond_corpus, as (coefficients low to high, p).
@@ -115,22 +115,34 @@ BEYOND_CORPUS = [
 
 
 def test_pipeline_tables_pass_full_validation(monkeypatch):
-    """quotient_mod_p skips FpAlgebra's table checks, because an order's
-    multiplication table is commutative and associative by construction;
-    every table the pipeline builds must still pass them."""
-    made = []
+    """FpAlgebra takes its table as given, so this is the check on every
+    algebra the pipeline builds: O/pO at each Round-2 step and at the
+    final order, its reduction modulo the nilradical where it is not
+    reduced, and each residue field's table, read here. Every one must
+    pass checked_algebra with its table and unit unchanged."""
+    made, reductions, fields = [], [], []
+    init = FpAlgebra.__init__
 
-    def recording(order, p):
-        made.append(quotient_mod_p(order, p))
-        return made[-1]
+    def record(self, p, table, unit):
+        init(self, p, table, unit)
+        made.append(self)
 
-    monkeypatch.setattr(orders_module, "quotient_mod_p", recording)
-    monkeypatch.setattr(extensions_module, "quotient_mod_p", recording)
+    def reduce(a):
+        red, proj = _reduce(a)
+        if red is not a:
+            reductions.append(red)
+        return red, proj
+
+    monkeypatch.setattr(FpAlgebra, "__init__", record)
+    monkeypatch.setattr(fpalgebra_module, "_reduce", reduce)
     for coeffs, p in CORPUS + BEYOND_CORPUS:
-        extensions_of(NumberField(list(coeffs)), p)
-    assert len(made) > len(CORPUS + BEYOND_CORPUS)  # Round-2 steps and the final order
+        fields += [w.component.algebra for w in extensions_of(NumberField(list(coeffs)), p)]
+    monkeypatch.undo()
+    derived = {id(alg) for alg in reductions + fields}
+    assert derived <= {id(alg) for alg in made}
+    assert reductions and len(made) - len(derived) > len(CORPUS + BEYOND_CORPUS)  # O/pO
     for alg in made:
-        rebuilt = FpAlgebra(alg.p, alg.table, alg.unit)  # raises ValueError on a bad table
+        rebuilt = checked_algebra(alg.p, alg.table, alg.unit)
         assert (rebuilt.table, rebuilt.unit) == (alg.table, alg.unit)
 
 
@@ -553,7 +565,7 @@ def test_frobenius_matrix_of_power_basis(p, data):
     assert alg.frobenius() == _pow_columns(alg)
     assert alg.frobenius() is alg.frobenius()
     red, _ = _reduce(alg)
-    assert red.frobenius() == FpAlgebra(p, red.table, red.unit, validate=False).frobenius()
+    assert red.frobenius() == FpAlgebra(p, red.table, red.unit).frobenius()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -568,7 +580,7 @@ def test_frobenius_matrix_and_components_of_round2_orders(instance):
     alg = quotient_mod_p(p_maximal_order(NumberField(f), p), p)
     assert alg.frobenius() == _pow_columns(alg)
     red, proj = _reduce(alg)
-    assert red.frobenius() == FpAlgebra(p, red.table, red.unit, validate=False).frobenius()
+    assert red.frobenius() == FpAlgebra(p, red.table, red.unit).frobenius()
     assert red.frobenius() == _pow_columns(red)
     for comp in split_reduced(alg).components:
         table, unit, red_proj = component_by_solve(red, fp_matvec(proj, comp.idempotent, p))

@@ -269,7 +269,8 @@ def test_rep_mod_ppow():
 @st.composite
 def lattices_with_coords(draw):
     """(p, basis, c): the canonical basis of a random full-rank Z_(p)-lattice
-    in Q^n, n = 1..5, p in {2, 3, 5}, and random rational coordinates c."""
+    in Q^n, n = 1..5, p in {2, 3, 5}, scaled to integers by its common
+    denominator, and random integer coordinates c."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 5))
     entry = st.fractions(min_value=-p**3, max_value=p**3, max_denominator=p**2)
@@ -279,41 +280,39 @@ def lattices_with_coords(draw):
         basis = canonical_basis(gens, p)
     except ValueError:
         assume(False)
-    return p, basis, draw(vector)
+    coords = st.lists(st.integers(-(p**3), p**3), min_size=n, max_size=n)
+    return p, scaled_to_integers(basis, p), draw(coords)
 
 
 def test_lattice_coords_over_z_is_exact():
-    """With int entries the solve stays in Z and refuses a coordinate
-    outside it; the same basis over Q gives that coordinate as a rational."""
+    """The solve stays in Z and refuses a coordinate outside it."""
     basis = [[2, 1], [0, 4]]  # 2 + theta, 4 theta
     assert lattice_coords(basis, [6, 7]) == [3, 1]
     assert all(type(c) is int for c in lattice_coords(basis, [6, 7]))
     with pytest.raises(ValueError):
         lattice_coords(basis, [6, 5])
-    rational = [[Fraction(x) for x in col] for col in basis]
-    assert lattice_coords(rational, [Fraction(6), Fraction(5)]) == [3, Fraction(1, 2)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(lattices_with_coords(), st.data())
 def test_lattice_coords_round_trip(instance, data):
-    """lattice_coords inverts v = sum_k c_k basis[k] on canonical bases, and
-    require_triangular refuses a basis with an entry above the diagonal or a
-    zero pivot, which lattice_coords leaves to its callers."""
+    """lattice_coords inverts v = sum_k c_k basis[k] on canonical bases in
+    integers, and require_triangular refuses a basis with an entry above the
+    diagonal or a zero pivot, which lattice_coords leaves to its callers."""
     p, basis, c = instance
     n = len(basis)
-    assert all(basis[k][k] == Fraction(p) ** pval(basis[k][k], p) for k in range(n))
-    v = [sum((ck * b[i] for ck, b in zip(c, basis)), Fraction(0)) for i in range(n)]
+    assert all(basis[k][k] == p ** pval(basis[k][k], p) for k in range(n))
+    v = [sum(ck * b[i] for ck, b in zip(c, basis)) for i in range(n)]
     assert lattice_coords(basis, v) == c
     k = data.draw(st.integers(0, n - 1))
     zero_pivot = [col[:] for col in basis]
-    zero_pivot[k][k] = Fraction(0)
+    zero_pivot[k][k] = 0
     with pytest.raises(ValueError):
         require_triangular(zero_pivot)
     if n > 1:
         k = data.draw(st.integers(1, n - 1))
         above = [col[:] for col in basis]
-        above[k][data.draw(st.integers(0, k - 1))] = Fraction(data.draw(st.integers(1, 9)))
+        above[k][data.draw(st.integers(0, k - 1))] = data.draw(st.integers(1, 9))
         with pytest.raises(ValueError):
             require_triangular(above)
 
