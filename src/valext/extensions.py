@@ -18,6 +18,7 @@ whose CASE steps the value command traces.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -97,11 +98,16 @@ class ExtensionValuation:
         P/pO is the kernel of the residue projection, and beta mod p is a
         nonzero element of its annihilator in O/pO, which is P^(e-1)/P^e at
         P and zero at every other prime over p. So v_P(beta) = e - 1 and
-        beta/p is integral away from P. When P = pO, beta = 1.
+        beta/p is integral away from P. When e = 1, the local factor at P is
+        the residue field and P/pO is the sum of the other local factors, so
+        beta is the component's idempotent, which kills them and is 1 at P,
+        and no kernel is taken; when P = pO, that idempotent is 1. Values do
+        not depend on which beta is taken, and approx_element steps by beta/p
+        only when e > 1, so output is the same for every choice.
         """
         table = self.order.table
-        if not self.prime_kernel:
-            return [[int(i == j) for j in range(len(table))] for i in range(len(table))]
+        if self.e == 1:
+            return mult_matrix(table, self.component.idempotent)
         stacked = [row for g in self.prime_kernel for row in mult_matrix(table, g)]
         return mult_matrix(table, fp_kernel(stacked, self.p)[0])
 
@@ -237,25 +243,26 @@ def _count(w: ExtensionValuation, x: NFElem) -> int:
 
     v_P(beta/p) = -1 and beta/p is integral at every other prime over p, so
     for y in O, e*w(y) is the number of steps y <- y*beta/p that stay in O.
-    With p^a the largest p-power among the denominators of x's order
-    coordinates, y = x*p^a has coordinates in Z_(p) and e*w(x) is that count
-    less e*a. Every w_j(y) >= 0, so the product formula
+    With c / d x's order coordinates in lowest terms and p^a the p-part of
+    d, y = x*p^a has coordinates in Z_(p) and e*w(x) is that count less
+    e*a. Every w_j(y) >= 0, so the product formula
     sum_j e_j f_j w_j(y) = v_p(N(y)) gives e*f*w(y) <= v_p(N(y)), and the
     count is at most floor((v_p(N(x)) + n*a) / f); passing that bound raises
     AssertionError. The first bound+1 steps depend only on y mod
-    p^(bound+1), so the coordinates are kept reduced modulo it, and each
-    step loses one power of p.
+    p^(bound+1), so the coordinates are kept reduced modulo it, c times the
+    inverse of d's unit part, and each step loses one power of p.
     """
     norm = x.norm()
     if norm == 0:
         raise NotIrreducible("nonzero element has zero norm")
     p, e = w.p, w.e
-    coords = w.order.coords(x)
-    a = max(0, max(-pval(c, p) for c in coords if c))
+    c, d = w.order.coords(x)
+    g = math.gcd(d, *c)
+    a = pval(d // g, p)
     bound = (pval(norm, p) + x.field.n * a) // w.f
     mod = p ** (bound + 1)
-    scaled = [c * p**a for c in coords]
-    y = [c.numerator * pow(c.denominator, -1, mod) % mod for c in scaled]
+    u = pow(d // g // p**a, -1, mod)
+    y = [t // g * u % mod for t in c]
     for steps in range(bound + 1):
         y = w.times_beta_over_p(y, mod)
         if y is None:

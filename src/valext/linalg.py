@@ -22,16 +22,14 @@ MatFp = list[list[int]]
 
 
 def pval(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
+    """p-adic valuation of a nonzero rational, an int or a Fraction."""
+    n, d = x.numerator, x.denominator
+    if n == 0:
         raise ValueError("pval of zero")
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1

@@ -39,7 +39,7 @@ from .linalg import (
     pval,
     require_triangular,
 )
-from .numberfield import NFElem, NumberField
+from .numberfield import NFElem, NumberField, over_one_den
 from .padic import is_prime
 
 
@@ -76,13 +76,12 @@ class Order:
     """Full-rank unital subring of L given by a canonical lattice basis.
 
     The j-th basis element is num[j] / den, in integers with their common
-    gcd divided out, so equal orders have equal (den, num); only element
-    coordinates are Fractions. num must be lower triangular with nonzero
-    diagonal, as lattice_canonical returns it; any other basis raises
-    ValueError. The structure constants table[i][j][k], with
-    b_i b_j = sum_k table[i][j][k] b_k, are computed once and must be
-    integers; otherwise the basis spans no ring over Z and ValueError is
-    raised. Canonical bases of orders always pass: their entries lie in
+    gcd divided out, so equal orders have equal (den, num). num must be
+    lower triangular with nonzero diagonal, as lattice_canonical returns
+    it; any other basis raises ValueError. The structure constants
+    table[i][j][k], with b_i b_j = sum_k table[i][j][k] b_k, are computed
+    once and must be integers; otherwise the basis spans no ring over Z and
+    ValueError is raised. Canonical bases of orders always pass: their entries lie in
     Z[1/p] with p-power pivots, so the constants lie in Z[1/p] and in
     Z_(p), hence in Z.
     """
@@ -98,7 +97,9 @@ class Order:
         self.table = _structure_constants(field, self.num, self.den)
 
     def element(self, coords) -> NFElem:
-        return self.field.element([Fraction(x, self.den) for x in self._combo(coords)])
+        """The element with these int or Fraction order coordinates."""
+        c, d = over_one_den(coords)
+        return NFElem(self.field, self._combo(c), self.den * d)
 
     def _combo(self, coords) -> list:
         """den times the element with these coordinates: sum_k coords[k] num[k]."""
@@ -117,20 +118,15 @@ class Order:
             raise ValueError(f"basis needs Z[1/{p}] entries and powers of {p} as pivots")
         return lattice_canonical([self._combo(g) for g in gens], p)
 
-    def _coords(self, x: NFElem) -> tuple[list[int], int]:
-        """(c, D), c / D x's coordinates, solved in integers (det num^-1 is integral)."""
-        d, y = x._integral()
+    def coords(self, x: NFElem) -> tuple[list[int], int]:
+        """(c, D) with c / D the exact coordinates of x in the order basis,
+        solved in integers (det num^-1 is integral); not in lowest terms."""
         det = math.prod(v[k] for k, v in enumerate(self.num))
-        return lattice_coords(self.num, [det * self.den * t for t in y]), det * d
-
-    def coords(self, x: NFElem) -> list[Fraction]:
-        """Exact coordinates of x in the order basis (over Q)."""
-        c, den = self._coords(x)
-        return [Fraction(t, den) for t in c]
+        return lattice_coords(self.num, [det * self.den * t for t in x.num]), det * x.den
 
     def coords_mod_p(self, x: NFElem, p: int) -> list[int]:
         """Image of an order element in O/pO, as F_p coordinates."""
-        c, den = self._coords(x)
+        c, den = self.coords(x)
         q = p ** pval(den, p)
         if any(t % q for t in c):
             raise NotIrreducible("element expected in the order has p in a coordinate denominator")

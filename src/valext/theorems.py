@@ -91,7 +91,8 @@ def approx_element(
         if x is None:
             raise AssertionError("a step by beta/p left the order")
         mod //= p
-    return w1.order.element(x) * Fraction(1, p**k)
+    y = w1.order.element(x)
+    return NFElem(y.field, y.num, y.den * p**k)
 
 
 @dataclass

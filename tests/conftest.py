@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -15,9 +16,19 @@ from valext import (
     is_prime,
     p_maximal_order,
     value,
+    value_by_count,
     weak_approx,
 )
-from valext.linalg import columns, fp_identity, fp_rank, fp_rref, fp_solve, fp_vec
+from valext.linalg import (
+    columns,
+    fp_identity,
+    fp_kernel,
+    fp_rank,
+    fp_rref,
+    fp_solve,
+    fp_vec,
+    mult_matrix,
+)
 
 # The instance corpus: defining polynomial (low-to-high coefficients) and p.
 CORPUS = [
@@ -55,6 +66,13 @@ def over_den(nums, den: int) -> list:
 def order_basis(order) -> list:
     """An order's basis b_j = num[j] / den, as Fractions."""
     return over_den(order.num, order.den)
+
+
+def order_coords(order, x) -> list:
+    """x's order coordinates as Fractions, from Order.coords's integers over
+    one denominator."""
+    c, d = order.coords(x)
+    return [Fraction(t, d) for t in c]
 
 
 def prime_basis(w) -> list:
@@ -143,6 +161,33 @@ def poly_rem(f, g) -> list:
         c, k = f[-1] / g[-1], len(f) - len(g)
         for i, gi in enumerate(g):
             f[k + i] -= c * gi
+
+
+def reference_mul(f, g, h) -> list:
+    """g(theta) h(theta) in Q[x]/(f) for Fraction coordinate vectors g, h of
+    length n = deg f: the schoolbook product, reduced mod f by poly_rem and
+    padded back to n coordinates."""
+    prod = [Fraction(0)] * (len(g) + len(h) - 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(h):
+            prod[i + j] += Fraction(a) * Fraction(b)
+    rem = poly_rem(prod, f)
+    return rem + [Fraction(0)] * (len(f) - 1 - len(rem))
+
+
+def count_with_kernel_beta(w, x):
+    """w(x) by the anti-uniformizer count with beta read off a kernel, for
+    any e: beta mod p spans the first kernel vector of the stacked maps
+    y -> g*y, g in a basis of P/pO, in O/pO (the annihilator of P/pO), and
+    beta = 1 when P = pO. The count runs on a copy of w holding that beta."""
+    table, p = w.order.table, w.p
+    twin = dataclasses.replace(w)
+    if w.prime_kernel:
+        stacked = [row for g in w.prime_kernel for row in mult_matrix(table, g)]
+        vars(twin)["anti_uniformizer_matrix"] = mult_matrix(table, fp_kernel(stacked, p)[0])
+    else:
+        vars(twin)["anti_uniformizer_matrix"] = fp_identity(len(table))
+    return value_by_count(twin, x)
 
 
 def pval(x, p: int) -> int:
@@ -254,7 +299,7 @@ def index_valuation(sub, sup, p: int) -> int:
 
 def order_contains(order, x, p: int) -> bool:
     """Membership of x in the order localized at p."""
-    return all(c == 0 or pval(c, p) >= 0 for c in order.coords(x))
+    return all(c == 0 or pval(c, p) >= 0 for c in order_coords(order, x))
 
 
 def checked_algebra(p: int, table, unit) -> FpAlgebra:

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from valext import (
@@ -28,17 +28,19 @@ from valext.fpalgebra import Component
 
 from conftest import (
     CORPUS,
+    count_with_kernel_beta,
     extensions_for,
     field_for,
     in_prime,
     inverse,
+    order_coords,
     order_for,
     prime_basis,
     pval,
     random_element,
     random_order_element,
 )
-from test_orders import shifted_scaling
+from test_orders import round2_instances, shifted_scaling
 
 
 def splitting_by_roots(coeffs, p):
@@ -267,27 +269,41 @@ def test_value_eliminates_once_per_element(monkeypatch):
     assert len(calls) == 1
 
 
-def test_anti_uniformizer_by_the_walk():
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(CORPUS), round2_instances()), st.integers(0, 2**16))
+@example(CORPUS[3], 0)  # x^3-x-1 at 23: e = 1 and e = 2 side by side
+@example(CORPUS[4], 0)  # p divides the index of Z[theta]
+def test_anti_uniformizer_by_the_walk(instance, seed):
     """beta, read off the matrix as beta*1, lies in O outside pO and maps
     every generator of P into pO; the walk gives beta/p the value -1/e at
     its own extension and a value >= 0 at the others. extensions_of builds
-    no beta: the matrix appears on the first count and is then reused."""
-    for coeffs, p in CORPUS:
-        exts = extensions_of(field_for(coeffs), p)
-        assert all("anti_uniformizer_matrix" not in vars(w) for w in exts)
-        for w in exts:
-            order = w.order
-            m = w.anti_uniformizer_matrix
-            assert w.anti_uniformizer_matrix is m
-            one = order.coords(w.field.one())
-            beta = [sum(r * c for r, c in zip(row, one)) for row in m]
-            assert all(c.denominator == 1 for c in beta) and any(c % p for c in beta)
-            for g in prime_basis(w):
-                g_coords = order.coords(w.field.element(g))
-                assert all(sum(r * c for r, c in zip(row, g_coords)) % p == 0 for row in m)
-            beta_over_p = order.element(beta) * Fraction(1, p)
-            assert value(w, beta_over_p) == Fraction(-1, w.e)
-            assert all(value(u, beta_over_p) >= 0 for u in exts if u is not w)
+    no beta: the matrix appears on the first count and is then reused. At
+    e = 1, beta is the idempotent and no kernel of P is taken for it, and
+    counts with it equal counts with a beta read off a kernel, on the prime
+    basis and on elements with p in their denominators."""
+    coeffs, p = instance
+    exts = extensions_of(NumberField(list(coeffs)), p)
+    assert all("anti_uniformizer_matrix" not in vars(w) for w in exts)
+    for w in exts:
+        order = w.order
+        m = w.anti_uniformizer_matrix
+        assert w.anti_uniformizer_matrix is m
+        assert ("prime_kernel" in vars(w)) is (w.e > 1)
+        one = order_coords(order, w.field.one())
+        beta = [sum(r * c for r, c in zip(row, one)) for row in m]
+        assert all(c.denominator == 1 for c in beta) and any(c % p for c in beta)
+        for g in prime_basis(w):
+            g_coords = order_coords(order, w.field.element(g))
+            assert all(sum(r * c for r, c in zip(row, g_coords)) % p == 0 for row in m)
+        beta_over_p = order.element(beta) * Fraction(1, p)
+        assert value(w, beta_over_p) == Fraction(-1, w.e)
+        assert all(value(u, beta_over_p) >= 0 for u in exts if u is not w)
+        if w.e == 1:
+            assert beta == w.component.idempotent
+            elements = [w.field.element(g) for g in prime_basis(w)]
+            rng = random.Random(seed)
+            elements += [random_element(rng, w.field, p) for _ in range(3)]
+            assert all(value_by_count(w, x) == count_with_kernel_beta(w, x) for x in elements)
 
 
 def test_residue_tables_and_prime_lattices_wait_for_their_reader(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from valext import NumberField, discriminant, equation_order
 from valext.polynomials import poly_q
 
-from conftest import inverse, poly_rem
+from conftest import inverse, poly_rem, reference_mul
 
 T = sympy.Symbol("t")
 
@@ -364,3 +365,62 @@ def test_pow_equals_repeated_products(f, coords):
         assert (x**e).coords == acc.coords, e
         acc = acc * x
     assert x**1 == x and x**1 is not x
+
+
+def assert_canonical(x):
+    """The stored form is integers over one positive denominator in lowest
+    terms; gcd(den, 0, ..., 0) = den makes zero ([0, ..., 0], 1)."""
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(products_mod_f(), SCALARS, st.integers(0, 5))
+def test_integer_form_against_fraction_reference(case, q, e):
+    """+, -, x, scalar x and ** on num/den agree with the same operations on
+    Fraction coordinates, the product by the schoolbook reference; every
+    result is stored canonically, so == and hash agree with the reference
+    coordinates."""
+    f, g, h = case
+    fld = NumberField(f)
+    x, y = fld.element(g), fld.element(h)
+    power = [Fraction(int(i == 0)) for i in range(fld.n)]
+    for _ in range(e):
+        power = reference_mul(f, power, g)
+    expected = [
+        (x + y, [a + b for a, b in zip(g, h)]),
+        (x - y, [a - b for a, b in zip(g, h)]),
+        (x * y, reference_mul(f, g, h)),
+        (x * q, [a * q for a in g]),
+        (q * x, [a * q for a in g]),
+        (x**e, power),
+    ]
+    for z, coords in expected:
+        assert_canonical(z)
+        assert z.coords == coords
+        assert z == fld.element(coords) and hash(z) == hash(fld.element(coords))
+    assert (x == y) is (g == h)
+    assert (x + y == y + x) and hash(x + y) == hash(y + x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(field_elements(), SCALARS)
+def test_every_constructor_builds_the_canonical_form(case, q):
+    """element, from_poly, from_rational, Order.element and a scalar product
+    build the same (num, den) for the same element, so equal elements from
+    different routes compare and hash equal; zero is ([0, ..., 0], 1)."""
+    fld, coords = case
+    z = equation_order(fld)
+    d = math.lcm(*(Fraction(c).denominator for c in coords)) * 6
+    routes = [fld.element(coords), fld.from_poly(coords), z.element(coords),
+              fld.element([c * d for c in coords]) * Fraction(1, d)]
+    scalars = [fld.from_rational(q), fld.element([q] + [0] * (fld.n - 1)), fld.from_poly([q]),
+               z.element([q] + [0] * (fld.n - 1)), fld.one() * q]
+    for group in (routes, scalars):
+        for x in group:
+            assert_canonical(x)
+            assert (x.num, x.den) == (group[0].num, group[0].den)
+            assert x == group[0] and hash(x) == hash(group[0])
+    for zero in (fld.zero(), fld.element(coords) * 0, fld.element(coords) - fld.element(coords),
+                 fld.from_rational(Fraction(0, 7))):
+        assert (zero.num, zero.den) == ([0] * fld.n, 1)

@@ -28,6 +28,7 @@ from conftest import (
     extensions_for,
     field_for,
     order_contains,
+    order_coords,
     order_for,
     paper_approx_element,
 )
@@ -111,7 +112,7 @@ def assert_reduced(w, x, gamma):
     floor = math.floor(gamma)
     k = max(0, -floor)
     bound = w.p ** (floor + 1 + k)
-    for c in w.order.coords(x * Fraction(w.p**k)):
+    for c in order_coords(w.order, x * Fraction(w.p**k)):
         assert c.denominator == 1 and 0 <= c < bound
 
 
@@ -168,7 +169,7 @@ def test_lifted_idempotents_modulo_p_power(instance, big_m):
     mod = p**big_m
 
     def reduced(x):
-        coords = order.coords(x)
+        coords = order_coords(order, x)
         assert all(c.denominator % p for c in coords)
         return [c.numerator * pow(c.denominator, -1, mod) % mod for c in coords]
 
