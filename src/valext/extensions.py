@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import NegativeValue, NotIrreducible, ZeroElement
 from .events import emit
@@ -116,7 +117,7 @@ class ExtensionValuation:
         its coordinates modulo mod, a power of p; None when y*beta is not in
         pO, that is when y*beta/p leaves O."""
         p = self.p
-        z = [sum(r * c for r, c in zip(row, y)) % mod for row in self.anti_uniformizer_matrix]
+        z = [sum(map(mul, row, y)) % mod for row in self.anti_uniformizer_matrix]
         if any(c % p for c in z):
             return None
         return [c // p for c in z]

@@ -1,22 +1,24 @@
 """Finite-dimensional commutative unital algebras over F_p.
 
-Houses the quotient A = O/pO of an order, its nilradical, and the
-decomposition of A into local factors, one per field of its reduction
-A/rad(A): split_reduced reduces A, splits the reduction and lifts the
-split back to A. The split takes one kernel, the Berlekamp subalgebra
-ker(x -> x^p - x) = F_p^k (Berlekamp 1970), and splits each factor that is
-not a field by a closed-form idempotent: a Berlekamp element itself for
-p = 2, and for odd p one built from the Cantor-Zassenhaus power
+Houses the quotient A = O/pO of an order, kept on the order for each p,
+its nilradical, kept on A, and the decomposition of A into local factors,
+one per field of its reduction A/rad(A): split_reduced reduces A, splits
+the reduction and lifts the split back to A. Where p does not divide
+disc f, A = F_p[x]/(f mod p) is reduced (Dedekind-Kummer), and its
+nilradical is recorded empty. The split takes one kernel, the Berlekamp
+subalgebra ker(x -> x^p - x) = F_p^k (Berlekamp 1970), and splits each
+factor that is not a field by a closed-form idempotent: a Berlekamp element
+itself for p = 2, and for odd p one built from the Cantor-Zassenhaus power
 (z + c)^((p-1)/2) (Cantor and Zassenhaus 1981), so splitting takes time
-polynomial in the dimension and in log p.
-Frobenius x -> x^p is F_p-linear, and each algebra builds its matrix once
-(FpAlgebra.frobenius): the nilradical and the Berlekamp kernel read it,
-and the reduction is handed the induced matrix, since x^p maps every ideal
-into itself.
-Components come in a canonical order, sorted by their reduced projections;
-a component's own multiplication table is built only when first read.
-Idempotents are lifted through the nilradical, and on to O/p^K O, by one
-Newton iteration over an integer structure table (lift_idempotent).
+polynomial in the dimension and in log p; once the pieces number k, each
+is a field. Frobenius x -> x^p is F_p-linear, and each algebra builds its
+matrix once (FpAlgebra.frobenius): the nilradical and the Berlekamp kernel
+read it, and the reduction is handed the induced matrix, since x^p maps
+every ideal into itself. Components come in a canonical order, sorted by
+their reduced projections; a component's own multiplication table is built
+only when first read. Idempotents are lifted through the nilradical, and on
+to O/p^K O, by one Newton iteration over an integer structure table
+(lift_idempotent); an exact idempotent costs one product.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class FpAlgebra:
         self.table = table
         self.unit = unit
         self._frobenius: MatFp | None = None
+        self._nilradical: list[VecFp] | None = None
 
     def zero(self) -> VecFp:
         return [0] * self.dim
@@ -161,27 +164,30 @@ class Decomposition:
 
 
 def quotient_mod_p(order, p: int) -> FpAlgebra:
-    """A = O/pO with basis the images of the order basis.
-
-    The table is the multiplication table of an order basis, so it is
-    commutative and associative by construction.
-    """
-    table = order.mult_table_mod_p(p)
-    unit = order.coords_mod_p(order.field.one(), p)
-    return FpAlgebra(p, table, unit)
+    """A = O/pO with basis the images of the order basis, built once per
+    order and p and kept (Order.quotients): Round 2's last step and
+    extensions_of share it. The table is the multiplication table of an
+    order basis, so it is commutative and associative by construction."""
+    if p not in order.quotients:
+        unit = order.coords_mod_p(order.field.one(), p)
+        order.quotients[p] = FpAlgebra(p, order.mult_table_mod_p(p), unit)
+    return order.quotients[p]
 
 
 def nilradical(a: FpAlgebra) -> list[VecFp]:
-    """A basis of the nilpotents: the kernel of F^k, F the Frobenius matrix,
-    for k >= m, where m >= 1 and p^m >= dim. That kernel is the same
-    subspace for every such k, so F is squared until k reaches m. The
+    """A basis of the nilpotents, kept on a: the kernel of F^k, F the
+    Frobenius matrix, for k >= m, where m >= 1 and p^m >= dim. That kernel
+    is the same subspace for every such k, so F is squared until k reaches
+    m; p_maximal_order records it empty where O/pO is reduced. The
     nilpotents of a commutative ring form an ideal, so neither Round 2 nor
     split_reduced checks this basis for closure or for the unit."""
-    p = a.p
-    power, q = a.frobenius(), p
-    while q < a.dim:
-        power, q = fp_matmul(power, power, p), q * q
-    return fp_kernel(power, p)
+    if a._nilradical is None:
+        p = a.p
+        power, q = a.frobenius(), p
+        while q < a.dim:
+            power, q = fp_matmul(power, power, p), q * q
+        a._nilradical = fp_kernel(power, p)
+    return a._nilradical
 
 
 def _reduce(a: FpAlgebra) -> tuple[FpAlgebra, MatFp]:
@@ -216,8 +222,9 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
     The Berlekamp subalgebra B = ker(F - I), F the Frobenius matrix of the
     reduction, is F_p^k, k the number of field factors, and for an
     idempotent e, e*B is that of the factor e*A. So e*A is a field exactly
-    when every e*b, b in the kernel basis of B, is a multiple of e;
-    otherwise the first z = e*b that is not splits it. For p = 2, z is
+    when every e*b, b in the kernel basis of B, is a multiple of e, and
+    every piece is one once the pieces number k; otherwise the first
+    z = e*b that is not a multiple splits e*A. For p = 2, z is
     itself an idempotent. For odd p, t = (z + c*e)^((p-1)/2) has
     coordinates 0 and +-1 in F_p^k, so (t^2 + t)/2 is an idempotent, and
     the first shift c that makes it neither 0 nor e is taken
@@ -244,8 +251,8 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
         e = pending.pop()
         k = next(i for i, x in enumerate(e) if x)
         scale = pow(e[k], -1, p)
-        z = next((z for b in berlekamp
-                  if (z := red.mul(e, b)) != [z[k] * scale * x % p for x in e]), None)
+        z = None if len(components) + len(pending) + 1 == len(berlekamp) else next(
+            (z for b in berlekamp if (z := red.mul(e, b)) != [z[k] * scale * x % p for x in e]), None)
         if z is None:
             components.append(_make_component(red, e))
             continue
@@ -279,9 +286,10 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
     # The factor unit*A has the echelon basis of the products unit*b_j.
     # Re-basis with the idempotent first, so component coordinates make the
     # unit [1, 0, ...] and one-dimensional residue fields read as canonical
-    # F_p labels. Chosen-basis coordinates are the echelon ones (v at the
-    # pivots) times the inverse of the chosen basis's, one product per batch.
-    # That basis is the unit and the echelon rows but the last row k where the unit's u_k != 0.
+    # F_p labels. Chosen-basis coordinates are the echelon ones E (v at the
+    # pivots) times the inverse of the chosen basis's: that basis is the unit
+    # and the echelon rows but the last row k where the unit's u_k != 0, so
+    # row 0 of the product is s E[k], s = 1/u_k, and row j is E[j] - u_j s E[k].
     p = a.p
     products = columns(a.mult_matrix(unit))
     rows, pivots = fp_rref(products, p)
@@ -297,14 +305,15 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
     u = [unit[pc] for pc in pivots]
     k = max(j for j, x in enumerate(u) if x)
     s = pow(u[k], -1, p)
-    inv = [[s * (i == k) for i in range(d)]] + [
-        [((i == j) - s * u[j] * (i == k)) % p for i in range(d)] for j in range(d) if j != k]
 
     def coords(vs: list[VecFp]) -> MatFp:
         ech = [[v[pc] for pc in pivots] for v in vs]
         if fp_matmul(ech, rows[:d], p) != vs:
             raise AssertionError("vector not in the factor span")
-        return fp_matmul(inv, columns(ech), p)
+        ech = columns(ech)
+        first = [s * x % p for x in ech[k]]
+        return [first] + [[(x - u[j] * y) % p for x, y in zip(ech[j], first)]
+                          for j in range(d) if j != k]
 
     def algebra() -> FpAlgebra:
         # the table is symmetric, so each product is formed once
@@ -323,7 +332,8 @@ def lift_idempotent(table: list[list[list[int]]], x: list[int], mod: int) -> lis
 
     table holds integer structure constants of O: an order's, or those of
     O/pO when mod = p. Each step emits one LIFT line, and the lift returns
-    after the first step that leaves x^2 = x. A step squares the ideal that
+    after the first step that leaves x^2 = x; where x^2 = x already, that
+    step is x itself, and takes no product. A step squares the ideal that
     x^2 - x lies in, and rad(pO)^(dim K) lies in p^K O, so 2^j >= dim K
     steps suffice; since K < bit length of mod, a lift that needs more
     raises AssertionError instead of looping. The same bound makes
@@ -335,11 +345,12 @@ def lift_idempotent(table: list[list[list[int]]], x: list[int], mod: int) -> lis
     sq = table_mul(table, x, x, mod)
     y = [(s - c) % mod for s, c in zip(sq, x)]
     for it in range(1, cap + 1):
-        x = [(3 * s - 2 * c) % mod for s, c in zip(sq, table_mul(table, sq, x, mod))]
+        if sq != x:  # an exact idempotent is its own step: 3x^2 - 2x^3 = x
+            x = [(3 * s - 2 * c) % mod for s, c in zip(sq, table_mul(table, sq, x, mod))]
+            sq = table_mul(table, x, x, mod)
         emit(f"LIFT{{iteration={it}}}")
-        sq = table_mul(table, x, x, mod)
         if sq == x:
-            for _ in range(cap):
+            for _ in range(cap if any(y) else 0):  # x^2 - x = 0 needs no squaring
                 y = table_mul(table, y, y, mod)
             if any(y):
                 raise AssertionError("x^2 - x is not nilpotent: the idempotent is not over x")

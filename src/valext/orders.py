@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotIrreducible
-from .fpalgebra import nilradical, quotient_mod_p
+from .fpalgebra import FpAlgebra, nilradical, quotient_mod_p
 from .linalg import (
     columns,
     fp_identity,
@@ -95,6 +95,7 @@ class Order:
         self.den = den // g
         self.num = [[x // g for x in v] for v in num]
         self.table = _structure_constants(field, self.num, self.den)
+        self.quotients: dict[int, FpAlgebra] = {}  # O/pO by p, as quotient_mod_p builds it
 
     def element(self, coords) -> NFElem:
         """The element with these int or Fraction order coordinates."""
@@ -242,18 +243,19 @@ def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
 def p_maximal_order(field: NumberField, p: int) -> Order:
     """Round 2: enlarge through multiplier rings of the p-radical until stable.
 
-    Z[theta] is returned at once where v_p(disc f) <= 1. Otherwise f mod p
-    decides the start. With n = p^k m, p not dividing m, f = (x - c)^n =
-    (x^(p^k) - c)^m mod p needs c = -a_(n-p^k) / m mod p, and g(x) =
-    f(x + c) tests it: p must divide every g_i, i < n. If it does and p^2
-    does not divide g_0, g is Eisenstein, so Z[theta] = Z[theta - c] is
-    p-maximal with no Round-2 step. If instead c = 0, lambda = min over
-    a_i != 0 of v_p(a_i)/(n - i) (the least valuation of a root, by the
-    Newton polygon of f) gives v_p(a_i) >= (n - i) lambda, so the reduced
-    powers theta^m = sum_k r_mk theta^k, m >= n, have v_p(r_mk) >= (m - k)
-    lambda. A product of theta^i / p^floor(i lambda) and theta^j /
-    p^floor(j lambda) then has valuation >= -k lambda, hence >=
-    -floor(k lambda), at theta^k: these span an order, and Round 2 starts
+    Z[theta] is returned at once where v_p(disc f) <= 1, and where it is 0,
+    with O/pO = F_p[x]/(f mod p) kept with the empty nilradical
+    (Dedekind-Kummer). Otherwise f mod p decides the start. With n = p^k m,
+    p not dividing m, f = (x - c)^n = (x^(p^k) - c)^m mod p needs c =
+    -a_(n-p^k) / m mod p, and g(x) = f(x + c) tests it: p must divide every
+    g_i, i < n. If it does and p^2 does not divide g_0, g is Eisenstein, so
+    Z[theta] = Z[theta - c] is p-maximal with no Round-2 step. If instead c
+    = 0, lambda = min over a_i != 0 of v_p(a_i)/(n - i) (the least valuation
+    of a root, by the Newton polygon of f) gives v_p(a_i) >= (n - i) lambda,
+    so the reduced powers theta^m = sum_k r_mk theta^k, m >= n, have
+    v_p(r_mk) >= (m - k) lambda. A product of theta^i / p^floor(i lambda)
+    and theta^j / p^floor(j lambda) then has valuation >= -k lambda, hence
+    >= -floor(k lambda), at theta^k: these span an order, and Round 2 starts
     from it. Otherwise it starts from Z[theta]. Every start lies in the
     unique p-maximal order, so the answer is the same from each.
     """
@@ -264,7 +266,10 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
         raise NotIrreducible("zero discriminant: defining polynomial is not squarefree")
     v = pval(disc, p)
     if v <= 1:  # [O : Z[theta]]^2 divides disc(f), so Z[theta] is p-maximal
-        return equation_order(field)
+        order = equation_order(field)
+        if v == 0:  # f mod p is squarefree: O/pO = F_p[x]/(f mod p) is reduced
+            quotient_mod_p(order, p)._nilradical = []
+        return order
     order, maximal = _round2_start(field, p)
     if maximal:
         return order

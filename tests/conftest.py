@@ -19,6 +19,7 @@ from valext import (
     value_by_count,
     weak_approx,
 )
+from valext.fpalgebra import _reduce
 from valext.linalg import (
     columns,
     fp_identity,
@@ -362,6 +363,41 @@ def component_by_solve(alg, idempotent) -> tuple:
     table = [[coords(alg.mul(x, y)) for y in chosen] for x in chosen]
     proj = columns([coords(alg.mul(idempotent, alg.basis_vector(j))) for j in range(alg.dim)])
     return table, coords(idempotent), proj
+
+
+def berlekamp_kernel(a) -> list:
+    """A basis of ker(F - I), F the Frobenius matrix of a: F_p^k for a
+    reduced a with k field factors."""
+    p = a.p
+    return fp_kernel([[(x - (i == j)) % p for j, x in enumerate(row)]
+                      for i, row in enumerate(a.frobenius())], p)
+
+
+def split_lines_testing_every_piece(a) -> list:
+    """The SPLIT lines of split_reduced's search on a, with every piece
+    field-tested by its products with the Berlekamp basis, none taken as a
+    field because the pieces already number k: a reference for the
+    counted split. Field tests take no shift, so the lines must agree."""
+    red, _ = _reduce(a)
+    p, berlekamp = a.p, berlekamp_kernel(red)
+    shifts, lines, pending = itertools.count(), [], [red.unit[:]]
+    while pending:
+        e = pending.pop()
+        k = next(i for i, x in enumerate(e) if x)
+        scale = pow(e[k], -1, p)
+        z = next((z for b in berlekamp
+                  if (z := red.mul(e, b)) != [z[k] * scale * x % p for x in e]), None)
+        if z is None:
+            continue
+        idem = z
+        for c in itertools.islice(shifts, p) if p > 2 else ():
+            t = red.pow([(x + c * u) % p for x, u in zip(z, e)], (p - 1) // 2)
+            idem = [(s + x) * ((p + 1) // 2) % p for s, x in zip(red.mul(t, t), t)]
+            if any(idem) and idem != e:
+                break
+        lines.append(f"SPLIT{{z={z}, idempotent={idem}}}")
+        pending += [[(u - x) % p for u, x in zip(e, idem)], idem]
+    return lines
 
 
 def frobenius_lift(p: int, table, x) -> list:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from valext import (
     FpAlgebra,
     NumberField,
+    Order,
     equation_order,
     extensions_of,
     nilradical,
@@ -19,12 +20,13 @@ from valext import (
 )
 from valext import fpalgebra as fpalgebra_module
 from valext import orders as orders_module
-from valext.fpalgebra import _reduce, lift_idempotent
+from valext.fpalgebra import _reduce, lift_idempotent, table_mul
 from valext.linalg import columns, fp_kernel, fp_matmul, fp_matvec, fp_rank, fp_solve, mult_matrix
 
 from conftest import (
     CORPUS,
     CORPUS_IDS,
+    berlekamp_kernel,
     checked_algebra,
     component_by_solve,
     field_for,
@@ -32,6 +34,7 @@ from conftest import (
     idempotents,
     is_unit,
     order_for,
+    split_lines_testing_every_piece,
 )
 from test_orders import round2_instances
 
@@ -717,3 +720,91 @@ def test_split_of_nonreduced_algebra_takes_two_kernels(monkeypatch):
     dec = split_reduced(poly_algebra(2, [0, 0, 1, 1]))
     assert len(dec.components) == 2
     assert len(kernels) == 2
+
+
+@pytest.mark.parametrize("coeffs,p", [((1, 0, 1), 5), ((1, 1, 0, 1), 2)], ids=["x2+1@5", "x3+x+1@2"])
+def test_unramified_extensions_of_takes_only_the_berlekamp_kernel(monkeypatch, coeffs, p):
+    """p does not divide disc f, so O/pO = F_p[x]/(f mod p) is reduced and
+    p_maximal_order keeps it with the empty nilradical: extensions_of takes
+    no Frobenius power (at x^3+x+1, dim 3 > p = 2 would square F once) and
+    one kernel, the Berlekamp one, ker(F - I)."""
+    kernels, squares = [], []
+    monkeypatch.setattr(fpalgebra_module, "fp_kernel",
+                        lambda m, q: kernels.append(m) or fp_kernel(m, q))
+    monkeypatch.setattr(fpalgebra_module, "fp_matmul",
+                        lambda a, b, q: (a is b and squares.append(a)) or fp_matmul(a, b, q))
+    exts = extensions_of(NumberField(list(coeffs)), p)
+    monkeypatch.undo()
+    alg = quotient_mod_p(exts[0].order, p)
+    frob_minus_one = [[(x - (i == j)) % p for j, x in enumerate(row)]
+                      for i, row in enumerate(alg.frobenius())]
+    assert squares == [] and kernels == [frob_minus_one]
+
+
+def test_round2_builds_each_quotient_once(monkeypatch):
+    """x^12+x^6+4 at 2 takes Round-2 steps: each order's O/pO is built once
+    (one mult_table_mod_p per order) and its nilradical computed once, in
+    Round 2; extensions_of reads both from the last order, so the number of
+    nilradicals computed is the number of Round-2 orders."""
+    tables, computed, radicals = [], [], []
+    table_of, p_radical = Order.mult_table_mod_p, orders_module.p_radical
+
+    def counted(a):
+        if a._nilradical is None:
+            computed.append(a)
+        return nilradical(a)
+
+    monkeypatch.setattr(Order, "mult_table_mod_p", lambda o, q: tables.append(o) or table_of(o, q))
+    monkeypatch.setattr(orders_module, "p_radical", lambda o, q: radicals.append(o) or p_radical(o, q))
+    monkeypatch.setattr(fpalgebra_module, "nilradical", counted)
+    monkeypatch.setattr(orders_module, "nilradical", counted)
+    exts = extensions_of(NumberField([4] + [0] * 5 + [1] + [0] * 5 + [1]), 2)
+    monkeypatch.undo()
+    assert sorted((w.e, w.f) for w in exts) == [(2, 1), (2, 2), (6, 1)]
+    assert len({id(o) for o in radicals}) == len(radicals) >= 2
+    assert [id(o) for o in tables] == [id(o) for o in radicals]
+    assert exts[0].order is radicals[-1]
+    assert len({id(a) for a in computed}) == len(computed) == len(radicals)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    split_moduli().map(lambda case: poly_algebra(*case[:2])),
+    nonreduced_moduli().map(lambda case: poly_algebra(*case)),
+    round2_instances().map(
+        lambda inst: quotient_mod_p(p_maximal_order(NumberField(inst[0]), inst[1]), inst[1]))))
+def test_counted_split_matches_testing_every_piece(alg):
+    """split_reduced stops field-testing once its pieces number
+    k = dim ker(F - I), F the reduction's Frobenius matrix: it finds k
+    components, each a field, whose algebra has a one-dimensional
+    Berlekamp kernel, and emits the SPLIT lines of the search that tests
+    every piece."""
+    red, _ = _reduce(alg)
+    with recording() as lines:
+        comps = split_reduced(alg).components
+    assert len(comps) == len(berlekamp_kernel(red))
+    assert all(len(berlekamp_kernel(c.algebra)) == 1 for c in comps)
+    assert [ln for ln in lines if ln.startswith("SPLIT")] == split_lines_testing_every_piece(alg)
+
+
+@pytest.mark.parametrize("mod", [5, 5**4])
+def test_lift_of_an_exact_idempotent_costs_one_product(monkeypatch, mod):
+    """Where x^2 = x already, the first Newton step 3x^2 - 2x^3 is x: the
+    lift emits its one LIFT line and returns x after the one squaring that
+    shows it, with no step product and no squarings of x^2 - x = 0. The
+    idempotents of Z[i] at 5 lie over those of O/5O, (3, 1) and (3, 4),
+    which are exact modulo 5 only; 1 and 0 are exact at every modulus."""
+    table = order_for((1, 0, 1), 5).table
+    products = []
+    monkeypatch.setattr(fpalgebra_module, "table_mul",
+                        lambda *args: products.append(1) or table_mul(*args))
+    exact = [[1, 0], [0, 0]] + ([[3, 1], [3, 4]] if mod == 5 else [])
+    for x in exact:
+        products.clear()
+        with recording() as lines:
+            assert lift_idempotent(table, x[:], mod) == x
+        assert lines == ["LIFT{iteration=1}"] and len(products) == 1
+    if mod > 5:  # (3, 1) is not exact here, and its lift takes a step
+        products.clear()
+        lift_idempotent(table, [3, 1], mod)
+        assert len(products) > 1

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from valext import NumberField, extensions_of, discriminant, equation_order, p_maximal_order, p_radical, ring_of_multipliers
-from valext import nilradical, quotient_mod_p, split_reduced
+from valext import FpAlgebra, nilradical, quotient_mod_p, split_reduced
 from valext import orders
 from valext.errors import NotIrreducible
 from valext.linalg import columns, fp_identity, fp_kernel, lattice_canonical, mult_matrix, pval
@@ -661,3 +661,39 @@ def test_round2_steps_after_the_start(monkeypatch, f, p, steps):
     fld = NumberField(f)
     assert p_maximal_order(fld, p) == plain_round2(fld, p)[0]
     assert len(calls) == steps
+
+
+@st.composite
+def monic_instances(draw):
+    """(f, p): f monic of degree 2..8 with small integer coefficients and
+    nonzero discriminant, irreducible or not, and p in {2, 3, 5, 7}."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 8))
+    f = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)) + [1]
+    assume(discriminant(NumberField(f)) != 0)
+    return f, p
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(round2_instances(), monic_instances()))
+@example(([-2, 0, 0, 1], 2))  # totally ramified, e = 3 > p
+@example(([8, -2, 1, 1], 2))  # p divides the index
+@example(([4, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1], 2))  # Round-2 steps, e = 2, 2 and 6
+def test_kept_nilradical_matches_a_fresh_one(instance):
+    """p_maximal_order keeps O/pO on the order it returns, with its
+    nilradical: computed in Round 2's last step, or recorded as empty
+    where p does not divide disc f. Either must equal the nilradical of a
+    fresh algebra on the same table, and be empty where v_p(disc f) = 0,
+    as Dedekind-Kummer says; quotient_mod_p returns the kept algebra."""
+    f, p = instance
+    fld = NumberField(f)
+    order = p_maximal_order(fld, p)
+    kept = quotient_mod_p(order, p)
+    assert quotient_mod_p(order, p) is kept
+    unramified = pval(discriminant(fld), p) == 0
+    if unramified:
+        assert kept._nilradical == []  # recorded before any nilradical call
+    fresh = FpAlgebra(p, order.mult_table_mod_p(p), order.coords_mod_p(fld.one(), p))
+    assert nilradical(kept) == nilradical(fresh)
+    if unramified:
+        assert nilradical(fresh) == []
