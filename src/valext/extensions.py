@@ -5,7 +5,7 @@ which reduces O/pO, splits the reduction into fields and lifts the
 idempotents by Newton iteration, and reads off one extension per field
 component. decide_position classifies an element against one extension's
 valuation ring by reverse induction on its minimal polynomial relation
-(the walk); residue is read off its witness.
+(the walk); residue is read off its witness by one solve through kappa.
 
 Values use the prime P directly: for x in O, e*w(x) is how often x can be
 multiplied by beta/p, for an anti-uniformizer beta of P, and stay in O
@@ -29,9 +29,11 @@ from .events import emit
 from .fpalgebra import Component, quotient_mod_p, split_reduced
 from .linalg import (
     VecFp,
-    fp_matvec,
     fp_kernel,
+    fp_matmul,
+    fp_matvec,
     fp_rank,
+    fp_solve,
     mult_matrix,
     pval,
 )
@@ -66,11 +68,10 @@ class ExtensionValuation:
     Values of nonzero elements lie in (1/e)Z. component is w's field
     component of O/pO in order coordinates: its projection maps onto the
     residue field, and its idempotent is 1 at w's prime and 0 at every
-    other prime over p. Built on first use and kept: the residue field's
-    table (component.algebra), the prime P as an F_p kernel and as a
-    lattice (prime_lattice), and the matrix of the anti-uniformizer beta
-    that values are counted with and approx_element steps by. Instances
-    compare by identity.
+    other prime over p. Built on first use and kept: the prime P as an F_p
+    kernel and as a lattice (prime_lattice), and the matrix of the
+    anti-uniformizer beta that values are counted with and approx_element
+    steps by. Instances compare by identity.
     """
 
     index: int
@@ -273,14 +274,21 @@ def _count(w: ExtensionValuation, x: NFElem) -> int:
 
 
 def residue(w: ExtensionValuation, x: NFElem) -> VecFp:
-    """Image of x in the residue field; requires w(x) >= 0."""
+    """Image of x in the residue field; requires w(x) >= 0.
+
+    The walk's witness is x = u/s with kappa(s) != 0, and kappa, the
+    projection pi after reduction mod p, is a ring map: so pi(y) for any y
+    with pi(s y) = kappa(u) is kappa(u)/kappa(s); AssertionError if none.
+    """
     if x.is_zero:
         return [0] * w.f
     pos = decide_position(x, w)
     if pos.kind is PositionKind.OUTSIDE:
         raise NegativeValue("element has negative value at this extension")
     u, s = pos.witness
-    ru = w.residue_of_integral(u)
-    rs = w.residue_of_integral(s)
-    alg = w.component.algebra
-    return alg.mul(ru, alg.inverse(rs))
+    p, proj = w.p, w.component.projection
+    times_s = quotient_mod_p(w.order, p).mult_matrix(w.order.coords_mod_p(s, p))
+    y = fp_solve(fp_matmul(proj, times_s, p), w.residue_of_integral(u), p)
+    if y is None:
+        raise AssertionError("kappa(u) is not a multiple of kappa(s)")
+    return fp_matvec(proj, y, p)

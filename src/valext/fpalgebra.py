@@ -15,18 +15,18 @@ is a field. Frobenius x -> x^p is F_p-linear, and each algebra builds its
 matrix once (FpAlgebra.frobenius): the nilradical and the Berlekamp kernel
 read it, and the reduction is handed the induced matrix, since x^p maps
 every ideal into itself. Components come in a canonical order, sorted by
-their reduced projections; a component's own multiplication table is built
-only when first read. Idempotents are lifted through the nilradical, and on
-to O/p^K O, by one Newton iteration over an integer structure table
-(lift_idempotent); an exact idempotent costs one product.
+their reduced projections. A component is only its idempotent and its
+projection, a ring map onto its field; no field gets a table of its own, so
+each order and p build one FpAlgebra and its reduction. Idempotents are
+lifted through the nilradical, and on to O/p^K O, by one Newton iteration
+over an integer structure table (lift_idempotent); an exact idempotent
+costs one product.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .events import emit
 from .linalg import (
@@ -125,12 +125,6 @@ class FpAlgebra:
         """Matrix of multiplication by x; column j is x * b_j."""
         return mult_matrix(self.table, x, self.p)
 
-    def inverse(self, x: VecFp) -> VecFp:
-        inv = fp_solve(self.mult_matrix(x), self.unit, self.p)
-        if inv is None:
-            raise ValueError("element is not invertible")
-        return inv
-
     def __repr__(self):
         return f"FpAlgebra(p={self.p}, dim={self.dim})"
 
@@ -139,20 +133,14 @@ class FpAlgebra:
 class Component:
     """One field factor of an algebra's reduction, lifted to the algebra.
 
-    idempotent is the factor's idempotent in the input algebra, projection
-    maps the input algebra's coordinates onto the field of degree dim, and
-    build_algebra gives that field's table in the same basis, `algebra`,
-    on its first read: AssertionError then if a product leaves the factor.
+    idempotent is the factor's idempotent in the input algebra, and
+    projection is the ring map from the input algebra onto the field, of
+    degree dim, in coordinates where the field's unit is [1, 0, ...].
     """
 
     idempotent: VecFp
     projection: MatFp
     dim: int
-    build_algebra: Callable[[], FpAlgebra]
-
-    @cached_property
-    def algebra(self) -> FpAlgebra:
-        return self.build_algebra()
 
 
 @dataclass
@@ -290,40 +278,27 @@ def _make_component(a: FpAlgebra, unit: VecFp) -> Component:
     # pivots) times the inverse of the chosen basis's: that basis is the unit
     # and the echelon rows but the last row k where the unit's u_k != 0, so
     # row 0 of the product is s E[k], s = 1/u_k, and row j is E[j] - u_j s E[k].
+    # The greedy rank loop must pick that same basis, or AssertionError.
     p = a.p
     products = columns(a.mult_matrix(unit))
     rows, pivots = fp_rref(products, p)
     d = len(pivots)
-    chosen = [unit[:]]
+    chosen = [unit]
     for row in rows[:d]:
         if len(chosen) == d:
             break
         if fp_rank(chosen + [row], p) > len(chosen):
-            chosen.append(row[:])
-    if len(chosen) != d:
-        raise AssertionError("failed to complete the component basis")
+            chosen.append(row)
     u = [unit[pc] for pc in pivots]
     k = max(j for j, x in enumerate(u) if x)
+    if chosen != [unit] + [row for j, row in enumerate(rows[:d]) if j != k]:
+        raise AssertionError("the component basis is not the unit and the echelon rows but row k")
     s = pow(u[k], -1, p)
-
-    def coords(vs: list[VecFp]) -> MatFp:
-        ech = [[v[pc] for pc in pivots] for v in vs]
-        if fp_matmul(ech, rows[:d], p) != vs:
-            raise AssertionError("vector not in the factor span")
-        ech = columns(ech)
-        first = [s * x % p for x in ech[k]]
-        return [first] + [[(x - u[j] * y) % p for x, y in zip(ech[j], first)]
-                          for j in range(d) if j != k]
-
-    def algebra() -> FpAlgebra:
-        # the table is symmetric, so each product is formed once
-        pairs = [(i, j) for i in range(d) for j in range(i, d)]
-        *prods, one = columns(coords([a.mul(chosen[i], chosen[j]) for i, j in pairs] + [unit]))
-        entry = dict(zip(pairs, prods))
-        table = [[entry[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
-        return FpAlgebra(p, table, one)
-
-    return Component(unit[:], coords(products), d, algebra)
+    ech = columns([[v[pc] for pc in pivots] for v in products])
+    first = [s * x % p for x in ech[k]]
+    projection = [first] + [[(x - u[j] * y) % p for x, y in zip(ech[j], first)]
+                            for j in range(d) if j != k]
+    return Component(unit[:], projection, d)
 
 
 def lift_idempotent(table: list[list[list[int]]], x: list[int], mod: int) -> list[int]:

@@ -24,6 +24,7 @@ from valext.linalg import (
     columns,
     fp_identity,
     fp_kernel,
+    fp_matvec,
     fp_rank,
     fp_rref,
     fp_solve,
@@ -136,8 +137,8 @@ def paper_approx_element(exts, target: int, gamma: Fraction):
     fld = w1.field
     g = next(g for g in map(fld.element, prime_basis(w1)) if value(w1, g) == Fraction(1, w1.e))
     x0 = power(g, int(w1.e * gamma))
-    unit = [list(w.component.algebra.unit) for w in exts]
-    zero = [w.component.algebra.zero() for w in exts]
+    unit = [[1] + [0] * (w.f - 1) for w in exts]
+    zero = [[0] * w.f for w in exts]
     at_gamma = [w is not w1 and value(w, x0) >= gamma for w in exts]
     a = weak_approx(exts, [zero[i] if hit else unit[i] for i, hit in enumerate(at_gamma)])
     b = weak_approx(exts, [zero[i] if w is w1 else unit[i] for i, w in enumerate(exts)])
@@ -340,6 +341,17 @@ def is_unit(alg, x) -> bool:
 def idempotents(dec) -> list:
     """The component idempotents of a Decomposition, in component order."""
     return [c.idempotent for c in dec.components]
+
+
+def residue_field(component, algebra) -> FpAlgebra:
+    """The field of a split_reduced component of algebra, in the
+    coordinates of its projection pi, built from pi alone: pi is a ring map
+    onto the field, so with y_i = fp_solve(pi, e_i) a preimage of each basis
+    vector, the table is table[i][j] = pi(y_i y_j) and the unit is pi(1)."""
+    p, proj = algebra.p, component.projection
+    pre = [fp_solve(proj, e, p) for e in fp_identity(component.dim)]
+    table = [[fp_matvec(proj, algebra.mul(y, z), p) for z in pre] for y in pre]
+    return FpAlgebra(p, table, fp_matvec(proj, algebra.unit, p))
 
 
 def component_by_solve(alg, idempotent) -> tuple:

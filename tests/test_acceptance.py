@@ -35,6 +35,7 @@ from conftest import (
     pval,
     random_element,
     random_order_element,
+    residue_field,
 )
 
 EXPECTED_SPLITTINGS = {
@@ -91,7 +92,7 @@ def test_criterion_4_decomposition_invariants():
         if total != alg.unit:
             failures += 1
         for comp in dec.components:
-            kappa = comp.algebra
+            kappa = residue_field(comp, alg)
             if comp.dim <= 2 and p <= 7:
                 for v in itertools.product(range(p), repeat=comp.dim):
                     if any(v) and not is_unit(kappa, list(v)):

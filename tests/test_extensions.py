@@ -16,6 +16,7 @@ from valext import (
     decide_position,
     equation_order,
     extensions_of,
+    quotient_mod_p,
     recording,
     residue,
     value,
@@ -24,7 +25,7 @@ from valext import (
 from valext.cli import main
 from valext.errors import NegativeValue
 from valext.extensions import ExtensionValuation
-from valext.fpalgebra import Component
+from valext.linalg import fp_solve
 
 from conftest import (
     CORPUS,
@@ -39,6 +40,7 @@ from conftest import (
     pval,
     random_element,
     random_order_element,
+    residue_field,
 )
 from test_orders import round2_instances, shifted_scaling
 
@@ -306,40 +308,20 @@ def test_anti_uniformizer_by_the_walk(instance, seed):
             assert all(value_by_count(w, x) == count_with_kernel_beta(w, x) for x in elements)
 
 
-def test_residue_tables_and_prime_lattices_wait_for_their_reader(monkeypatch):
-    """extensions_of builds no residue table and no prime lattice, and
-    to_descriptor, which prints f and the lattice, builds the lattice but no
-    table. residue of 0 builds nothing; the first residue of a nonzero
-    element builds the table, and later ones reuse it. Through the CLI,
-    value, approx and verify build neither, and extensions builds no
-    table."""
+def test_prime_lattices_wait_for_their_reader(monkeypatch):
+    """extensions_of builds no prime lattice, and to_descriptor, which
+    prints f and the lattice, builds it. Through the CLI, value, approx and
+    verify do not build it."""
     for coeffs, p in CORPUS:
-        fld = field_for(coeffs)
-        for w in extensions_of(fld, p):
-            assert "algebra" not in vars(w.component) and "prime_lattice" not in vars(w)
+        for w in extensions_of(field_for(coeffs), p):
+            assert "prime_lattice" not in vars(w)
             assert w.to_descriptor()["residue_field_dim"] == w.f
-            assert "algebra" not in vars(w.component) and "prime_lattice" in vars(w)
-            builds = []
-            build = w.component.build_algebra
+            assert "prime_lattice" in vars(w)
 
-            def counted():
-                builds.append(w.index)
-                return build()
+    def refused(self):
+        raise AssertionError("prime lattice built")
 
-            w.component.build_algebra = counted
-            assert residue(w, fld.zero()) == [0] * w.f and not builds
-            one = [1] + [0] * (w.f - 1)
-            assert residue(w, fld.one()) == residue(w, fld.from_rational(1 + p)) == one
-            assert builds == [w.index] and "algebra" in vars(w.component)
-
-    def refused(what):
-        def read(self):
-            raise AssertionError(f"{what} built")
-        return property(read)
-
-    monkeypatch.setattr(Component, "algebra", refused("residue table"))
-    assert main(["extensions", "--prime", "2", "--poly", "x^3+x^2-2*x+8"]) == 0
-    monkeypatch.setattr(ExtensionValuation, "prime_lattice", refused("prime lattice"))
+    monkeypatch.setattr(ExtensionValuation, "prime_lattice", property(refused))
     for argv in (["value", "--elem", "a^2+1"], ["approx", "--extension", "1", "--gamma", "1"],
                  ["verify", "--trials", "2"]):
         assert main([*argv, "--prime", "2", "--poly", "x^3+x^2-2*x+8"]) == 0
@@ -535,8 +517,9 @@ def test_residue_examples():
     fld = field_for((1, 0, 1))
     exts = extensions_for((1, 0, 1), 5)
     for w in exts:
-        assert residue(w, fld.one()) == w.component.algebra.unit
-        assert residue(w, fld.from_rational(5)) == w.component.algebra.zero()
+        field = residue_field(w.component, quotient_mod_p(w.order, 5))
+        assert residue(w, fld.one()) == field.unit
+        assert residue(w, fld.from_rational(5)) == field.zero()
     gens = sorted(tuple(residue(w, fld.from_poly([0, 1]))) for w in exts)
     assert gens == [(2,), (3,)]  # the two roots of x^2+1 mod 5
 
@@ -550,20 +533,36 @@ def test_residue_negative_value_rejected():
 
 
 def test_residue_is_ring_hom_on_valuation_ring():
+    """residue is additive and multiplicative on the valuation ring, and
+    equals kappa(u) kappa(s)^-1 for the walk's witness x = u/s, with the
+    product and inverse taken in the field built from the projection. Beside
+    the corpus, x^12+x^6+4 at 2, with (e, f) = (2, 2), (2, 1) and (6, 1),
+    composes each projection with the reduction of a non-reduced O/pO, and
+    x^4+1 at 3 has two fields with f = 2. Elements are quotients of order
+    elements as well as random ones, most of which have negative values."""
     rng = random.Random(16)
-    for coeffs, p in CORPUS[:3]:
+    for coeffs, p in CORPUS + [((4, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1), 2), ((1, 0, 0, 0, 1), 3)]:
         fld = field_for(coeffs)
         for w in extensions_for(coeffs, p):
-            alg = w.component.algebra
+            field = residue_field(w.component, quotient_mod_p(w.order, p))
+
+            def draw():
+                if rng.random() < 0.25:
+                    return random_element(rng, fld, p)
+                a, b = random_order_element(rng, w.order, p), random_order_element(rng, w.order, p)
+                return a if b.is_zero else a * inverse(b)
+
             for _ in range(10):
-                x = random_element(rng, fld, p)
-                y = random_element(rng, fld, p)
-                if value(w, x) < 0 or value(w, y) < 0:
+                x, y = draw(), draw()
+                if x.is_zero or y.is_zero or value(w, x) < 0 or value(w, y) < 0:
                     continue
                 rx, ry = residue(w, x), residue(w, y)
-                assert alg.mul(rx, ry) == residue(w, x * y)
+                assert field.mul(rx, ry) == residue(w, x * y)
                 rsum = [(a + b) % p for a, b in zip(rx, ry)]
                 assert rsum == residue(w, x + y)
+                u, s = decide_position(x, w).witness
+                inverse_ks = fp_solve(field.mult_matrix(w.residue_of_integral(s)), field.unit, p)
+                assert rx == field.mul(w.residue_of_integral(u), inverse_ks)
 
 
 def test_trace_case_lines():

@@ -34,6 +34,7 @@ from conftest import (
     idempotents,
     is_unit,
     order_for,
+    residue_field,
     split_lines_testing_every_piece,
 )
 from test_orders import round2_instances
@@ -120,9 +121,10 @@ BEYOND_CORPUS = [
 def test_pipeline_tables_pass_full_validation(monkeypatch):
     """FpAlgebra takes its table as given, so this is the check on every
     algebra the pipeline builds: O/pO at each Round-2 step and at the
-    final order, its reduction modulo the nilradical where it is not
-    reduced, and each residue field's table, read here. Every one must
-    pass checked_algebra with its table and unit unchanged."""
+    final order, and its reduction modulo the nilradical where it is not
+    reduced. Every one must pass checked_algebra with its table and unit
+    unchanged, and so must each residue field built from its projection,
+    which holds only if the projection is a ring map."""
     made, reductions, fields = [], [], []
     init = FpAlgebra.__init__
 
@@ -139,12 +141,12 @@ def test_pipeline_tables_pass_full_validation(monkeypatch):
     monkeypatch.setattr(FpAlgebra, "__init__", record)
     monkeypatch.setattr(fpalgebra_module, "_reduce", reduce)
     for coeffs, p in CORPUS + BEYOND_CORPUS:
-        fields += [w.component.algebra for w in extensions_of(NumberField(list(coeffs)), p)]
+        exts = extensions_of(NumberField(list(coeffs)), p)
+        fields += [(w.component, quotient_mod_p(w.order, p)) for w in exts]
     monkeypatch.undo()
-    derived = {id(alg) for alg in reductions + fields}
-    assert derived <= {id(alg) for alg in made}
-    assert reductions and len(made) - len(derived) > len(CORPUS + BEYOND_CORPUS)  # O/pO
-    for alg in made:
+    assert {id(alg) for alg in reductions} <= {id(alg) for alg in made}
+    assert reductions and len(made) - len(reductions) > len(CORPUS + BEYOND_CORPUS)  # O/pO
+    for alg in made + [residue_field(*field) for field in fields]:
         rebuilt = checked_algebra(alg.p, alg.table, alg.unit)
         assert (rebuilt.table, rebuilt.unit) == (alg.table, alg.unit)
 
@@ -195,27 +197,9 @@ def test_quotient_by_radical_of_double_root():
     """F_2[t]/((t+1)^2) modulo its radical is F_2: one component, whose
     idempotent is the unit, and t maps to the same class as 1."""
     [comp] = split_reduced(F2_T2P1).components
-    assert comp.dim == 1 and comp.algebra.unit == [1]
+    assert comp.dim == 1 and residue_field(comp, F2_T2P1).unit == [1]
     assert comp.idempotent == F2_T2P1.unit
     assert fp_matvec(comp.projection, [0, 1], 2) == fp_matvec(comp.projection, [1, 0], 2) == [1]
-
-
-def test_component_table_checks_its_span_when_built(monkeypatch):
-    """The span check runs where a component's table is built. Split
-    F_5[t]/(t^2 - t) = F_5 x F_5, which builds no table, then make t^2 = 1
-    in its table: the component at t, whose product t*t now leaves t*A,
-    refuses to build its table, and the one at 1 - t, whose product
-    (1 - t)^2 = 2(1 - t) stays in its span, builds it."""
-    alg = poly_algebra(5, [0, 4, 1])
-    comps = {tuple(c.idempotent): c for c in split_reduced(alg).components}
-    assert sorted(comps) == [(0, 1), (1, 4)]
-    assert not any("algebra" in vars(c) for c in comps.values())
-    corrupted = [row[:] for row in alg.table]
-    corrupted[1][1] = [1, 0]
-    monkeypatch.setattr(alg, "table", corrupted)
-    with pytest.raises(AssertionError, match="vector not in the factor span"):
-        comps[0, 1].algebra
-    assert comps[1, 4].algebra.table == [[[2]]]
 
 
 def test_is_unit():
@@ -362,7 +346,7 @@ def test_decomposition_invariants():
             for v in itertools.product(range(alg.p), repeat=comp.dim):
                 if not any(v):
                     continue
-                assert is_unit(comp.algebra, list(v))
+                assert is_unit(residue_field(comp, alg), list(v))
 
 
 def test_component_projections_are_algebra_maps():
@@ -372,14 +356,14 @@ def test_component_projections_are_algebra_maps():
     for alg in (F5_T2P1, poly_algebra(3, [0, 0, 1, 1])):
         p = alg.p
         for comp in split_reduced(alg).components:
-            proj = comp.projection
+            proj, field = comp.projection, residue_field(comp, alg)
             for x in itertools.product(range(p), repeat=alg.dim):
                 for y in itertools.product(range(p), repeat=alg.dim):
                     px = fp_matvec(proj, list(x), p)
                     py = fp_matvec(proj, list(y), p)
                     pxy = fp_matvec(proj, alg.mul(list(x), list(y)), p)
-                    assert comp.algebra.mul(px, py) == pxy
-            assert fp_matvec(proj, alg.unit, p) == comp.algebra.unit
+                    assert field.mul(px, py) == pxy
+            assert fp_matvec(proj, alg.unit, p) == field.unit == [1] + [0] * (comp.dim - 1)
 
 
 def test_lift_idempotents_example():
@@ -468,7 +452,7 @@ def test_reduced_quotient_has_no_nilpotents(coeffs, p):
     assert fp_rank(stacked, p) == len(stacked) == alg.dim - len(nil)
     assert all(not any(fp_matvec(stacked, v, p)) for v in nil)
     for comp in comps:
-        red = comp.algebra
+        red = residue_field(comp, alg)
         assert nilradical(red) == []
         # exhaustive for small cases
         if red.p ** red.dim <= 700:
@@ -587,7 +571,8 @@ def test_frobenius_matrix_and_components_of_round2_orders(instance):
     assert red.frobenius() == _pow_columns(red)
     for comp in split_reduced(alg).components:
         table, unit, red_proj = component_by_solve(red, fp_matvec(proj, comp.idempotent, p))
-        assert (comp.algebra.table, comp.algebra.unit) == (table, unit)
+        field = residue_field(comp, alg)
+        assert (field.table, field.unit) == (table, unit)
         assert comp.projection == fp_matmul(red_proj, proj, p)
 
 
@@ -618,7 +603,8 @@ def test_components_match_solve_oracle(case):
     alg = poly_algebra(p, g)
     for comp in split_reduced(alg).components:
         oracle = component_by_solve(alg, comp.idempotent)
-        assert (comp.algebra.table, comp.algebra.unit, comp.projection) == oracle
+        field = residue_field(comp, alg)
+        assert (field.table, field.unit, comp.projection) == oracle
 
 
 @st.composite
@@ -667,9 +653,10 @@ def test_split_reduced_of_nonreduced_algebra_splits_its_reduction(case):
     total = alg.zero()
     for i, comp in enumerate(comps):
         assert alg.mul(comp.idempotent, comp.idempotent) == comp.idempotent
+        field = residue_field(comp, alg)
         for j, other in enumerate(comps):
             image = fp_matvec(comp.projection, other.idempotent, p)
-            assert image == (comp.algebra.unit if i == j else comp.algebra.zero())
+            assert image == (field.unit if i == j else field.zero())
         total = [(x + y) % p for x, y in zip(total, comp.idempotent)]
     assert total == alg.unit
 
@@ -783,7 +770,7 @@ def test_counted_split_matches_testing_every_piece(alg):
     with recording() as lines:
         comps = split_reduced(alg).components
     assert len(comps) == len(berlekamp_kernel(red))
-    assert all(len(berlekamp_kernel(c.algebra)) == 1 for c in comps)
+    assert all(len(berlekamp_kernel(residue_field(c, alg))) == 1 for c in comps)
     assert [ln for ln in lines if ln.startswith("SPLIT")] == split_lines_testing_every_piece(alg)
 
 

@@ -30,6 +30,7 @@ from conftest import (
     over_den,
     poly_rem,
     prime_basis,
+    residue_field,
     scaled_to_integers,
 )
 
@@ -432,7 +433,7 @@ def test_nilradical_codimension_is_sum_of_residue_degrees(instance):
     nil = nilradical(alg)
     comps = split_reduced(alg).components
     assert sum(c.dim for c in comps) == fld.n - len(nil)
-    assert all(nilradical(c.algebra) == [] for c in comps)
+    assert all(nilradical(residue_field(c, alg)) == [] for c in comps)
     poly = sympy.Poly(f[::-1], sympy.Symbol("t"))
     if int(sympy.discriminant(poly)) % p**2:
         sum_f = sum(g.degree() for g, _ in sympy.Poly(poly, modulus=p).factor_list()[1])
