@@ -18,15 +18,13 @@ whose CASE steps the value command traces.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .errors import NegativeValue, NotIrreducible, ZeroElement
 from .events import emit
-from .fpalgebra import Component, quotient_mod_p, split_reduced
+from .fpalgebra import Component, nilradical, quotient_mod_p, split_reduced
 from .linalg import (
     VecFp,
     fp_kernel,
@@ -115,10 +113,10 @@ class ExtensionValuation:
 
     def times_beta_over_p(self, y: list[int], mod: int) -> list[int] | None:
         """Order coordinates of y*beta/p modulo mod/p, for y in O given by
-        its coordinates modulo mod, a power of p; None when y*beta is not in
-        pO, that is when y*beta/p leaves O."""
+        its coordinates modulo mod, a power of p, by fp_matvec modulo mod;
+        None when y*beta is not in pO, that is when y*beta/p leaves O."""
         p = self.p
-        z = [sum(map(mul, row, y)) % mod for row in self.anti_uniformizer_matrix]
+        z = fp_matvec(self.anti_uniformizer_matrix, y, mod)
         if any(c % p for c in z):
             return None
         return [c // p for c in z]
@@ -143,13 +141,14 @@ class ExtensionValuation:
 def extensions_of(field: NumberField, p: int) -> list[ExtensionValuation]:
     """All extensions of v_p to L, one per maximal ideal of the closure:
     one per component of split_reduced(O/pO), with f the component's
-    dimension and e*f that of its local factor: f, e = 1, if O/pO is reduced."""
+    dimension and e*f that of its local factor, f where nilradical(O/pO) = 0."""
     order = p_maximal_order(field, p)
     alg = quotient_mod_p(order, p)
     dec = split_reduced(alg)
+    reduced = not nilradical(alg)
     exts = []
     for i, comp in enumerate(dec.components):
-        local_dim = comp.dim if dec.reduced else fp_rank(alg.mult_matrix(comp.idempotent), p)
+        local_dim = comp.dim if reduced else fp_rank(alg.mult_matrix(comp.idempotent), p)
         if local_dim % comp.dim:
             raise AssertionError("local factor dimension not divisible by residue degree")
         exts.append(
@@ -245,26 +244,22 @@ def _count(w: ExtensionValuation, x: NFElem) -> int:
 
     v_P(beta/p) = -1 and beta/p is integral at every other prime over p, so
     for y in O, e*w(y) is the number of steps y <- y*beta/p that stay in O.
-    With c / d x's order coordinates in lowest terms and p^a the p-part of
-    d, y = x*p^a has coordinates in Z_(p) and e*w(x) is that count less
-    e*a. Every w_j(y) >= 0, so the product formula
+    With c / D x's order coordinates in lowest terms (Order.coords) and
+    a = v_p(D), y = c = x*D lies in O, and D / p^a is a p-adic unit, so
+    e*w(x) is that count less e*a. Every w_j(y) >= 0, so the product formula
     sum_j e_j f_j w_j(y) = v_p(N(y)) gives e*f*w(y) <= v_p(N(y)), and the
     count is at most floor((v_p(N(x)) + n*a) / f); passing that bound raises
     AssertionError. The first bound+1 steps depend only on y mod
-    p^(bound+1), so the coordinates are kept reduced modulo it, c times the
-    inverse of d's unit part, and each step loses one power of p.
+    p^(bound+1), so each step reduces modulo it, and loses a power of p.
     """
     norm = x.norm()
     if norm == 0:
         raise NotIrreducible("nonzero element has zero norm")
     p, e = w.p, w.e
-    c, d = w.order.coords(x)
-    g = math.gcd(d, *c)
-    a = pval(d // g, p)
+    y, d = w.order.coords(x)
+    a = pval(d, p)
     bound = (pval(norm, p) + x.field.n * a) // w.f
     mod = p ** (bound + 1)
-    u = pow(d // g // p**a, -1, mod)
-    y = [t // g * u % mod for t in c]
     for steps in range(bound + 1):
         y = w.times_beta_over_p(y, mod)
         if y is None:

@@ -145,10 +145,9 @@ class Component:
 
 @dataclass
 class Decomposition:
-    """An algebra's idempotents, one per field of its reduction, and whether it is reduced."""
+    """An algebra's components, one per field of its reduction."""
 
     components: list[Component]
-    reduced: bool
 
 
 def quotient_mod_p(order, p: int) -> FpAlgebra:
@@ -267,7 +266,7 @@ def split_reduced(a: FpAlgebra) -> Decomposition:
         total = [(s + x) % p for s, x in zip(total, c.idempotent)]
     if total != a.unit:
         raise AssertionError("lifted idempotents do not sum to 1")
-    return Decomposition(lifted, red is a)
+    return Decomposition(lifted)
 
 
 def _make_component(a: FpAlgebra, unit: VecFp) -> Component:

@@ -120,19 +120,21 @@ class Order:
         return lattice_canonical([self._combo(g) for g in gens], p)
 
     def coords(self, x: NFElem) -> tuple[list[int], int]:
-        """(c, D) with c / D the exact coordinates of x in the order basis,
-        solved in integers (det num^-1 is integral); not in lowest terms."""
-        det = math.prod(v[k] for k, v in enumerate(self.num))
-        return lattice_coords(self.num, [det * self.den * t for t in x.num]), det * x.den
+        """(c, D), D > 0, with c / D x's coordinates in the order basis in
+        lowest terms, solved in integers (det num^-1 is integral): x lies in
+        the order localized at p exactly when p does not divide D."""
+        det = abs(math.prod(v[k] for k, v in enumerate(self.num)))
+        c, d = lattice_coords(self.num, [det * self.den * t for t in x.num]), det * x.den
+        g = math.gcd(d, *c)
+        return [t // g for t in c], d // g
 
     def coords_mod_p(self, x: NFElem, p: int) -> list[int]:
-        """Image of an order element in O/pO, as F_p coordinates."""
-        c, den = self.coords(x)
-        q = p ** pval(den, p)
-        if any(t % q for t in c):
+        """Image of an order element in O/pO: c / D mod p; NotIrreducible if p | D."""
+        c, d = self.coords(x)
+        if d % p == 0:
             raise NotIrreducible("element expected in the order has p in a coordinate denominator")
-        u = pow(den // q, -1, p)
-        return [t // q * u % p for t in c]
+        u = pow(d, -1, p)
+        return [t * u % p for t in c]
 
     def mult_table_mod_p(self, p: int) -> list[list[list[int]]]:
         """Structure constants of O/pO over the order basis: the table mod p."""

@@ -12,8 +12,8 @@ def test_totally_ramified_cubic():
     fld = NumberField([-2, 0, 0, 1])  # x^3 - 2
     exts = extensions_of(fld, 3)
     assert [(w.e, w.f) for w in exts] == [(3, 1)]
-    # theta is a uniformizer-like element: 3 w(theta) = w(2) hmm w(theta)=?
-    # N(theta) = 2, a 3-unit, so w(theta) = 0; theta - 2 ramifies instead
+    # N(theta) = 2 is a 3-adic unit, so w(theta) = 0, and N(theta + 1) = 3,
+    # so w(theta + 1) = 1/3
     w = exts[0]
     assert value(w, fld.from_poly([0, 1])) == 0
     assert value(w, fld.from_rational(3)) == 1

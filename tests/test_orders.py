@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -30,6 +31,8 @@ from conftest import (
     over_den,
     poly_rem,
     prime_basis,
+    random_element,
+    random_order_element,
     residue_field,
     scaled_to_integers,
 )
@@ -396,6 +399,30 @@ def test_coords_mod_p_reduces_the_rational_coordinates(instance, data):
             o.coords_mod_p(x, p)
     else:
         assert o.coords_mod_p(x, p) == [q.numerator * pow(q.denominator, -1, p) % p for q in c]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(round2_instances(), st.integers(0, 2**32))
+def test_coords_are_in_lowest_terms(instance, seed):
+    """Order.coords gives (c, D) in lowest terms: D > 0, gcd(D, *c) = 1, and
+    Order.element(c) = D x, a round trip that does not go through coords.
+    coords_mod_p raises NotIrreducible exactly when p divides D, and is
+    c D^-1 mod p otherwise. Order elements have D prime to p; field elements
+    with p-power denominators mostly do not."""
+    f, p = instance
+    o = p_maximal_order(NumberField(f), p)
+    rng = random.Random(seed)
+    xs = [random_order_element(rng, o, p) for _ in range(3)]
+    for x in xs + [random_element(rng, o.field, p) for _ in range(3)]:
+        c, d = o.coords(x)
+        assert d > 0 and math.gcd(d, *c) == 1
+        assert o.element(c) == x * d
+        if d % p == 0:
+            with pytest.raises(NotIrreducible, match="p in a coordinate denominator"):
+                o.coords_mod_p(x, p)
+        else:
+            assert o.coords_mod_p(x, p) == [t * pow(d, -1, p) % p for t in c]
+    assert all(o.coords(x)[1] % p for x in xs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
