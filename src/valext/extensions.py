@@ -113,8 +113,8 @@ class ExtensionValuation:
 
     def times_beta_over_p(self, y: list[int], mod: int) -> list[int] | None:
         """Order coordinates of y*beta/p modulo mod/p, for y in O given by
-        its coordinates modulo mod, a power of p, by fp_matvec modulo mod;
-        None when y*beta is not in pO, that is when y*beta/p leaves O."""
+        integer coordinates, read modulo mod, a power of p, as fp_matvec
+        reduces; None when y*beta is not in pO, that is when y*beta/p leaves O."""
         p = self.p
         z = fp_matvec(self.anti_uniformizer_matrix, y, mod)
         if any(c % p for c in z):
