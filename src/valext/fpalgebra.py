@@ -154,10 +154,14 @@ def quotient_mod_p(order, p: int) -> FpAlgebra:
     """A = O/pO with basis the images of the order basis, built once per
     order and p and kept (Order.quotients): Round 2's last step and
     extensions_of share it. The table is the multiplication table of an
-    order basis, so it is commutative and associative by construction."""
+    order basis, so it is commutative and associative by construction.
+    Where p_maximal_order has recorded O/pO reduced (Order.reduced_at), its
+    nilradical is set empty as it is built."""
     if p not in order.quotients:
         unit = order.coords_mod_p(order.field.one(), p)
-        order.quotients[p] = FpAlgebra(p, order.mult_table_mod_p(p), unit)
+        a = order.quotients[p] = FpAlgebra(p, order.mult_table_mod_p(p), unit)
+        if p in order.reduced_at:
+            a._nilradical = []
     return order.quotients[p]
 
 
@@ -165,7 +169,7 @@ def nilradical(a: FpAlgebra) -> list[VecFp]:
     """A basis of the nilpotents, kept on a: the kernel of F^k, F the
     Frobenius matrix, for k >= m, where m >= 1 and p^m >= dim. That kernel
     is the same subspace for every such k, so F is squared until k reaches
-    m; p_maximal_order records it empty where O/pO is reduced. The
+    m; quotient_mod_p sets it empty where O/pO is known reduced. The
     nilpotents of a commutative ring form an ideal, so neither Round 2 nor
     split_reduced checks this basis for closure or for the unit."""
     if a._nilradical is None:

@@ -6,7 +6,9 @@ units throughout, so the discriminant never needs factoring. Order bases
 are the lower-triangular ones of lattice_canonical, so coordinates come by
 forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
 makes Z[theta] p-maximal, and where f(x + c) is Eisenstein; where f = x^n
-mod p, it starts from the order the Newton polygon of f gives (see
+mod p, it starts from the order the Newton polygon of f gives, and
+elsewhere Dedekind's criterion takes its first step from Z[theta], or
+finds Z[theta] p-maximal, by polynomial arithmetic mod p (see
 p_maximal_order).
 
 Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
@@ -15,9 +17,9 @@ canonical basis in integer O-coordinates; power bases are formed only for
 new orders and primes, in integers over the order's one denominator, and
 printed from them (ratio_str). Every order carries its integer structure
 constants, computed once, in one block solve or, for Z[theta], none. Round
-2 multiplies through them, and solves all generators' product matrices in
-the ideal as one integer block per step: no product of number-field
-elements is formed here.
+2 multiplies through them, and solves the product matrices of the ideal's
+pivot-1 generators in the ideal, beside p Id, as one integer block per
+step: no product of number-field elements is formed here.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     columns,
     fp_identity,
     fp_kernel,
+    fp_matvec,
     fp_rref,
     lattice_canonical,
     lattice_coords,
@@ -96,6 +99,7 @@ class Order:
         self.num = [[x // g for x in v] for v in num]
         self.table = _structure_constants(field, self.num, self.den)
         self.quotients: dict[int, FpAlgebra] = {}  # O/pO by p, as quotient_mod_p builds it
+        self.reduced_at: set[int] = set()  # primes p with O/pO known to be reduced
 
     def element(self, coords) -> NFElem:
         """The element with these int or Fraction order coordinates."""
@@ -187,37 +191,112 @@ def ring_of_multipliers(order: Order, ideal: list[list[int]], p: int) -> Order:
     integer O-coordinates as ideal_over gives it: a basis that is not lower
     triangular with nonzero diagonal, or not of ints, raises ValueError.
 
-    Computed via pO' = {w in O : w I <= p I}: each generator g of I gives an
-    F_p-linear map O/pO -> I/pI, and the intersection of their kernels is
-    pO'/pO, zero exactly when O' = O. The matrices of b_j -> b_j g, one
-    contraction with the table each, are solved in I side by side as one
-    integer block: a remainder means I is no ideal. The stacked maps are
-    folded into echelon form after generators 1, 2, 4, 8, ...; once they
-    have full rank, the kernel is zero and the later ones are only checked.
+    Computed via pO' = {w in O : w I <= p I}, which lies in I since p is in
+    I. For w in I the generators p e_k impose nothing (w p b_k is in pI), so
+    pO'/pO is cut out of I/pO by the r generators g with pivot 1, the lifts
+    of a basis of I/pO: K starts as their span, and each g takes
+    K <- K meet ker(w -> w g mod pI), the kernel of an n x dim K map; K is
+    zero exactly when O' = O. The matrices of b_j -> b_j g, one contraction
+    with the table each, are solved in I as one integer block beside p Id:
+    a remainder means pO or some O g leaves I, which together say O I <= I.
     """
     n = order.field.n
     if len(ideal) != n or any(type(x) is not int for g in ideal for x in g):
         raise ValueError("ideal generators must be n integer O-coordinate vectors")
     require_triangular(ideal)
-    block = [sum(parts, []) for parts in zip(*(mult_matrix(order.table, g) for g in ideal))]
+    gens = [g for k, g in enumerate(ideal) if g[k] == 1]
+    p_id = [[p * (i == j) for j in range(n)] for i in range(n)]
+    block = [sum(rows, []) for rows in zip(p_id, *(mult_matrix(order.table, g) for g in gens))]
     try:
         coords = lattice_solve(ideal, block)
     except ValueError:
-        raise NotIrreducible("ideal is not multiplicatively closed") from None
-    rows: list[list[int]] = []
-    for k in range(1, n + 1):
-        rows += [c[(k - 1) * n : k * n] for c in coords]
-        if k & (k - 1) == 0:
-            echelon, pivots = fp_rref(rows, p)
-            rows = echelon[: len(pivots)]
-            if len(pivots) == n:
-                break
-    kern = fp_kernel(rows, p)
+        raise NotIrreducible("ideal does not contain pO or is not multiplicatively closed") from None
+    kern = [[x % p for x in g] for g in gens]
+    for k in range(1, len(gens) + 1):
+        if not kern:
+            break
+        prod = [row[k * n : (k + 1) * n] for row in coords]
+        # n rows, never fewer, so fp_kernel of a zero map keeps all of K
+        cut = fp_kernel(columns([fp_matvec(prod, w, p) for w in kern]), p)
+        kern = [fp_matvec(columns(kern), c, p) for c in cut]
     if not kern:  # pO' = pO: O is its own ring of multipliers
         return order
     # O' = p^-1 ideal_over(kern), and canonical bases scale with powers of p
     bigger = order.lattice_nums(ideal_over(order, kern, p), p)
     return Order(order.field, bigger, order.den * p)
+
+
+def _trim(a: list[int]) -> list[int]:
+    """a with its trailing zeros dropped, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer polynomials, coefficient lists low first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r over F_p and deg r < deg b, r trimmed, for
+    polynomials with entries in [0, p) and b[-1] != 0."""
+    r, inv = a[:], pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + len(b) - 1] * inv % p
+        for i, x in enumerate(b):
+            r[k + i] = (r[k + i] - c * x) % p
+    return q, _trim(r[: len(b) - 1])
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p of a and b, not both zero."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _fp_radical(a: list[int], p: int) -> list[int]:
+    """The product of the distinct monic irreducible factors of a monic a
+    over F_p. Those of multiplicity prime to p divide a / gcd(a, a'), the
+    others divide gcd(a, a'), whose radical is taken in turn; where a' = 0,
+    a = b(x^p) = b(x)^p, as F_p is fixed by x -> x^p."""
+    if len(a) == 1:
+        return a
+    d = _trim([i * x % p for i, x in enumerate(a)][1:])
+    if not d:
+        return _fp_radical(a[::p], p)
+    w = _fp_gcd(a, d, p)
+    u, r = _fp_divmod(a, w, p)[0], _fp_radical(w, p)
+    return [x % p for x in _poly_mul(u, _fp_divmod(r, _fp_gcd(u, r, p), p)[0])]  # lcm(u, r)
+
+
+def _dedekind_start(field: NumberField, p: int) -> tuple[Order, bool]:
+    """Dedekind's criterion on Z[theta] (Cohen, GTM 138, Thm 6.1.4): the
+    first Round-2 step from Z[theta], with no radical or multiplier ring
+    formed, and whether Z[theta] is already p-maximal. With g the radical of
+    f mod p, h = f / g mod p, and g, h lifted, F = (f - g h) / p and
+    Z = gcd(F, g, h) mod p. Z[theta] is p-maximal where Z = 1; otherwise the
+    step gives Z[theta] + U(theta)/p Z[theta], U = f / Z mod p, which is
+    p^-1 times the lattice over pZ[theta] spanned by U x^k, k < deg Z."""
+    f = field._low + [1]
+    fbar = [x % p for x in f]
+    g = _fp_radical(fbar, p)
+    h = _fp_divmod(fbar, g, p)[0]
+    big_f = _trim([(x - y) // p % p for x, y in zip(f, _poly_mul(g, h))])
+    z = _fp_gcd(_fp_gcd(big_f, g, p), h, p)
+    eq = equation_order(field)
+    if len(z) == 1:
+        return eq, True
+    u = _fp_divmod(fbar, z, p)[0]
+    shifts = [[0] * k + u + [0] * (len(z) - 2 - k) for k in range(len(z) - 1)]
+    return Order(field, eq.lattice_nums(ideal_over(eq, shifts, p), p), p), False
 
 
 def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
@@ -231,11 +310,10 @@ def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
     g = [0] * (n + 1)
     for coef in reversed(a):  # Horner: g <- g (x + c) + coef, ending at f(x + c)
         g = [coef + c * g[0]] + [g[i - 1] + c * g[i] for i in range(1, n + 1)]
-    if any(x % p for x in g[:n]):
-        return equation_order(field), False
-    if g[0] % p**2:
+    if g[0] % p**2 and not any(x % p for x in g[:n]):
         return equation_order(field), True
-    # c != 0 leaves a_0 = (-c)^n != 0 mod p, so lambda = 0: Z[theta]
+    if c or any(x % p for x in g[:n]):  # f mod p is not x^n: the Newton start is Z[theta]
+        return _dedekind_start(field, p)
     lam = min(Fraction(pval(x, p), n - i) for i, x in enumerate(a[:n]) if x)
     top = math.floor((n - 1) * lam)
     return Order(field, [[p ** (top - math.floor(k * lam)) * (i == k) for i in range(n)]
@@ -246,8 +324,9 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     """Round 2: enlarge through multiplier rings of the p-radical until stable.
 
     Z[theta] is returned at once where v_p(disc f) <= 1, and where it is 0,
-    with O/pO = F_p[x]/(f mod p) kept with the empty nilradical
-    (Dedekind-Kummer). Otherwise f mod p decides the start. With n = p^k m,
+    p is recorded in Order.reduced_at: O/pO = F_p[x]/(f mod p) is reduced
+    (Dedekind-Kummer), and gets the empty nilradical when quotient_mod_p
+    builds it. Otherwise f mod p decides the start. With n = p^k m,
     p not dividing m, f = (x - c)^n = (x^(p^k) - c)^m mod p needs c =
     -a_(n-p^k) / m mod p, and g(x) = f(x + c) tests it: p must divide every
     g_i, i < n. If it does and p^2 does not divide g_0, g is Eisenstein, so
@@ -258,8 +337,11 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     v_p(r_mk) >= (m - k) lambda. A product of theta^i / p^floor(i lambda)
     and theta^j / p^floor(j lambda) then has valuation >= -k lambda, hence
     >= -floor(k lambda), at theta^k: these span an order, and Round 2 starts
-    from it. Otherwise it starts from Z[theta]. Every start lies in the
-    unique p-maximal order, so the answer is the same from each.
+    from it. Otherwise Dedekind's criterion (_dedekind_start) either finds
+    Z[theta] p-maximal, with no Round-2 step, or gives the order Round 2's
+    first step from Z[theta] would, and Round 2 goes on from there. Every
+    start lies in the unique p-maximal order, so the answer is the same
+    from each.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -270,7 +352,7 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     if v <= 1:  # [O : Z[theta]]^2 divides disc(f), so Z[theta] is p-maximal
         order = equation_order(field)
         if v == 0:  # f mod p is squarefree: O/pO = F_p[x]/(f mod p) is reduced
-            quotient_mod_p(order, p)._nilradical = []
+            order.reduced_at.add(p)
         return order
     order, maximal = _round2_start(field, p)
     if maximal:

@@ -29,6 +29,7 @@ from valext.linalg import (
     fp_rref,
     fp_solve,
     fp_vec,
+    lattice_solve,
     mult_matrix,
 )
 
@@ -175,6 +176,16 @@ def reference_mul(f, g, h) -> list:
             prod[i + j] += Fraction(a) * Fraction(b)
     rem = poly_rem(prod, f)
     return rem + [Fraction(0)] * (len(f) - 1 - len(rem))
+
+
+def multiplier_kernel(order, ideal, p: int) -> list:
+    """pO'/pO for O' the ring of multipliers of the ideal I, as a basis of
+    F_p vectors in O-coordinates: the kernel of the stacked maps
+    O/pO -> I/pI, w -> w g, over all n generators g of I, with each product
+    matrix solved in I by itself. A reference for ring_of_multipliers, which
+    cuts the kernel down inside I/pO by the pivot-1 generators alone."""
+    stacked = [row for g in ideal for row in lattice_solve(ideal, mult_matrix(order.table, g))]
+    return fp_kernel(stacked, p)
 
 
 def count_with_kernel_beta(w, x):

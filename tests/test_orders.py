@@ -13,7 +13,7 @@ from valext import NumberField, extensions_of, discriminant, equation_order, p_m
 from valext import FpAlgebra, nilradical, quotient_mod_p, split_reduced
 from valext import orders
 from valext.errors import NotIrreducible
-from valext.linalg import columns, fp_identity, fp_kernel, lattice_canonical, mult_matrix, pval
+from valext.linalg import columns, fp_identity, lattice_canonical, mult_matrix, pval
 from valext.orders import ideal_over, ratio_str
 
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     extensions_for,
     index_valuation,
     lattice_contains,
+    multiplier_kernel,
     order_basis,
     order_contains,
     order_coords,
@@ -153,6 +154,16 @@ def test_ring_of_multipliers_refuses_lattice_not_closed():
     # Z(1+i) + Z 4i is no ideal of Z[i]: i(1+i) = -1 + i leaves it
     with pytest.raises(NotIrreducible, match="not multiplicatively closed"):
         ring_of_multipliers(equation_order(GAUSS), [[1, 1], [0, 4]], 2)
+
+
+@pytest.mark.parametrize("ideal", [[[4, 0], [0, 4]], [[2, 2], [0, 4]]], ids=["4Z[i]", "2(1+i)Z[i]"])
+def test_ring_of_multipliers_refuses_lattice_without_p_o(ideal):
+    """4Z[i] and 2(1+i)Z[i] are ideals of Z[i] that do not contain 2Z[i]:
+    each of their elements has norm divisible by 8, and 2 has norm 4. The
+    multiplier ring is read inside I/pO, which needs pO <= I, so they are
+    refused."""
+    with pytest.raises(NotIrreducible, match="does not contain pO"):
+        ring_of_multipliers(equation_order(GAUSS), ideal, 2)
 
 
 def test_ring_of_multipliers_dedekind():
@@ -545,21 +556,15 @@ def test_lattices_from_echelon_form_match_general_elimination(instance):
     assert [[x / p for x in b] for b in ideal] == canonical_basis(
         order_basis(top) + [[x / p for x in v] for v in lifts], p
     )
-    kernels = []
-
-    def recorded_kernel(m, q):
-        kernels.append(fp_kernel(m, q))
-        return kernels[-1]
-
     order = equation_order(fld)
-    with mock.patch.object(orders, "fp_kernel", recorded_kernel):
-        while True:
-            bigger = ring_of_multipliers(order, p_radical(order, p), p)
-            kern = [[x / p for x in order.element(v).coords] for v in kernels[-1]]
-            assert order_basis(bigger) == canonical_basis(order_basis(order) + kern, p)
-            if bigger == order:
-                break
-            order = bigger
+    while True:
+        rad = p_radical(order, p)
+        bigger = ring_of_multipliers(order, rad, p)
+        kern = [[x / p for x in order.element(v).coords] for v in multiplier_kernel(order, rad, p)]
+        assert order_basis(bigger) == canonical_basis(order_basis(order) + kern, p)
+        if bigger == order:
+            break
+        order = bigger
     assert order == top
 
 
@@ -679,16 +684,74 @@ def test_p_maximal_order_matches_plain_round2(p, kind, shifted, data):
     ([4096] + [0] * 7 + [1], 2, 3),  # Newton start theta^k / 2^floor(3k/2)
     ([-2187] + [0] * 5 + [1], 3, 1),  # Newton start Z[theta/3], already 3-maximal
     ([-1536, 0, 0, 0, 1], 2, 1),
-], ids=["x2+1", "x12-2", "x64+1", "x8+4096", "x6-2187", "x4-1536"])
+    ([4] + [0] * 5 + [1] + [0] * 5 + [1], 2, 4),  # Dedekind's first step, then 3 more
+    ([8, -2, 1, 1], 2, 1),  # Dedekind's first step is 2-maximal
+    ([1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1], 2, 0),
+], ids=["x2+1", "x12-2", "x64+1", "x8+4096", "x6-2187", "x4-1536", "x12+x6+4", "dedekind", "phi56"])
 def test_round2_steps_after_the_start(monkeypatch, f, p, steps):
     """Round 2 takes ring_of_multipliers steps only past what f mod p decides:
-    none where f(x + c) is Eisenstein, and from the Newton start otherwise."""
+    none where f(x + c) is Eisenstein or Dedekind's criterion finds Z[theta]
+    p-maximal (Phi_56 at 2), from the Newton start where f = x^n mod p, and
+    from Dedekind's first step otherwise."""
     calls = []
     monkeypatch.setattr(orders, "ring_of_multipliers",
                         lambda *args: calls.append(1) or ring_of_multipliers(*args))
     fld = NumberField(f)
     assert p_maximal_order(fld, p) == plain_round2(fld, p)[0]
     assert len(calls) == steps
+
+
+def dedekind_defect(f, p: int) -> int:
+    """deg Z in Dedekind's criterion, by sympy over GF(p) with its own lifts
+    (Z does not depend on them): g the product of the distinct factors of
+    f mod p, h = f / g mod p, F = (f - g h) / p and Z = gcd(F, g, h) mod p."""
+    t = sympy.Symbol("t")
+    fz, fp = sympy.Poly(f[::-1], t), sympy.Poly(f[::-1], t, modulus=p)
+    g = math.prod((q for q, _ in fp.factor_list()[1]), start=sympy.Poly(1, t, modulus=p))
+    h = fp.quo(g)
+    big_f = (fz - sympy.Poly(g.as_expr(), t) * sympy.Poly(h.as_expr(), t)).exquo_ground(p)
+    return sympy.Poly(big_f.as_expr(), t, modulus=p).gcd(g).gcd(h).degree()
+
+
+@st.composite
+def dedekind_instances(draw):
+    """(f, p): f = (x - a)^i (x - b)^j c(x) + p d(x), low first, for p in
+    {2, 3, 5}, a != b mod p, i and j in 2..3, c monic of degree 0..2 and d
+    of lower degree than f with entries p^k u, k in 0..2, so f mod p has at
+    least two distinct repeated factors. f may be reducible over Q; disc f
+    is nonzero and v_p(disc f) >= 2."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume(a != b)
+    t = sympy.Symbol("t")
+    c = draw(st.lists(st.integers(-3, 3), max_size=2)) + [1]
+    prod = (t - a) ** draw(st.integers(2, 3)) * (t - b) ** draw(st.integers(2, 3)) * sympy.Poly(c[::-1], t)
+    f = [int(x) for x in sympy.Poly(prod, t).all_coeffs()[::-1]]
+    d = [p ** draw(st.integers(0, 2)) * draw(st.integers(-3, 3)) for _ in range(len(f) - 1)]
+    f = [x + p * y for x, y in zip(f, d)] + [1]
+    disc = discriminant(NumberField(f))
+    assume(disc != 0 and pval(disc, p) >= 2)
+    return f, p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dedekind_instances())
+@example(([12, 8, -7, -2, 1], 2))  # (x^2 - 4)((x - 1)^2 - 4): reducible, x^2 (x + 1)^2 mod 2
+@example(([4] + [0] * 5 + [1] + [0] * 5 + [1], 2))  # x^12+x^6+4 = (x^2 + x + 1)^4 mod 2
+def test_dedekind_start_is_the_first_round2_step(instance):
+    """Dedekind's start equals Round 2's first step from Z[theta], the ring
+    of multipliers of its p-radical, and says Z[theta] is p-maximal exactly
+    where that step is a fixpoint; its index over Z[theta] is p^deg Z, with
+    deg Z from sympy. p_maximal_order, which starts there, answers or
+    refuses as plain Round 2 from Z[theta] does."""
+    f, p = instance
+    fld = NumberField(f)
+    eq = equation_order(fld)
+    start, maximal = orders._dedekind_start(fld, p)
+    first = ring_of_multipliers(eq, p_radical(eq, p), p)
+    assert start == first and maximal == (first == eq)
+    assert index_valuation(fp_identity(fld.n), order_basis(start), p) == dedekind_defect(f, p)
+    assert outcome(p_maximal_order, fld, p) == outcome(lambda *args: plain_round2(*args)[0], fld, p)
 
 
 @st.composite
