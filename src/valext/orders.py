@@ -5,11 +5,11 @@ Z_(p) in L. Only p-maximality is ever computed: integers coprime to p are
 units throughout, so the discriminant never needs factoring. Order bases
 are the lower-triangular ones of lattice_canonical, so coordinates come by
 forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
-makes Z[theta] p-maximal, and where f(x + c) is Eisenstein; where f = x^n
-mod p, it starts from the order the Newton polygon of f gives, and
+makes Z[theta] p-maximal, and where f is Eisenstein; where f = x^n mod p
+otherwise, it starts from the order the Newton polygon of f gives, and
 elsewhere Dedekind's criterion takes its first step from Z[theta], or
-finds Z[theta] p-maximal, by polynomial arithmetic mod p (see
-p_maximal_order).
+finds Z[theta] p-maximal (as where f(x + c) is Eisenstein), by
+polynomial arithmetic mod p (see p_maximal_order).
 
 Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
 so it is fixed by an F_p-subspace of O/pO, whose echelon form is its
@@ -303,17 +303,10 @@ def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
     """The order Round 2 starts from, as p_maximal_order describes it, and
     whether it is already p-maximal."""
     n, a = field.n, field._low + [1]
-    m = n
-    while m % p == 0:
-        m //= p
-    c = -a[n - n // m] * pow(m, -1, p) % p
-    g = [0] * (n + 1)
-    for coef in reversed(a):  # Horner: g <- g (x + c) + coef, ending at f(x + c)
-        g = [coef + c * g[0]] + [g[i - 1] + c * g[i] for i in range(1, n + 1)]
-    if g[0] % p**2 and not any(x % p for x in g[:n]):
-        return equation_order(field), True
-    if c or any(x % p for x in g[:n]):  # f mod p is not x^n: the Newton start is Z[theta]
+    if any(x % p for x in a[:n]):  # f mod p is not x^n: Dedekind's start
         return _dedekind_start(field, p)
+    if a[0] % p**2:  # f is Eisenstein: Z[theta] is p-maximal
+        return equation_order(field), True
     lam = min(Fraction(pval(x, p), n - i) for i, x in enumerate(a[:n]) if x)
     top = math.floor((n - 1) * lam)
     return Order(field, [[p ** (top - math.floor(k * lam)) * (i == k) for i in range(n)]
@@ -326,22 +319,21 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     Z[theta] is returned at once where v_p(disc f) <= 1, and where it is 0,
     p is recorded in Order.reduced_at: O/pO = F_p[x]/(f mod p) is reduced
     (Dedekind-Kummer), and gets the empty nilradical when quotient_mod_p
-    builds it. Otherwise f mod p decides the start. With n = p^k m,
-    p not dividing m, f = (x - c)^n = (x^(p^k) - c)^m mod p needs c =
-    -a_(n-p^k) / m mod p, and g(x) = f(x + c) tests it: p must divide every
-    g_i, i < n. If it does and p^2 does not divide g_0, g is Eisenstein, so
-    Z[theta] = Z[theta - c] is p-maximal with no Round-2 step. If instead c
-    = 0, lambda = min over a_i != 0 of v_p(a_i)/(n - i) (the least valuation
-    of a root, by the Newton polygon of f) gives v_p(a_i) >= (n - i) lambda,
-    so the reduced powers theta^m = sum_k r_mk theta^k, m >= n, have
-    v_p(r_mk) >= (m - k) lambda. A product of theta^i / p^floor(i lambda)
-    and theta^j / p^floor(j lambda) then has valuation >= -k lambda, hence
+    builds it. Otherwise f mod p decides the start. Where f = x^n mod p and
+    p^2 does not divide a_0, f is Eisenstein, so Z[theta] is p-maximal with
+    no Round-2 step. Where f = x^n mod p otherwise, lambda = min over
+    a_i != 0 of v_p(a_i)/(n - i) (the least valuation of a root, by the
+    Newton polygon of f) gives v_p(a_i) >= (n - i) lambda, so the reduced
+    powers theta^m = sum_k r_mk theta^k, m >= n, have v_p(r_mk) >=
+    (m - k) lambda. A product of theta^i / p^floor(i lambda) and
+    theta^j / p^floor(j lambda) then has valuation >= -k lambda, hence
     >= -floor(k lambda), at theta^k: these span an order, and Round 2 starts
     from it. Otherwise Dedekind's criterion (_dedekind_start) either finds
     Z[theta] p-maximal, with no Round-2 step, or gives the order Round 2's
-    first step from Z[theta] would, and Round 2 goes on from there. Every
-    start lies in the unique p-maximal order, so the answer is the same
-    from each.
+    first step from Z[theta] would, and Round 2 goes on from there; where
+    f = (x - c)^n mod p, its Z = gcd(F, x - c) is 1 exactly when p^2 does
+    not divide f(c), that is, when f(x + c) is Eisenstein. Every start lies
+    in the unique p-maximal order, so the answer is the same from each.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -653,8 +653,9 @@ def power_of_linear_mod_p(draw, p, kind, shifted):
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_p_maximal_order_matches_plain_round2(p, kind, shifted, data):
-    """Where f = (x - c)^n mod p, p_maximal_order skips Round 2 (g
-    Eisenstein) or starts it from the Newton polygon's order (c = 0). Its
+    """Where f = (x - c)^n mod p, p_maximal_order skips Round 2 where g is
+    Eisenstein (by Dedekind's criterion where c != 0), and otherwise starts
+    it from the Newton polygon's order (c = 0) or Dedekind's first step. Its
     answer, or its refusal, is that of plain Round 2 from Z[theta]; on an
     Eisenstein g that Round 2 takes one step, a fixpoint at Z[theta], which
     the library skips. Z[theta] = Z[theta - c], so v_p([O : Z[theta]]) is
@@ -690,9 +691,10 @@ def test_p_maximal_order_matches_plain_round2(p, kind, shifted, data):
 ], ids=["x2+1", "x12-2", "x64+1", "x8+4096", "x6-2187", "x4-1536", "x12+x6+4", "dedekind", "phi56"])
 def test_round2_steps_after_the_start(monkeypatch, f, p, steps):
     """Round 2 takes ring_of_multipliers steps only past what f mod p decides:
-    none where f(x + c) is Eisenstein or Dedekind's criterion finds Z[theta]
-    p-maximal (Phi_56 at 2), from the Newton start where f = x^n mod p, and
-    from Dedekind's first step otherwise."""
+    none where f is Eisenstein or Dedekind's criterion finds Z[theta]
+    p-maximal (as on x^2+1, x^64+1, whose f(x + 1) is Eisenstein, and Phi_56
+    at 2), from the Newton start where f = x^n mod p, and from Dedekind's
+    first step otherwise."""
     calls = []
     monkeypatch.setattr(orders, "ring_of_multipliers",
                         lambda *args: calls.append(1) or ring_of_multipliers(*args))
@@ -771,11 +773,13 @@ def monic_instances(draw):
 @example(([8, -2, 1, 1], 2))  # p divides the index
 @example(([4, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1], 2))  # Round-2 steps, e = 2, 2 and 6
 def test_kept_nilradical_matches_a_fresh_one(instance):
-    """p_maximal_order keeps O/pO on the order it returns, with its
-    nilradical: computed in Round 2's last step, or recorded as empty
-    where p does not divide disc f. Either must equal the nilradical of a
-    fresh algebra on the same table, and be empty where v_p(disc f) = 0,
-    as Dedekind-Kummer says; quotient_mod_p returns the kept algebra."""
+    """The order p_maximal_order returns keeps O/pO once built, with its
+    nilradical: computed in Round 2's last step or at the first nilradical
+    call, or, where p does not divide disc f, set empty when quotient_mod_p
+    first builds O/pO, as p_maximal_order records only that p is reduced.
+    Either must equal the nilradical of a fresh algebra on the same table,
+    and be empty where v_p(disc f) = 0, as Dedekind-Kummer says;
+    quotient_mod_p returns the kept algebra."""
     f, p = instance
     fld = NumberField(f)
     order = p_maximal_order(fld, p)
