@@ -9,10 +9,13 @@ valuation ring by reverse induction on its minimal polynomial relation
 
 Values use the prime P directly: for x in O, e*w(x) is how often x can be
 multiplied by beta/p, for an anti-uniformizer beta of P, and stay in O
-(Cohen, GTM 138, Alg. 4.8.17). value_by_count returns that count, and is
-what the theorems layer and the approx command use; approx_element builds
-its elements with the same step. value certifies the count with one walk,
-whose CASE steps the value command traces.
+(Cohen, GTM 138, Alg. 4.8.17). At an Eisenstein start, where e = n and the
+order is Z[theta], so that f(x + c) is Eisenstein and theta - c is a
+uniformizer, the count is read off one Taylor shift instead, with no norm
+and no beta. value_by_count returns the count, and is what the theorems
+layer and the approx command use; approx_element builds its elements with
+the step by beta/p. value certifies the count with one walk, whose CASE
+steps the value command traces.
 """
 
 from __future__ import annotations
@@ -102,8 +105,9 @@ class ExtensionValuation:
         the residue field and P/pO is the sum of the other local factors, so
         beta is the component's idempotent, which kills them and is 1 at P,
         and no kernel is taken; when P = pO, that idempotent is 1. Values do
-        not depend on which beta is taken, and approx_element steps by beta/p
-        only when e > 1, so output is the same for every choice.
+        not depend on which beta is taken. The element that approx_element
+        builds, and approx prints, does where e > 1 and it steps by beta/p;
+        taking the first kernel vector fixes beta, and with it that element.
         """
         table = self.order.table
         if self.e == 1:
@@ -239,6 +243,38 @@ def value_by_count(w: ExtensionValuation, x: NFElem) -> Fraction:
 
 
 def _count(w: ExtensionValuation, x: NFElem) -> int:
+    """e*w(x) for nonzero x: _shifted_count at an Eisenstein start, where
+    e = n and the order is Z[theta] (den 1 on a canonical basis), and
+    _beta_count at every other extension."""
+    if w.e == w.field.n and w.order.den == 1:
+        return _shifted_count(w, x)
+    return _beta_count(w, x)
+
+
+def _shifted_count(w: ExtensionValuation, x: NFElem) -> int:
+    """e*w(x) for nonzero x at an Eisenstein start, by one Taylor shift.
+
+    There O/pO = F_p[x]/(f mod p) is local with residue field F_p, so
+    f = (x - c)^n mod p, and as Z[theta] is p-maximal, Dedekind's criterion
+    gives p^2 not dividing f(c): for n >= 2, f(x + c) is Eisenstein and
+    pi = theta - c is a uniformizer, w(pi) = 1/n. theta - c lies in P, the
+    kernel of the residue map, which takes 1 to 1, so c is the residue of
+    theta. With x.num(theta) = sum_k y_k pi^k, the terms' values
+    n v_p(y_k) + k differ mod n, so e*w(x) is their least, less
+    n v_p(x.den). f is irreducible there, so no element has zero norm, and
+    no norm is taken. For n = 1, x is y_0 / x.den and no shift is needed.
+    """
+    p, n = w.p, w.field.n
+    y = x.num[:]
+    c = w.component.projection[0][1] if n > 1 else 0
+    if c:
+        for i in range(n - 1):  # y(t) <- y(t + c), one Horner pass per degree
+            for k in range(n - 2, i - 1, -1):
+                y[k] += c * y[k + 1]
+    return min(n * pval(t, p) + k for k, t in enumerate(y) if t) - n * pval(x.den, p)
+
+
+def _beta_count(w: ExtensionValuation, x: NFElem) -> int:
     """e*w(x) for nonzero x, by counting steps with the anti-uniformizer
     beta of w's prime.
 
@@ -251,6 +287,7 @@ def _count(w: ExtensionValuation, x: NFElem) -> int:
     count is at most floor((v_p(N(x)) + n*a) / f); passing that bound raises
     AssertionError. The first bound+1 steps depend only on y mod
     p^(bound+1), so each step reduces modulo it, and loses a power of p.
+    Over a reducible f, an element of zero norm is refused (NotIrreducible).
     """
     norm = x.norm()
     if norm == 0:

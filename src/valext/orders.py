@@ -5,7 +5,8 @@ Z_(p) in L. Only p-maximality is ever computed: integers coprime to p are
 units throughout, so the discriminant never needs factoring. Order bases
 are the lower-triangular ones of lattice_canonical, so coordinates come by
 forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
-makes Z[theta] p-maximal, and where f is Eisenstein; where f = x^n mod p
+makes Z[theta] p-maximal (v_p(disc f) = 0 read off gcd(f, f') mod p, with no
+discriminant formed), and where f is Eisenstein; where f = x^n mod p
 otherwise, it starts from the order the Newton polygon of f gives, and
 elsewhere Dedekind's criterion takes its first step from Z[theta], or
 finds Z[theta] p-maximal (as where f(x + c) is Eisenstein), by
@@ -262,6 +263,11 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [x * inv % p for x in a]
 
 
+def _fp_derivative(a: list[int], p: int) -> list[int]:
+    """The derivative over F_p of a, trimmed."""
+    return _trim([i * x % p for i, x in enumerate(a)][1:])
+
+
 def _fp_radical(a: list[int], p: int) -> list[int]:
     """The product of the distinct monic irreducible factors of a monic a
     over F_p. Those of multiplicity prime to p divide a / gcd(a, a'), the
@@ -269,7 +275,7 @@ def _fp_radical(a: list[int], p: int) -> list[int]:
     a = b(x^p) = b(x)^p, as F_p is fixed by x -> x^p."""
     if len(a) == 1:
         return a
-    d = _trim([i * x % p for i, x in enumerate(a)][1:])
+    d = _fp_derivative(a, p)
     if not d:
         return _fp_radical(a[::p], p)
     w = _fp_gcd(a, d, p)
@@ -316,10 +322,14 @@ def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
 def p_maximal_order(field: NumberField, p: int) -> Order:
     """Round 2: enlarge through multiplier rings of the p-radical until stable.
 
-    Z[theta] is returned at once where v_p(disc f) <= 1, and where it is 0,
-    p is recorded in Order.reduced_at: O/pO = F_p[x]/(f mod p) is reduced
-    (Dedekind-Kummer), and gets the empty nilradical when quotient_mod_p
-    builds it. Otherwise f mod p decides the start. Where f = x^n mod p and
+    Where gcd(f mod p, f' mod p) = 1 over F_p, f mod p is squarefree, which
+    says v_p(disc f) = 0 with no discriminant formed: Z[theta] is returned
+    and p is recorded in Order.reduced_at, as O/pO = F_p[x]/(f mod p) is
+    reduced (Dedekind-Kummer) and gets the empty nilradical when
+    quotient_mod_p builds it. Only a non-squarefree f mod p pays for the
+    n x n discriminant, which refuses a zero discriminant and caps Round 2's
+    steps; Z[theta] is returned at once where v_p(disc f) = 1. Otherwise
+    f mod p decides the start. Where f = x^n mod p and
     p^2 does not divide a_0, f is Eisenstein, so Z[theta] is p-maximal with
     no Round-2 step. Where f = x^n mod p otherwise, lambda = min over
     a_i != 0 of v_p(a_i)/(n - i) (the least valuation of a root, by the
@@ -337,15 +347,19 @@ def p_maximal_order(field: NumberField, p: int) -> Order:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    fbar = [x % p for x in field._low + [1]]
+    if len(_fp_gcd(fbar, _fp_derivative(fbar, p), p)) == 1:
+        # f mod p is squarefree: v_p(disc f) = 0, and O/pO = F_p[x]/(f mod p)
+        # is reduced
+        order = equation_order(field)
+        order.reduced_at.add(p)
+        return order
     disc = discriminant(field)
     if disc == 0:
         raise NotIrreducible("zero discriminant: defining polynomial is not squarefree")
     v = pval(disc, p)
     if v <= 1:  # [O : Z[theta]]^2 divides disc(f), so Z[theta] is p-maximal
-        order = equation_order(field)
-        if v == 0:  # f mod p is squarefree: O/pO = F_p[x]/(f mod p) is reduced
-            order.reduced_at.add(p)
-        return order
+        return equation_order(field)
     order, maximal = _round2_start(field, p)
     if maximal:
         return order

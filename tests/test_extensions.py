@@ -22,9 +22,9 @@ from valext import (
     value,
     value_by_count,
 )
-from valext.cli import main
+from valext.cli import main, parse_defining_poly
 from valext.errors import NegativeValue
-from valext.extensions import ExtensionValuation
+from valext.extensions import ExtensionValuation, _beta_count, _count, _shifted_count
 from valext.linalg import fp_solve
 
 from conftest import (
@@ -42,7 +42,7 @@ from conftest import (
     random_order_element,
     residue_field,
 )
-from test_orders import round2_instances, shifted_scaling
+from test_orders import round2_instances, shifted_scaling, taylor_shift
 
 
 def splitting_by_roots(coeffs, p):
@@ -472,6 +472,77 @@ def test_count_equals_walk_on_pinned_fields(coeffs, p):
         x = random_element(rng, fld, p)
         assert [value_by_count(w, x) for w in exts] == [value(w, x) for w in exts]
         assert all(walk_beside_the_count(w, x) for w in exts)
+
+
+@st.composite
+def eisenstein_start_instances(draw):
+    """(f, p, elements): f(x) = g(x - c) for g = x^n + p u(x) Eisenstein at
+    p in {2, 3, 5, 7}, n in 1..8, 0 <= c < p, so that f = (x - c)^n mod p
+    and f(x + c) = g is Eisenstein; a few elements with mixed denominators,
+    zero coordinates among them."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 8))
+    u = [draw(st.integers(1, p - 1))] + draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+    g = [p * a for a in u] + [1]
+    f = taylor_shift(g, -draw(st.integers(0, p - 1)))
+    return f, p, draw(st.lists(mixed_denominators(p, n), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(eisenstein_start_instances())
+def test_shifted_count_equals_beta_count_and_walk(case):
+    """At an Eisenstein start, the one extension has e = n over Z[theta], and
+    the count read off one Taylor shift equals the count with beta and the
+    walk's value."""
+    f, p, elements = case
+    fld = NumberField(f)
+    [w] = extensions_of(fld, p)
+    assert (w.e, w.order) == (fld.n, equation_order(fld))
+    for coords in elements:
+        x = fld.element(coords)
+        m = _shifted_count(w, x)
+        assert m == _beta_count(w, x) == _count(w, x)
+        assert value(w, x) == Fraction(m, w.e)
+
+
+@pytest.mark.parametrize("poly,p,shifted", [
+    ("x^4+1", 2, True), ("x^4-2", 2, True), ("x^5-5", 5, True),
+    ("x^8+4096", 2, False), ("x^4-1536", 2, False), ("x^6-2187", 3, False),
+])
+def test_count_dispatch(monkeypatch, poly, p, shifted):
+    """Every field here is totally ramified at p. Where the order is Z[theta]
+    (x^4+1, x^4-2 at 2, x^5-5 at 5), the count takes the Taylor shift and
+    forms no norm and no beta; over any other order (x^8+4096, x^4-1536 at
+    2, x^6-2187 at 3) it keeps the count with beta."""
+    import valext.extensions
+    import valext.numberfield
+
+    calls = {"_shifted_count": 0, "_beta_count": 0, "int_det": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(valext.extensions, "_shifted_count")
+    counted(valext.extensions, "_beta_count")
+    counted(valext.numberfield, "int_det")
+    fld = parse_defining_poly(poly)
+    [w] = extensions_of(fld, p)
+    assert w.e == fld.n and (w.order.den == 1) is shifted
+    calls["int_det"] = 0  # the discriminant, as f mod p is not squarefree
+    rng = random.Random(43)
+    for _ in range(4):
+        value_by_count(w, random_element(rng, fld, p))
+    if shifted:
+        assert calls == {"_shifted_count": 4, "_beta_count": 0, "int_det": 0}
+        assert "anti_uniformizer_matrix" not in vars(w)
+    else:
+        assert calls == {"_shifted_count": 0, "_beta_count": 4, "int_det": 4}
 
 
 def test_ramification_cross_check():

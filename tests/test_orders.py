@@ -598,6 +598,28 @@ def test_equation_order_table_is_the_reduced_powers(f):
             assert all(type(c) is int for c in table[i][j])
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(monic_polys(), st.sampled_from([2, 3, 5, 7, 11]))
+@example([1, 0, 2, 0, 1], 3)  # (x^2+1)^2: not squarefree mod 3 either
+def test_unramified_test_takes_no_discriminant(f, p):
+    """p is recorded in reduced_at exactly where v_p(disc f) = 0 (sympy), and
+    there gcd(f, f') mod p decides it with no discriminant formed. A
+    non-squarefree f is not squarefree mod p, so it still reaches the
+    discriminant, which refuses it."""
+    poly = sympy.Poly(f[::-1], sympy.Symbol("t"))
+    disc = int(sympy.discriminant(poly)) if poly.degree() > 1 else 1
+    fld = NumberField(f)
+    if disc == 0:
+        with pytest.raises(NotIrreducible, match="zero discriminant"):
+            p_maximal_order(fld, p)
+        return
+    calls = []
+    with mock.patch.object(orders, "discriminant", lambda fld: calls.append(1) or discriminant(fld)):
+        order = p_maximal_order(fld, p)
+    assert (p in order.reduced_at) is (disc % p != 0)
+    assert calls == ([] if disc % p else [1])
+
+
 def plain_round2(fld, p):
     """Round 2 from Z[theta] with no shortcut: (p-maximal order, steps), or
     NotIrreducible once the discriminant's bound on the steps is passed."""
