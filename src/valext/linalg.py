@@ -21,19 +21,30 @@ VecFp = list[int]
 MatFp = list[list[int]]
 
 
+def _int_pval(n: int, p: int) -> int:
+    """v_p(n) for an int n != 0, in O(log v_p(n)) divisions: by p, p^2,
+    p^4, ... while they divide, then by each of those, largest first, that
+    still divides (the binary digits of what is left)."""
+    v, q, k, done = 0, p, 1, []
+    while n % q == 0:
+        n //= q
+        v += k
+        done.append((q, k))
+        q, k = q * q, 2 * k
+    for q, k in reversed(done):
+        if n % q == 0:
+            n //= q
+            v += k
+    return v
+
+
 def pval(x: Fraction | int, p: int) -> int:
     """p-adic valuation of a nonzero rational, an int or a Fraction."""
     n, d = x.numerator, x.denominator
     if n == 0:
         raise ValueError("pval of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    # the guards only skip the call where p does not divide
+    return (n % p == 0 and _int_pval(n, p)) - (d % p == 0 and _int_pval(d, p))
 
 
 def columns(vectors: list[list]) -> list[list]:

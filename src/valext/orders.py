@@ -4,13 +4,12 @@ The p-maximal order localized at p models the relative integral closure of
 Z_(p) in L. Only p-maximality is ever computed: integers coprime to p are
 units throughout, so the discriminant never needs factoring. Order bases
 are the lower-triangular ones of lattice_canonical, so coordinates come by
-forward substitution; Round 2 is skipped where v_p(disc f) <= 1 already
-makes Z[theta] p-maximal (v_p(disc f) = 0 read off gcd(f, f') mod p, with no
-discriminant formed), and where f is Eisenstein; where f = x^n mod p
-otherwise, it starts from the order the Newton polygon of f gives, and
-elsewhere Dedekind's criterion takes its first step from Z[theta], or
-finds Z[theta] p-maximal (as where f(x + c) is Eisenstein), by
-polynomial arithmetic mod p (see p_maximal_order).
+forward substitution; Round 2 is skipped where Dedekind's criterion, by
+polynomial arithmetic mod p, finds Z[theta] p-maximal (by one gcd where f
+mod p is squarefree), and only where it does not is the discriminant
+formed; Round 2 then starts from the order the Newton polygon of f gives
+where f = x^n mod p, and from Dedekind's first step elsewhere (see
+p_maximal_order).
 
 Every lattice of Round 2 lies between pO and O, or between O and p^-1 O,
 so it is fixed by an F_p-subspace of O/pO, whose echelon form is its
@@ -270,100 +269,88 @@ def _fp_derivative(a: list[int], p: int) -> list[int]:
 
 def _fp_radical(a: list[int], p: int) -> list[int]:
     """The product of the distinct monic irreducible factors of a monic a
-    over F_p. Those of multiplicity prime to p divide a / gcd(a, a'), the
-    others divide gcd(a, a'), whose radical is taken in turn; where a' = 0,
-    a = b(x^p) = b(x)^p, as F_p is fixed by x -> x^p."""
+    over F_p. Those of multiplicity prime to p divide u = a / gcd(a, a');
+    stripped of them, w = gcd(a, a') keeps the others, to multiples of p,
+    so w = b(x^p) = b(x)^p, as F_p is fixed by x -> x^p."""
     if len(a) == 1:
         return a
     d = _fp_derivative(a, p)
     if not d:
         return _fp_radical(a[::p], p)
     w = _fp_gcd(a, d, p)
-    u, r = _fp_divmod(a, w, p)[0], _fp_radical(w, p)
-    return [x % p for x in _poly_mul(u, _fp_divmod(r, _fp_gcd(u, r, p), p)[0])]  # lcm(u, r)
+    u = _fp_divmod(a, w, p)[0]
+    while len(g := _fp_gcd(w, u, p)) > 1:
+        w = _fp_divmod(w, g, p)[0]
+    return [x % p for x in _poly_mul(u, _fp_radical(w, p))]
 
 
-def _dedekind_start(field: NumberField, p: int) -> tuple[Order, bool]:
-    """Dedekind's criterion on Z[theta] (Cohen, GTM 138, Thm 6.1.4): the
-    first Round-2 step from Z[theta], with no radical or multiplier ring
-    formed, and whether Z[theta] is already p-maximal. With g the radical of
-    f mod p, h = f / g mod p, and g, h lifted, F = (f - g h) / p and
-    Z = gcd(F, g, h) mod p. Z[theta] is p-maximal where Z = 1; otherwise the
-    step gives Z[theta] + U(theta)/p Z[theta], U = f / Z mod p, which is
-    p^-1 times the lattice over pZ[theta] spanned by U x^k, k < deg Z."""
-    f = field._low + [1]
+def _dedekind_defect(f: list[int], p: int) -> list[int]:
+    """Z = gcd(F, g, h) mod p of Dedekind's criterion (Cohen, GTM 138,
+    Thm 6.1.4) for monic f, low first: with g the radical of f mod p,
+    h = f / g mod p, and g, h lifted, F = (f - g h) / p. Z[theta] is
+    p-maximal exactly where Z = 1."""
     fbar = [x % p for x in f]
     g = _fp_radical(fbar, p)
     h = _fp_divmod(fbar, g, p)[0]
     big_f = _trim([(x - y) // p % p for x, y in zip(f, _poly_mul(g, h))])
-    z = _fp_gcd(_fp_gcd(big_f, g, p), h, p)
-    eq = equation_order(field)
-    if len(z) == 1:
-        return eq, True
-    u = _fp_divmod(fbar, z, p)[0]
+    return _fp_gcd(_fp_gcd(big_f, g, p), h, p)
+
+
+def _dedekind_step(field: NumberField, z: list[int], p: int) -> Order:
+    """Round 2's first step from Z[theta], given Dedekind's Z, with no
+    radical or multiplier ring formed: Z[theta] + U(theta)/p Z[theta] for
+    U = f / Z mod p, which is p^-1 times the lattice over pZ[theta] spanned
+    by U x^k, k < deg Z (Z[theta] itself where Z = 1)."""
+    u = _fp_divmod([x % p for x in field._low + [1]], z, p)[0]
     shifts = [[0] * k + u + [0] * (len(z) - 2 - k) for k in range(len(z) - 1)]
-    return Order(field, eq.lattice_nums(ideal_over(eq, shifts, p), p), p), False
-
-
-def _round2_start(field: NumberField, p: int) -> tuple[Order, bool]:
-    """The order Round 2 starts from, as p_maximal_order describes it, and
-    whether it is already p-maximal."""
-    n, a = field.n, field._low + [1]
-    if any(x % p for x in a[:n]):  # f mod p is not x^n: Dedekind's start
-        return _dedekind_start(field, p)
-    if a[0] % p**2:  # f is Eisenstein: Z[theta] is p-maximal
-        return equation_order(field), True
-    lam = min(Fraction(pval(x, p), n - i) for i, x in enumerate(a[:n]) if x)
-    top = math.floor((n - 1) * lam)
-    return Order(field, [[p ** (top - math.floor(k * lam)) * (i == k) for i in range(n)]
-                         for k in range(n)], p**top), False
+    eq = equation_order(field)
+    return Order(field, eq.lattice_nums(ideal_over(eq, shifts, p), p), p)
 
 
 def p_maximal_order(field: NumberField, p: int) -> Order:
     """Round 2: enlarge through multiplier rings of the p-radical until stable.
 
-    Where gcd(f mod p, f' mod p) = 1 over F_p, f mod p is squarefree, which
-    says v_p(disc f) = 0 with no discriminant formed: Z[theta] is returned
-    and p is recorded in Order.reduced_at, as O/pO = F_p[x]/(f mod p) is
-    reduced (Dedekind-Kummer) and gets the empty nilradical when
-    quotient_mod_p builds it. Only a non-squarefree f mod p pays for the
-    n x n discriminant, which refuses a zero discriminant and caps Round 2's
-    steps; Z[theta] is returned at once where v_p(disc f) = 1. Otherwise
-    f mod p decides the start. Where f = x^n mod p and
-    p^2 does not divide a_0, f is Eisenstein, so Z[theta] is p-maximal with
-    no Round-2 step. Where f = x^n mod p otherwise, lambda = min over
-    a_i != 0 of v_p(a_i)/(n - i) (the least valuation of a root, by the
-    Newton polygon of f) gives v_p(a_i) >= (n - i) lambda, so the reduced
-    powers theta^m = sum_k r_mk theta^k, m >= n, have v_p(r_mk) >=
-    (m - k) lambda. A product of theta^i / p^floor(i lambda) and
-    theta^j / p^floor(j lambda) then has valuation >= -k lambda, hence
-    >= -floor(k lambda), at theta^k: these span an order, and Round 2 starts
-    from it. Otherwise Dedekind's criterion (_dedekind_start) either finds
-    Z[theta] p-maximal, with no Round-2 step, or gives the order Round 2's
-    first step from Z[theta] would, and Round 2 goes on from there; where
-    f = (x - c)^n mod p, its Z = gcd(F, x - c) is 1 exactly when p^2 does
-    not divide f(c), that is, when f(x + c) is Eisenstein. Every start lies
-    in the unique p-maximal order, so the answer is the same from each.
+    Where gcd(f mod p, f' mod p) = 1 over F_p, f mod p is squarefree, so
+    v_p(disc f) = 0: Z[theta] is returned, and p recorded in
+    Order.reduced_at, as O/pO = F_p[x]/(f mod p) is reduced
+    (Dedekind-Kummer) and gets the empty nilradical when quotient_mod_p
+    builds it. Otherwise Z[theta] is returned exactly where Dedekind's
+    criterion finds it p-maximal (Z = 1), as where v_p(disc f) = 1 or
+    f(x + c) is Eisenstein. Only past that is the n x n discriminant formed:
+    it refuses a zero one and caps Round 2's steps. A non-squarefree f gets
+    there: each factor mod p of a repeated factor of f divides F, g and h.
+    Where f = x^n mod p, lambda = min over a_i != 0 of v_p(a_i)/(n - i),
+    the least valuation of a root by the Newton polygon of f, gives
+    v_p(r_mk) >= (m - k) lambda for the reduced powers
+    theta^m = sum_k r_mk theta^k, m >= n, so the theta^k / p^floor(k lambda)
+    span an order, and Round 2 starts from it; elsewhere from Dedekind's
+    step. Every start lies in the unique p-maximal order, so the answer is
+    the same from each.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    fbar = [x % p for x in field._low + [1]]
+    n, f = field.n, field._low + [1]
+    fbar = [x % p for x in f]
+    # Kept ahead of Dedekind's criterion, which would also accept Z[theta]
+    # here: one gcd costs less than _fp_radical, and says O/pO is reduced.
     if len(_fp_gcd(fbar, _fp_derivative(fbar, p), p)) == 1:
-        # f mod p is squarefree: v_p(disc f) = 0, and O/pO = F_p[x]/(f mod p)
-        # is reduced
         order = equation_order(field)
         order.reduced_at.add(p)
         return order
+    z = _dedekind_defect(f, p)
+    if len(z) == 1:
+        return equation_order(field)
     disc = discriminant(field)
     if disc == 0:
         raise NotIrreducible("zero discriminant: defining polynomial is not squarefree")
-    v = pval(disc, p)
-    if v <= 1:  # [O : Z[theta]]^2 divides disc(f), so Z[theta] is p-maximal
-        return equation_order(field)
-    order, maximal = _round2_start(field, p)
-    if maximal:
-        return order
-    for _ in range(v // 2 + 2):
+    if any(fbar[:n]):
+        order = _dedekind_step(field, z, p)
+    else:
+        lam = min(Fraction(pval(x, p), n - i) for i, x in enumerate(f[:n]) if x)
+        top = math.floor((n - 1) * lam)
+        order = Order(field, [[p ** (top - math.floor(k * lam)) * (i == k) for i in range(n)]
+                              for k in range(n)], p**top)
+    for _ in range(pval(disc, p) // 2 + 2):
         rad = p_radical(order, p)
         bigger = ring_of_multipliers(order, rad, p)
         if bigger == order:

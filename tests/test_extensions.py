@@ -511,9 +511,11 @@ def test_shifted_count_equals_beta_count_and_walk(case):
 ])
 def test_count_dispatch(monkeypatch, poly, p, shifted):
     """Every field here is totally ramified at p. Where the order is Z[theta]
-    (x^4+1, x^4-2 at 2, x^5-5 at 5), the count takes the Taylor shift and
-    forms no norm and no beta; over any other order (x^8+4096, x^4-1536 at
-    2, x^6-2187 at 3) it keeps the count with beta."""
+    (x^4+1, x^4-2 at 2, x^5-5 at 5), Dedekind's criterion accepts it with no
+    discriminant, and the count takes the Taylor shift and forms no norm and
+    no beta: no determinant is taken at all. Over any other order
+    (x^8+4096, x^4-1536 at 2, x^6-2187 at 3), extensions_of takes one, the
+    discriminant, and the count keeps beta."""
     import valext.extensions
     import valext.numberfield
 
@@ -534,7 +536,8 @@ def test_count_dispatch(monkeypatch, poly, p, shifted):
     fld = parse_defining_poly(poly)
     [w] = extensions_of(fld, p)
     assert w.e == fld.n and (w.order.den == 1) is shifted
-    calls["int_det"] = 0  # the discriminant, as f mod p is not squarefree
+    assert calls["int_det"] == (0 if shifted else 1)
+    calls["int_det"] = 0
     rng = random.Random(43)
     for _ in range(4):
         value_by_count(w, random_element(rng, fld, p))

@@ -23,6 +23,7 @@ from valext.linalg import (
 )
 
 from conftest import canonical_basis, lattice_contains, rep_mod_ppow, scaled_to_integers
+from conftest import pval as plain_pval
 
 
 def q_mat(rows):
@@ -35,6 +36,23 @@ def test_pval():
     assert pval(Fraction(9, 5), 3) == 2
     with pytest.raises(ValueError):
         pval(Fraction(0), 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 10**9 + 7]), st.integers(0, 300), st.integers(0, 300),
+       st.integers(1, 10**6), st.integers(1, 10**6), st.booleans(), st.booleans())
+@example(2, 0, 0, 3, 1, False, False)  # v = 0
+@example(10**9 + 7, 300, 0, 1, 1, True, False)
+@example(3, 0, 257, 1, 9, False, True)  # 3^-259
+def test_pval_matches_the_plain_loop(p, a, b, u, w, negative, fraction):
+    """pval, which divides by p, p^2, p^4, ... and back down, against one
+    division by p at a time (conftest's pval), on the int -u p^a or u p^a,
+    or that over w p^b as a Fraction; u and w may carry p too."""
+    x = (-1 if negative else 1) * u * p**a
+    if fraction:
+        x = Fraction(x, w * p**b)
+    v = pval(x, p)
+    assert v == plain_pval(x, p) and type(v) is int
 
 
 # -- F_p kernels ------------------------------------------------------------

@@ -603,9 +603,12 @@ def test_equation_order_table_is_the_reduced_powers(f):
 @example([1, 0, 2, 0, 1], 3)  # (x^2+1)^2: not squarefree mod 3 either
 def test_unramified_test_takes_no_discriminant(f, p):
     """p is recorded in reduced_at exactly where v_p(disc f) = 0 (sympy), and
-    there gcd(f, f') mod p decides it with no discriminant formed. A
-    non-squarefree f is not squarefree mod p, so it still reaches the
-    discriminant, which refuses it."""
+    there gcd(f, f') mod p decides it with no discriminant formed. The
+    discriminant is formed exactly where Z[theta] is not p-maximal, that is,
+    where plain Round 2's first step from Z[theta] is no fixpoint. A
+    non-squarefree f is not squarefree mod p, and Dedekind's criterion does
+    not accept Z[theta], so it still reaches the discriminant, which refuses
+    it."""
     poly = sympy.Poly(f[::-1], sympy.Symbol("t"))
     disc = int(sympy.discriminant(poly)) if poly.degree() > 1 else 1
     fld = NumberField(f)
@@ -617,7 +620,8 @@ def test_unramified_test_takes_no_discriminant(f, p):
     with mock.patch.object(orders, "discriminant", lambda fld: calls.append(1) or discriminant(fld)):
         order = p_maximal_order(fld, p)
     assert (p in order.reduced_at) is (disc % p != 0)
-    assert calls == ([] if disc % p else [1])
+    maximal = plain_round2(fld, p)[1] == 1
+    assert calls == ([] if maximal else [1])
 
 
 def plain_round2(fld, p):
@@ -771,11 +775,88 @@ def test_dedekind_start_is_the_first_round2_step(instance):
     f, p = instance
     fld = NumberField(f)
     eq = equation_order(fld)
-    start, maximal = orders._dedekind_start(fld, p)
+    z = orders._dedekind_defect(f, p)
+    start, maximal = orders._dedekind_step(fld, z, p), len(z) == 1
     first = ring_of_multipliers(eq, p_radical(eq, p), p)
     assert start == first and maximal == (first == eq)
     assert index_valuation(fp_identity(fld.n), order_basis(start), p) == dedekind_defect(f, p)
     assert outcome(p_maximal_order, fld, p) == outcome(lambda *args: plain_round2(*args)[0], fld, p)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_fp_radical_is_the_product_of_the_distinct_factors(p, data):
+    """_fp_radical of a product of up to three monic factors of degree 1..3
+    over F_p, each to a power 1..2p+1 (so multiplicities divisible by p
+    occur), is the product of the distinct irreducible factors that sympy
+    finds."""
+    t = sympy.Symbol("t")
+    a = sympy.Poly(1, t, modulus=p)
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)) + [1]
+        a *= sympy.Poly(c[::-1], t, modulus=p) ** data.draw(st.integers(1, 2 * p + 1))
+    want = math.prod((q for q, _ in a.factor_list()[1]), start=sympy.Poly(1, t, modulus=p))
+    coeffs = [int(x) % p for x in a.all_coeffs()[::-1]]
+    assert orders._fp_radical(coeffs, p) == [int(x) % p for x in want.all_coeffs()[::-1]]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=3), st.lists(st.integers(-5, 5), max_size=3),
+       st.sampled_from([2, 3, 5, 7, 11]))
+def test_non_squarefree_f_reaches_the_refusal(q, r, p):
+    """f = q^2 r for q monic of degree 1..3 and r monic of degree 0..3: each
+    irreducible factor phi of q mod p has phi^2 | f mod p, so it divides g,
+    h and F (f lies in (p, phi)^2), and Dedekind's Z != 1 (also by sympy).
+    So p_maximal_order never accepts Z[theta] and forms the discriminant,
+    which is zero and refused."""
+    t = sympy.Symbol("t")
+    q, r = sympy.Poly((q + [1])[::-1], t), sympy.Poly((r + [1])[::-1], t)
+    f = [int(x) for x in (q**2 * r).all_coeffs()[::-1]]
+    assert len(orders._dedekind_defect(f, p)) > 1 and dedekind_defect(f, p) > 0
+    with pytest.raises(NotIrreducible, match="zero discriminant"):
+        p_maximal_order(NumberField(f), p)
+
+
+@pytest.mark.parametrize("f,p,maximal", [
+    ([-2] + [0] * 11 + [1], 2, True),  # Eisenstein
+    ([-5, 0, 1], 5, True),  # Eisenstein, and v_5(disc f) = v_5(20) = 1
+    ([-1, -1, 0, 1], 23, True),  # v_23(disc f) = v_23(-23) = 1
+    ([-1536, 0, 0, 0, 1], 2, False),  # x^4 mod 2, and 2^2 | 1536
+], ids=["x12-2", "x2-5", "x3-x-1", "x4-1536"])
+def test_dedekind_verdict_examples(f, p, maximal):
+    """Dedekind's criterion accepts Z[theta] exactly where plain Round 2's
+    first step from it is a fixpoint."""
+    assert (len(orders._dedekind_defect(f, p)) == 1) is maximal
+    assert (plain_round2(NumberField(f), p)[1] == 1) is maximal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 9), st.data())
+def test_dedekind_on_x_to_the_n_mod_p_is_the_eisenstein_test(p, n, data):
+    """For f = x^n mod p, n >= 2, Dedekind's criterion accepts Z[theta]
+    exactly where p^2 does not divide a_0: g = x, h = x^(n-1) and
+    Z = gcd(F, x) with F(0) = a_0 / p mod p. a_0 is p^k u, k in 1..3, u
+    possibly 0 or divisible by p."""
+    f = [p * data.draw(st.integers(-4, 4)) for _ in range(n)] + [1]
+    f[0] = p ** data.draw(st.integers(1, 3)) * data.draw(st.integers(-2 * p, 2 * p))
+    assert (len(orders._dedekind_defect(f, p)) == 1) is (f[0] % p**2 != 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7, 11]), st.data())
+def test_dedekind_accepts_every_f_with_v_p_disc_one(p, data):
+    """Where v_p(disc f) = 1, Z[theta] is p-maximal, as [O : Z[theta]]^2
+    divides disc f, and Dedekind's criterion accepts it. f = (x - a)^2 c(x)
+    + p d(x), for p odd (v_2(disc f) is never 1, by Stickelberger), makes
+    v_p(disc f) = 1 likely; the other draws are discarded."""
+    a = data.draw(st.integers(0, p - 1))
+    c = data.draw(st.lists(st.integers(-4, 4), max_size=3)) + [1]
+    t = sympy.Symbol("t")
+    f = [int(x) for x in (sympy.Poly((t - a) ** 2, t) * sympy.Poly(c[::-1], t)).all_coeffs()[::-1]]
+    f = [x + p * data.draw(st.integers(-4, 4)) for x in f[:-1]] + [1]
+    disc = discriminant(NumberField(f))
+    assume(disc != 0 and pval(disc, p) == 1)
+    assert len(orders._dedekind_defect(f, p)) == 1
 
 
 @st.composite
